@@ -2,14 +2,17 @@
 
 ask^m of a representation over Z/p^n is the average of |kernel|^m over all
 parameter vectors; each coefficient of the zeta series is one such average,
-taken at successive levels n. Everything is computed by full enumeration and
-exact integer/rational arithmetic.
+taken at successive levels n. Everything is exact integer/rational
+arithmetic.
 
 For the first moment the enumeration side can be switched: the circ dual
 trades the parameter side for the domain side at the cost of an exact power
 of p, and the bullet dual preserves the average kernel size outright. The
-auto strategy picks whichever side is cheapest; moments m >= 2 always
-enumerate directly.
+auto strategy picks whichever side is cheapest (moments m >= 2 stay on the
+parameter side) and reads its census off one vector per unit orbit, split by
+valuation (bulk.orbit_censuses). An explicit strategy ("direct", "circ",
+"bullet") enumerates every parameter vector: the literal definition.
+Budgets always count the nominal p^(n l) parameter vectors of the side.
 """
 
 from __future__ import annotations
@@ -57,12 +60,23 @@ class ZetaSeries:
         return len(self.coeffs)
 
 
-def _census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
+def _check_budget(rep: MRep, ring: TruncatedRing, budget: int) -> None:
     cost = ring.size**rep.l
     if cost > budget:
         raise BudgetExceededError(cost, budget)
+
+
+def _literal_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
+    """The census by evaluating every parameter vector."""
+    _check_budget(rep, ring, budget)
     stack = rep.reduced_array(ring).reshape(1, rep.l, rep.d, rep.e)
     return bulk.census_of_stack(stack, ring.p, ring.n)[0]
+
+
+def _orbit_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
+    """The census from one pass over unit-orbit representatives."""
+    _check_budget(rep, ring, budget)
+    return bulk.orbit_censuses(rep.reduced_array(ring), ring.p, ring.n)[ring.n]
 
 
 def kernel_census(
@@ -72,8 +86,10 @@ def kernel_census(
 
     All moments are recoverable from it:
     ask^m = sum_k census[k] p^(k m) / p^(n l).
+    The budget bounds the nominal p^(n l) vectors; the census itself is
+    read off the unit-orbit representatives (bulk.orbit_censuses).
     """
-    return _census(rep, ring, budget)
+    return _orbit_census(rep, ring, budget)
 
 
 def ask_from_census(
@@ -83,17 +99,14 @@ def ask_from_census(
     return Fraction(total, ring.size**side_rank)
 
 
-def ask_m(
-    rep: MRep,
-    ring: TruncatedRing,
-    m: int = 1,
-    strategy: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> AskResult:
-    """Average m-th power of the kernel size, as an exact rational."""
+_SIDES = ("direct", "circ", "bullet")
+
+
+def _side(rep: MRep, m: int, strategy: str) -> tuple[str, MRep]:
+    """The enumeration side for a strategy, and the tensor enumerated there."""
     if m < 1:
         raise ValueError("moment must be >= 1")
-    if strategy not in ("auto", "direct", "circ", "bullet"):
+    if strategy != "auto" and strategy not in _SIDES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if m > 1 and strategy in ("circ", "bullet"):
         raise ValueError(f"strategy {strategy!r} only computes the first moment")
@@ -102,18 +115,40 @@ def ask_m(
             strategy = "direct"
         else:
             costs = {"direct": rep.l, "circ": rep.d, "bullet": rep.e}
-            strategy = min(costs, key=lambda s: (costs[s], ("direct", "circ", "bullet").index(s)))
+            strategy = min(_SIDES, key=lambda s: costs[s])
     if strategy == "direct":
-        value = ask_from_census(_census(rep, ring, budget), ring, rep.l, m)
-        return AskResult(value, ring.n, m, "direct")
-    if strategy == "circ":
-        circ = rep.dual(Dual.CIRC)
-        base = ask_from_census(_census(circ, ring, budget), ring, rep.d, 1)
-        value = Fraction(ring.p) ** (ring.n * (rep.d - rep.l)) * base
-        return AskResult(value, ring.n, m, "circ-side")
-    bullet = rep.dual(Dual.BULLET)
-    value = ask_from_census(_census(bullet, ring, budget), ring, rep.e, 1)
-    return AskResult(value, ring.n, m, "bullet-side")
+        return strategy, rep
+    return strategy, rep.dual(Dual.CIRC if strategy == "circ" else Dual.BULLET)
+
+
+_LABELS = {"direct": "direct", "circ": "circ-side", "bullet": "bullet-side"}
+
+
+def _result(
+    rep: MRep, side: str, tensor: MRep, census: dict[int, int], ring: TruncatedRing, m: int
+) -> AskResult:
+    """ask^m from the census of the tensor enumerated on the given side."""
+    value = ask_from_census(census, ring, tensor.l, m)
+    if side == "circ":  # averaging over the domain rescales by q^(n(d-l))
+        value *= Fraction(ring.p) ** (ring.n * (rep.d - rep.l))
+    return AskResult(value, ring.n, m, _LABELS[side])
+
+
+def ask_m(
+    rep: MRep,
+    ring: TruncatedRing,
+    m: int = 1,
+    strategy: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+) -> AskResult:
+    """Average m-th power of the kernel size, as an exact rational.
+
+    "auto" reads the census of the cheapest side off its unit-orbit
+    representatives; an explicit side enumerates every parameter vector.
+    """
+    side, tensor = _side(rep, m, strategy)
+    census = (_orbit_census if strategy == "auto" else _literal_census)(tensor, ring, budget)
+    return _result(rep, side, tensor, census, ring, m)
 
 
 def zeta_coeffs(
@@ -127,9 +162,24 @@ def zeta_coeffs(
     """Coefficients [c_0 .. c_levels] with c_n = ask^m over Z/p^n.
 
     On budget exhaustion the partial coefficient list is returned with the
-    failing level flagged.
+    failing level flagged; a budget too small for level 0 raises. "auto"
+    makes one orbit pass at the highest level within budget and reads every
+    lower level from it; an explicit strategy enumerates each level.
     """
     coeffs: list[Fraction] = []
+    if strategy == "auto":
+        side, tensor = _side(rep, m, strategy)
+        top = levels  # the highest level whose nominal cost is within budget
+        while top >= 0 and p ** (top * tensor.l) > budget:
+            top -= 1
+        if top < 0 <= levels:
+            raise BudgetExceededError(1, budget, 0)
+        censuses = []
+        if top >= 0:
+            censuses = bulk.orbit_censuses(tensor.reduced_array(TruncatedRing(p, top)), p, top)
+        for n, census in enumerate(censuses):
+            coeffs.append(_result(rep, side, tensor, census, TruncatedRing(p, n), m).value)
+        return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)
     for n in range(levels + 1):
         ring = TruncatedRing(p, n)
         try:

@@ -158,24 +158,23 @@ def cmd_ask(args) -> int:
     rep = _resolve_rep(args)
     ring = TruncatedRing(args.p, args.n)
     result = ask_m(rep, ring, m=args.moment, strategy=args.strategy, budget=args.budget)
+    census = kernel_census(rep, ring, budget=args.budget) if args.census else None
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "value": _frac(result.value),
-                    "level": result.level,
-                    "moment": result.moment,
-                    "strategy": result.strategy,
-                }
-            )
-        )
-    else:
-        print(
-            f"ask^{result.moment} over Z/{args.p}^{args.n} = "
-            f"{_frac(result.value)} [{result.strategy}]"
-        )
-    if args.census:
-        census = kernel_census(rep, ring, budget=args.budget)
+        out = {
+            "value": _frac(result.value),
+            "level": result.level,
+            "moment": result.moment,
+            "strategy": result.strategy,
+        }
+        if census is not None:
+            out["census"] = {str(k): census[k] for k in sorted(census)}
+        print(json.dumps(out))
+        return 0
+    print(
+        f"ask^{result.moment} over Z/{args.p}^{args.n} = "
+        f"{_frac(result.value)} [{result.strategy}]"
+    )
+    if census is not None:
         for k in sorted(census):
             print(f"  kernel size {args.p}^{k}: {census[k]} parameter vectors")
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +63,14 @@ class FiniteGroupSpec:
     def order(self) -> int:
         return self.ring.size ** self.arity
 
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """The tensor reduced mod p^n, built once per group."""
+        return self.rep.reduced_array(self.ring)
+
     def _bilinear(self, dom: np.ndarray, par: np.ndarray) -> np.ndarray:
         """Rows dom times the evaluated matrices A(par), mod p^n."""
-        coeffs = self.rep.reduced_array(self.ring)
-        out = np.einsum("nh,ni,hij->nj", par, dom, coeffs, optimize=True)
+        out = np.einsum("nh,ni,hij->nj", par, dom, self._coeffs, optimize=True)
         return out % self.ring.size
 
     def multiply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

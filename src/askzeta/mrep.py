@@ -330,6 +330,18 @@ def adjoint_rep(structure_constants: Sequence) -> MRep:
     return rep
 
 
+def _unit_census(censuses: list[dict[int, int]], n: int, d: int) -> dict[int, int]:
+    """The level-n census restricted to parameter vectors that are nonzero mod p.
+
+    The other vectors are p b with b at level n - 1, whose kernel exponent
+    is d more than that of b.
+    """
+    units = dict(censuses[n])
+    for k, count in censuses[n - 1].items():
+        units[k + d] -= count
+    return {k: count for k, count in units.items() if count}
+
+
 def constant_rank_check(
     rep: MRep, ring: TruncatedRing, budget: int = 10**7
 ) -> tuple[bool, int]:
@@ -344,18 +356,8 @@ def constant_rank_check(
         raise ValueError("constant-rank scan needs at least one parameter")
     if ring.p**rep.l > budget:
         raise bulk.BudgetExceededError(ring.p**rep.l, budget)
-    p = ring.p
-    coeffs = rep.reduced_array(ring)
-    flat = coeffs.reshape(rep.l, rep.d * rep.e)
-    ranks: set[int] = set()
-    for avec in bulk.iter_vector_chunks(p, rep.l, 1 << 14):
-        nonzero = avec.any(axis=1)
-        if not nonzero.any():
-            continue
-        sel = avec[nonzero]
-        mats = (sel @ flat).reshape(-1, rep.d, rep.e) % p
-        ks = bulk.batch_kernel_exponents(mats, p, 1)
-        ranks.update(int(rep.d - k) for k in np.unique(ks))
+    censuses = bulk.orbit_censuses(rep.reduced_array(ring), ring.p, 1)
+    ranks = {rep.d - k for k in _unit_census(censuses, 1, rep.d)}
     return (len(ranks) == 1, max(ranks))
 
 
@@ -375,24 +377,12 @@ def kminimality_check(
     """
     if up_to_level < 1:
         raise ValueError("need at least one level")
-    results: dict[int, bool] = {}
     for n in range(1, up_to_level + 1):
-        ring = TruncatedRing(p, n)
-        pn = ring.size
-        if pn**rep.l > budget:
-            raise bulk.BudgetExceededError(pn**rep.l, budget, level=n)
-        flat = rep.reduced_array(ring).reshape(rep.l, rep.d * rep.e)
-        target = n * (rep.d - r)
-        ok = True
-        for avec in bulk.iter_vector_chunks(pn, rep.l, 1 << 14):
-            unit = (avec % p).any(axis=1)
-            if not unit.any():
-                continue
-            sel = avec[unit]
-            mats = (sel @ flat).reshape(-1, rep.d, rep.e) % pn
-            ks = bulk.batch_kernel_exponents(mats, p, n)
-            if not (ks == target).all():
-                ok = False
-                break
-        results[n] = ok
-    return results
+        if p ** (n * rep.l) > budget:
+            raise bulk.BudgetExceededError(p ** (n * rep.l), budget, level=n)
+    ring = TruncatedRing(p, up_to_level)
+    censuses = bulk.orbit_censuses(rep.reduced_array(ring), p, up_to_level)
+    return {
+        n: set(_unit_census(censuses, n, rep.d)) <= {n * (rep.d - r)}
+        for n in range(1, up_to_level + 1)
+    }

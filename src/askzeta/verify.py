@@ -337,7 +337,10 @@ def criterion_10(seed: int, budget: int) -> CriterionResult:
             via_dual = ask_m(
                 catalog.make("type_G", d=2).dual("bullet"), ring, m=2, budget=budget
             ).value
-            direct = ask_m(catalog.make("matdxe", d=2, e=2), ring, m=2, budget=budget).value
+            # one side enumerates literally, so the law also checks the orbit census
+            direct = ask_m(
+                catalog.make("matdxe", d=2, e=2), ring, m=2, budget=budget, strategy="direct"
+            ).value
             res.compare(
                 f"type_G(2) bullet dual over Z/{p}^{n}",
                 "second moment agrees with the matrix family",

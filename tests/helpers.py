@@ -24,3 +24,16 @@ def brute_ask(rep, ring, m=1):
         mat = rep.evaluate_at(a, ring)
         total += brute_kernel_count(mat.entries, ring) ** m
     return Fraction(total, pn**rep.l)
+
+
+def brute_census(rep, ring):
+    """{k: #a with |kernel A(a)| = p^k} by literal enumeration."""
+    census = {}
+    for a in product(range(ring.size), repeat=rep.l):
+        count = brute_kernel_count(rep.evaluate_at(a, ring).entries, ring)
+        k = 0
+        while count > 1:
+            count //= ring.p
+            k += 1
+        census[k] = census.get(k, 0) + 1
+    return census

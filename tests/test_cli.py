@@ -43,6 +43,25 @@ def test_cmd_ask(capsys):
     assert payload["value"] == "3/2"
 
 
+def test_cmd_ask_census_json_and_text(capsys):
+    argv = ("ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "2", "--n", "2", "--census")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {
+        "value": "2", "level": 2, "moment": 1, "strategy": "direct",
+        "census": {"0": 2, "1": 1, "2": 1},
+    }
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (
+        "ask^1 over Z/2^2 = 2 [direct]\n"
+        "  kernel size 2^0: 2 parameter vectors\n"
+        "  kernel size 2^1: 1 parameter vectors\n"
+        "  kernel size 2^2: 1 parameter vectors\n"
+    )
+
+
 def test_cmd_zeta_compare(capsys):
     code, out, _ = run(capsys, "zeta", "--catalog", "matdxe", "--d", "2", "--e", "2",
                        "--p", "2", "--levels", "2", "--compare")

@@ -169,3 +169,18 @@ def test_verify_class_identities():
     checks = verify_class_identities(heis, F3)
     assert any("exponential" in c.claim for c in checks)
     assert all(c.match for c in checks if not c.skipped)
+
+
+def test_group_reduces_its_tensor_once(monkeypatch):
+    calls = []
+    original = MRep.reduced_array
+
+    def counting(self, ring):
+        calls.append(ring)
+        return original(self, ring)
+
+    monkeypatch.setattr(MRep, "reduced_array", counting)
+    spec = build_group("h_theta", make("matdxe", d=1, e=1), F3)
+    assert class_number(spec, "centralizer") == 11
+    assert class_number(spec, "orbit") == 11
+    assert calls == [F3]

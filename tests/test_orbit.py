@@ -1,0 +1,197 @@
+"""The valuation-layer, unit-orbit census against literal enumeration."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from askzeta import bulk
+from askzeta.ask import BudgetExceededError, ask_m, kernel_census, zeta_coeffs
+from askzeta.cli import emit_rep, main
+from askzeta.mrep import MRep, constant_rank_check, kminimality_check
+from askzeta.ring import TruncatedRing
+
+from helpers import brute_ask, brute_census
+
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# every (p, n) with p^n <= 27, n = 0 included
+RINGS = [(2, n) for n in range(5)] + [(3, n) for n in range(4)] + [(5, 0), (5, 1), (5, 2)]
+RINGS += [(p, n) for p in (7, 11, 13, 17, 19, 23) for n in (0, 1)]
+
+
+@st.composite
+def reps(draw, max_rank=3):
+    l, d, e = (draw(st.integers(0, max_rank)) for _ in range(3))
+    entry = st.integers(-9, 9)
+    coeffs = draw(
+        st.lists(
+            st.lists(st.lists(entry, min_size=e, max_size=e), min_size=d, max_size=d),
+            min_size=l,
+            max_size=l,
+        )
+    )
+    return MRep(l, d, e, coeffs)
+
+
+def literal_census(rep, ring):
+    stack = rep.reduced_array(ring).reshape(1, rep.l, rep.d, rep.e)
+    return bulk.census_of_stack(stack, ring.p, ring.n)[0]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 7), (3, 5), (5, 3), (7, 2), (13, 1), (2, 20)])
+def test_inverse_table_matches_pow(p, n):
+    pn = p**n
+    table = bulk._inverse_table(p, n)
+    assert table.dtype == np.int64 and table.shape == (pn,)
+    units = np.flatnonzero(np.arange(pn) % p)
+    sample = units if len(units) <= 5000 else units[:: len(units) // 5000]
+    assert all(table[u] == pow(int(u), -1, pn) for u in sample)
+    assert not table[np.arange(0, pn, p)].any()
+    assert ((table[units] * units) % pn == 1).all()
+
+
+@PROPERTY
+@given(rep=reps(), ring=st.sampled_from(RINGS))
+def test_orbit_census_equals_literal_census(rep, ring):
+    p, n = ring
+    censuses = bulk.orbit_censuses(rep.reduced_array(TruncatedRing(p, n)), p, n)
+    assert len(censuses) == n + 1
+    for k, census in enumerate(censuses):
+        level = TruncatedRing(p, k)
+        assert census == literal_census(rep, level)
+        if level.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
+            assert census == brute_census(rep, level)
+    assert kernel_census(rep, TruncatedRing(p, n)) == censuses[n]
+
+
+@PROPERTY
+@given(rep=reps(), ring=st.sampled_from(RINGS), m=st.integers(1, 3))
+def test_auto_equals_direct(rep, ring, m):
+    p, n = ring
+    auto = zeta_coeffs(rep, p, m=m, levels=n, strategy="auto")
+    direct = zeta_coeffs(rep, p, m=m, levels=n, strategy="direct")
+    assert auto == direct
+    value = ask_m(rep, TruncatedRing(p, n), m=m).value
+    assert value == direct.coeffs[n]
+    if p ** (n * (rep.l + rep.d)) * max(1, rep.d * rep.e) <= 5000:
+        assert value == brute_ask(rep, TruncatedRing(p, n), m)
+
+
+def _explicit(rep, m):
+    """The explicit strategy for the side auto enumerates."""
+    return ask_m(rep, TruncatedRing(2, 0), m=m).strategy.removesuffix("-side")
+
+
+def _series_or_error(rep, p, m, levels, strategy, budget):
+    try:
+        return zeta_coeffs(rep, p, m=m, levels=levels, strategy=strategy, budget=budget)
+    except BudgetExceededError as err:
+        return ("budget", err.required, err.budget, err.level)
+
+
+@PROPERTY
+@given(
+    rep=reps(),
+    p=st.sampled_from([2, 3, 5]),
+    m=st.integers(1, 2),
+    levels=st.integers(0, 3),
+    budget=st.integers(0, 200),
+)
+def test_budget_cutoff_matches_levelwise_enumeration(rep, p, m, levels, budget):
+    auto = _series_or_error(rep, p, m, levels, "auto", budget)
+    literal = _series_or_error(rep, p, m, levels, _explicit(rep, m), budget)
+    assert auto == literal
+
+
+def test_budget_counts_nominal_vectors():
+    rep = MRep(2, 2, 2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    with pytest.raises(BudgetExceededError) as err:
+        kernel_census(rep, TruncatedRing(3, 2), budget=80)
+    assert err.value.required == 81
+    assert kernel_census(rep, TruncatedRing(3, 2), budget=81) == literal_census(rep, TruncatedRing(3, 2))
+
+
+def test_cli_budget_exit_with_default_strategy(capsys):
+    code = main(["zeta", "--catalog", "matdxe", "--d", "2", "--e", "2", "--p", "3",
+                 "--levels", "2", "--budget", "50"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "c_1 = " in out and "level 2: enumeration budget exceeded" in out
+
+
+def unit_kernel_exponents(rep, p, n):
+    """Kernel exponents of every parameter vector nonzero mod p, enumerated literally."""
+    ring = TruncatedRing(p, n)
+    a = np.concatenate(list(bulk.iter_vector_chunks(ring.size, rep.l, 1 << 20)))
+    a = a[(a % p).any(axis=1)]
+    flat = rep.reduced_array(ring).reshape(rep.l, rep.d * rep.e)
+    mats = (a @ flat % ring.size).reshape(len(a), rep.d, rep.e)
+    return set(bulk.batch_kernel_exponents(mats, p, n).tolist())
+
+
+@PROPERTY
+@given(rep=reps(), ring=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+def test_unit_scans_match_literal_scans(rep, ring):
+    p, n = ring
+    if rep.l:
+        ranks = {rep.d - k for k in unit_kernel_exponents(rep, p, 1)}
+        assert constant_rank_check(rep, TruncatedRing(p, 1)) == (len(ranks) == 1, max(ranks))
+    exps = {k: unit_kernel_exponents(rep, p, k) for k in range(1, n + 1)}
+    for r in range(rep.d + 1):
+        want = {k: exps[k] <= {k * (rep.d - r)} for k in exps}
+        assert kminimality_check(rep, p, n, r) == want
+
+
+def test_int64_bound_refused_before_enumeration(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    for name in ("batch_smith_exponents", "iter_vector_chunks", "_orbit_representatives"):
+        monkeypatch.setattr(bulk, name, forbidden)
+    # the bound is tight over Z/2^31: it holds at l = 2 and fails at l = 3
+    bulk.check_evaluation_bound(2, 2**31)
+    tiny = np.zeros((3, 1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="int64"):
+        bulk.orbit_censuses(tiny, 2, 31)
+    with pytest.raises(ValueError, match="int64"):
+        bulk.census_of_stack(tiny.reshape(1, 3, 1, 1), 2, 31)
+    with pytest.raises(ValueError, match="int64"):
+        bulk.orbit_censuses(np.zeros((2, 1, 1), dtype=np.int64), 2, 32)
+    big = MRep.zero(3, 3, 3)  # every side has 3 parameters
+    for strategy in ("auto", "direct"):
+        with pytest.raises(ValueError, match="int64"):
+            ask_m(big, TruncatedRing(2, 31), strategy=strategy, budget=2**100)
+
+
+def test_cli_int64_bound_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(emit_rep(MRep.zero(3, 3, 3))))
+    code = main(["ask", "--input", str(path), "--p", "2", "--n", "31", "--budget", str(2**100)])
+    err = capsys.readouterr().err
+    assert code == 2 and "int64" in err
+    # at l = 2 the bound holds, and the nominal 2^62 vectors exceed the default budget
+    path.write_text(json.dumps({"shape": {"l": 2, "d": 1, "e": 1}, "coeffs": [[[1]], [[0]]]}))
+    code = main(["ask", "--input", str(path), "--p", "2", "--n", "31"])
+    assert code == 3 and "budget" in capsys.readouterr().err
+
+
+def test_orbit_census_committed_values():
+    # one representative, [1], stands for all the units of Z/2^3
+    assert bulk.orbit_censuses(np.ones((1, 1, 1), dtype=np.int64), 2, 3) == [
+        {0: 1},
+        {0: 1, 1: 1},
+        {0: 2, 1: 1, 2: 1},
+        {0: 4, 1: 2, 2: 1, 3: 1},
+    ]
+    assert zeta_coeffs(MRep(1, 1, 1, (((1,),),)), 2, levels=2).coeffs == (1, Fraction(3, 2), 2)
+    assert bulk.orbit_censuses(np.zeros((0, 2, 1), dtype=np.int64), 3, 2) == [{0: 1}, {2: 1}, {4: 1}]
