@@ -18,7 +18,7 @@ from .ask import (
     zeta_coeffs,
 )
 from .catalog import make as make_example
-from .groups import FiniteGroupSpec, build_group, class_number, lazard_group, verify_class_identities
+from .groups import FiniteGroupSpec, build_group, class_number, lazard_group
 from .mrep import (
     Dual,
     HomotopyTriple,
@@ -32,6 +32,7 @@ from .mrep import (
 )
 from .polynom import MultiPoly, count_hypersurface_points, det_linear_matrix, generic_rank
 from .ring import RingMatrix, TruncatedRing, image_size, kernel_size, reduce_mod, smith_exponents
+from .verify import verify_class_identities
 from .zeta import QPolynomial, RationalFunction, closed_form
 
 __version__ = "0.1.0"

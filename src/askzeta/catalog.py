@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .mrep import MRep
+from .mrep import MRep, constant_rank_check
 from .ring import TruncatedRing
 from .zeta import RationalFunction, closed_form
 
@@ -174,78 +175,37 @@ def _lie_abelian(d: int) -> MRep:
     return MRep.zero(d, d, d)
 
 
-_BUILDERS = {
-    "matdxe": (_matdxe, ("d", "e")),
-    "so": (_so, ("d",)),
-    "sym": (_sym, ("d",)),
-    "band": (_band, ("r",)),
-    "hankel": (_hankel, ("r",)),
-    "westwick_H": (_westwick_H, ("r",)),
-    "westwick_a": (_westwick_a, ("r",)),
-    "gamma": (_gamma, ("d",)),
-    "type_F": (_type_F, ("d",)),
-    "type_G": (_type_G, ("d",)),
-    "lie_heisenberg": (_lie_heisenberg, ()),
-    "lie_abelian": (_lie_abelian, ("d",)),
-}
-
-
-def make(name: str, **params: int) -> MRep:
-    """Build a catalog tensor; unknown names and bad parameters raise ValueError."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown catalog entry {name!r}")
-    builder, wanted = _BUILDERS[name]
-    missing = [k for k in wanted if k not in params]
-    extra = [k for k in params if k not in wanted]
-    if missing or extra:
-        raise ValueError(
-            f"{name} takes parameters {wanted}; missing {missing}, unexpected {extra}"
-        )
-    args = [int(params[k]) for k in wanted]
-    if any(a < 1 for a in args):
-        raise ValueError(f"{name} parameters must be positive")
-    return builder(*args)
-
-
-def expected_zeta(name: str, params: dict, m: int, q: Fraction | int) -> RationalFunction | None:
-    """The registered closed-form zeta for moment m, or None if none is known."""
-    if name == "matdxe":
-        d, e = params["d"], params["e"]
-        if m == 1:
-            return closed_form("matdxe", q, d=d, e=e)
-        if m == 2 and d == e:
-            return closed_form("ask2_matd", q, d=d)
-        return None
-    if name == "band":
-        r = params["r"]
-        # the family is kernel-minimal, so every moment has a closed form
-        return closed_form("kmin", q, m=m, d=2 * r - 1, r=r, l=r)
-    if name == "hankel":
-        return closed_form("hankel", q, r=params["r"]) if m == 1 else None
-    if name in ("westwick_a", "westwick_H"):
-        return closed_form("westwick", q, r=params["r"]) if m == 1 else None
-    if name == "gamma":
-        return closed_form("gamma_m", q, d=params["d"], m=m)
-    if name == "type_F":
-        d = params["d"]
-        return closed_form("matdxe", q, d=d, e=d - 1) if m == 1 and d >= 2 else None
-    if name == "type_G":
-        d = params["d"]
-        if m == 1:
-            return closed_form("matdxe", q, d=d, e=d)
-        if m == 2:
-            return closed_form("ask2_matd", q, d=d)
-        return None
+def _matrix_zeta(m: int, q: Fraction | int, d: int, e: int) -> RationalFunction | None:
+    """First moments of all d x e matrices; second moments when square."""
+    if m == 1:
+        return closed_form("matdxe", q, d=d, e=e)
+    if m == 2 and d == e:
+        return closed_form("ask2_matd", q, d=d)
     return None
+
+
+def _westwick_zeta(m: int, q: Fraction | int, r: int) -> RationalFunction | None:
+    return closed_form("westwick", q, r=r) if m == 1 else None
 
 
 @dataclass(frozen=True)
 class ExampleDescriptor:
+    """One catalog family: its builder, and its closed-form zeta if one is known.
+
+    `build` takes the parameters in the order of `params`. `zeta(m, q, *params)`
+    is the closed form of the m-th moment series, or None where none is known.
+    `rank_probe`, when set, maps the tensor to the one whose constant rank
+    2r over F_p the closed form needs.
+    """
+
     name: str
     params: tuple[str, ...]
     summary: str
     expected_form: str | None
     conditions: str
+    build: Callable[..., MRep]
+    zeta: Callable[..., RationalFunction | None] | None = None
+    rank_probe: Callable[[MRep], MRep] | None = None
 
     def applies(self, concrete: dict, ring: TruncatedRing) -> bool:
         """Does the registered closed form apply at this ring?
@@ -255,40 +215,80 @@ class ExampleDescriptor:
         the class-number identities are documented in `conditions` and
         enforced by the group constructions themselves.
         """
-        if self.name in ("westwick_a", "westwick_H"):
-            from .mrep import constant_rank_check
-
-            rep = make(self.name, **concrete)
-            probe = rep.dual("bullet") if self.name == "westwick_a" else rep
-            ok, rank = constant_rank_check(probe, TruncatedRing(ring.p, 1))
-            return ok and rank == 2 * concrete["r"]
-        return True
+        if self.rank_probe is None:
+            return True
+        probe = self.rank_probe(make(self.name, **concrete))
+        ok, rank = constant_rank_check(probe, TruncatedRing(ring.p, 1))
+        return ok and rank == 2 * concrete["r"]
 
 
-_DESCRIPTORS = (
-    ExampleDescriptor("matdxe", ("d", "e"), "all d x e matrices", "matdxe", ""),
-    ExampleDescriptor("so", ("d",), "antisymmetric d x d matrices", None, ""),
-    ExampleDescriptor("sym", ("d",), "symmetric d x d matrices", None, ""),
-    ExampleDescriptor("band", ("r",), "(2r-1) x r band matrices", "kmin", ""),
-    ExampleDescriptor("hankel", ("r",), "r x r Hankel matrices", "hankel", ""),
+_EXAMPLES = (
+    ExampleDescriptor("matdxe", ("d", "e"), "all d x e matrices", "matdxe", "", _matdxe, _matrix_zeta),
+    ExampleDescriptor("so", ("d",), "antisymmetric d x d matrices", None, "", _so),
+    ExampleDescriptor("sym", ("d",), "symmetric d x d matrices", None, "", _sym),
+    ExampleDescriptor(
+        "band", ("r",), "(2r-1) x r band matrices", "kmin", "", _band,
+        # the family is kernel-minimal, so every moment has a closed form
+        lambda m, q, r: closed_form("kmin", q, m=m, d=2 * r - 1, r=r, l=r),
+    ),
+    ExampleDescriptor(
+        "hankel", ("r",), "r x r Hankel matrices", "hankel", "", _hankel,
+        lambda m, q, r: closed_form("hankel", q, r=r) if m == 1 else None,
+    ),
     ExampleDescriptor(
         "westwick_H", ("r",), "Westwick constant-rank family", "westwick",
         "residue characteristic large enough for constant rank 2r",
+        _westwick_H, _westwick_zeta, lambda rep: rep,
     ),
     ExampleDescriptor(
         "westwick_a", ("r",), "companion of the Westwick family", "westwick",
         "bullet dual must have constant rank 2r over F_p",
+        _westwick_a, _westwick_zeta, lambda rep: rep.dual("bullet"),
     ),
-    ExampleDescriptor("gamma", ("d",), "recursive C(d+1,2) x d family", "gamma_m", ""),
+    ExampleDescriptor(
+        "gamma", ("d",), "recursive C(d+1,2) x d family", "gamma_m", "", _gamma,
+        lambda m, q, d: closed_form("gamma_m", q, d=d, m=m),
+    ),
     ExampleDescriptor(
         "type_F", ("d",), "alternating wedge family", "matdxe",
-        "p odd for the class-number identities",
+        "p odd for the class-number identities", _type_F,
+        lambda m, q, d: closed_form("matdxe", q, d=d, e=d - 1) if m == 1 and d >= 2 else None,
     ),
-    ExampleDescriptor("type_G", ("d",), "rank-one endomorphism family", "ask2_matd", ""),
-    ExampleDescriptor("lie_heisenberg", (), "Heisenberg bracket tensor", None, ""),
-    ExampleDescriptor("lie_abelian", ("d",), "abelian bracket tensor", None, ""),
+    ExampleDescriptor(
+        "type_G", ("d",), "rank-one endomorphism family", "ask2_matd", "", _type_G,
+        lambda m, q, d: _matrix_zeta(m, q, d, d),
+    ),
+    ExampleDescriptor("lie_heisenberg", (), "Heisenberg bracket tensor", None, "", _lie_heisenberg),
+    ExampleDescriptor("lie_abelian", ("d",), "abelian bracket tensor", None, "", _lie_abelian),
 )
+
+_BY_NAME = {example.name: example for example in _EXAMPLES}
+
+
+def make(name: str, **params: int) -> MRep:
+    """Build a catalog tensor; unknown names and bad parameters raise ValueError."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown catalog entry {name!r}")
+    wanted = _BY_NAME[name].params
+    missing = [k for k in wanted if k not in params]
+    extra = [k for k in params if k not in wanted]
+    if missing or extra:
+        raise ValueError(
+            f"{name} takes parameters {wanted}; missing {missing}, unexpected {extra}"
+        )
+    args = [int(params[k]) for k in wanted]
+    if any(a < 1 for a in args):
+        raise ValueError(f"{name} parameters must be positive")
+    return _BY_NAME[name].build(*args)
+
+
+def expected_zeta(name: str, params: dict, m: int, q: Fraction | int) -> RationalFunction | None:
+    """The registered closed-form zeta for moment m, or None if none is known."""
+    example = _BY_NAME.get(name)
+    if example is None or example.zeta is None:
+        return None
+    return example.zeta(m, q, *(params[k] for k in example.params))
 
 
 def list_examples() -> tuple[ExampleDescriptor, ...]:
-    return _DESCRIPTORS
+    return _EXAMPLES

@@ -21,7 +21,6 @@ from .groups import (
     build_group,
     class_number,
     lazard_group,
-    verify_class_identities,
 )
 from .mrep import (
     HomotopyTriple,
@@ -32,8 +31,15 @@ from .mrep import (
 )
 from .polynom import count_hypersurface_points, det_linear_matrix, generic_rank
 from .ring import TruncatedRing
-from .verify import CRITERIA, run_all
-from .zeta import closed_form
+from .verify import (
+    CRITERIA,
+    DUAL_LAWS,
+    Check,
+    determinantal_checks,
+    dual_laws,
+    run_all,
+    verify_class_identities,
+)
 
 _JSON_INT_LIMIT = 2**53
 
@@ -102,6 +108,12 @@ def emit_rep(rep: MRep) -> dict:
     }
 
 
+def _int_matrix(value, where: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise UsageError(f"{where} must be a list of rows of integers")
+    return tuple(tuple(_coerce_int(x, where) for x in row) for row in value)
+
+
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -128,18 +140,16 @@ def _resolve_rep(args) -> MRep:
     raise UsageError("no tensor given; use --input FILE or --catalog NAME")
 
 
-def _print_report(rows: list[dict], fmt: str) -> None:
+def _print_report(checks: list[Check], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([check.to_dict() for check in checks], indent=2))
         return
-    for row in rows:
-        mark = {True: "ok  ", False: "FAIL", None: "skip"}[row.get("match")]
-        claim = row.get("claim", "")
-        identity = row.get("identity", "")
-        expected = row.get("expected", "")
-        computed = row.get("computed", "")
-        tail = f" expected={expected} computed={computed}" if expected or computed else ""
-        print(f"  {mark} {claim}: {identity}{tail}")
+    for check in checks:
+        mark = {True: "ok  ", False: "FAIL", None: "skip"}[check.match]
+        shown = check.expected or check.computed
+        tail = f" expected={check.expected} computed={check.computed}" if shown else ""
+        note = f" ({check.note})" if check.note else ""
+        print(f"  {mark} {check.claim}: {check.identity}{tail}{note}")
 
 
 def _add_rep_arguments(sub, with_ring=True):
@@ -200,22 +210,20 @@ def cmd_zeta(args) -> int:
             raise UsageError(
                 f"no closed form registered for {args.catalog} at moment {args.moment}"
             )
-        descriptor = next(
-            (d for d in catalog.list_examples() if d.name == args.catalog), None
-        )
-        if descriptor is not None and not descriptor.applies(params, TruncatedRing(args.p, 1)):
+        descriptor = next(d for d in catalog.list_examples() if d.name == args.catalog)
+        if not descriptor.applies(params, TruncatedRing(args.p, 1)):
             conditions_note = (
                 f"conditions for the closed form are not met at p={args.p}"
                 + (f" ({descriptor.conditions})" if descriptor.conditions else "")
             )
     rows = []
     ok = True
+    wanted = expected.expand(args.levels) if expected is not None else None
     for n, c in enumerate(series.coeffs):
         row = {"level": n, "coefficient": _frac(c)}
-        if expected is not None:
-            want = expected.expand(args.levels)[n]
-            row.update({"expected": _frac(want), "match": want == c})
-            ok &= want == c
+        if wanted is not None:
+            row.update({"expected": _frac(wanted[n]), "match": wanted[n] == c})
+            ok &= wanted[n] == c
         rows.append(row)
     if args.format == "json":
         out = {"p": args.p, "moment": args.moment, "coefficients": rows}
@@ -257,16 +265,19 @@ def cmd_check(args) -> int:
     if args.predicate == "homotopy":
         if not args.triple:
             raise UsageError("check homotopy needs --triple FILE")
-        with open(args.triple, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(args.triple, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except OSError as err:
+            raise UsageError(f"cannot read {args.triple}: {err}") from None
+        except ValueError as err:
+            raise UsageError(f"invalid JSON in {args.triple}: {err}") from None
+        if not isinstance(payload, dict):
+            raise UsageError("triple file must hold a JSON object")
         try:
             source = parse_rep(payload["source"])
             target = parse_rep(payload["target"])
-            triple = HomotopyTriple(
-                tuple(tuple(_coerce_int(x, "nu") for x in row) for row in payload["nu"]),
-                tuple(tuple(_coerce_int(x, "phi") for x in row) for row in payload["phi"]),
-                tuple(tuple(_coerce_int(x, "psi") for x in row) for row in payload["psi"]),
-            )
+            triple = HomotopyTriple(*(_int_matrix(payload[key], key) for key in ("nu", "phi", "psi")))
         except KeyError as err:
             raise UsageError(f"triple file is missing {err}") from None
         ring = TruncatedRing(args.p, args.n)
@@ -280,39 +291,24 @@ def cmd_check(args) -> int:
     if args.predicate == "duality":
         ring = TruncatedRing(args.p, args.n)
         base = ask_m(rep, ring, strategy="direct", budget=args.budget).value
-        qn = Fraction(args.p) ** args.n
-        rows = []
-        for which, scale, identity in (
-            ("circ", qn ** (rep.l - rep.d), "ask(circ) = q^(n(l-d)) ask"),
-            ("vee", qn ** (rep.e - rep.d), "ask(vee) = q^(n(e-d)) ask"),
-            ("bullet", Fraction(1), "ask(bullet) = ask"),
-        ):
-            value = ask_m(rep.dual(which), ring, strategy="direct", budget=args.budget).value
-            rows.append(
-                {
-                    "claim": f"{which} dual",
-                    "identity": identity,
-                    "expected": _frac(scale * base),
-                    "computed": _frac(value),
-                    "match": scale * base == value,
-                }
-            )
-        _print_report(rows, args.format)
-        return 0 if all(r["match"] for r in rows) else 1
+        asks = [
+            ask_m(rep.dual(which), ring, strategy="direct", budget=args.budget).value
+            for which, _, _ in DUAL_LAWS
+        ]
+        checks = [
+            Check.of(f"{which} dual", identity, expected, computed)
+            for which, identity, expected, computed in dual_laws(rep, Fraction(ring.size), base, asks)
+        ]
+        _print_report(checks, args.format)
+        return 0 if all(c.match for c in checks) else 1
     if args.predicate == "kminimal":
         r = args.rank if args.rank is not None else generic_rank(rep)
         verdicts = kminimality_check(rep, args.p, args.levels, r, budget=args.budget)
-        rows = [
-            {
-                "claim": f"level {n}",
-                "identity": f"unit-level kernels all equal p^(n(d-r)), r={r}",
-                "expected": "",
-                "computed": str(okay),
-                "match": okay,
-            }
+        checks = [
+            Check(f"level {n}", f"unit-level kernels all equal p^(n(d-r)), r={r}", "", str(okay), okay)
             for n, okay in verdicts.items()
         ]
-        _print_report(rows, args.format)
+        _print_report(checks, args.format)
         return 0
     if args.predicate == "constant-rank":
         ring = TruncatedRing(args.p, 1)
@@ -339,16 +335,6 @@ def cmd_group(args) -> int:
     checks = verify_class_identities(
         rep, ring, class_budget=args.class_budget, ask_budget=args.budget
     )
-    rows = [
-        {
-            "claim": check.claim,
-            "identity": check.identity,
-            "expected": check.expected,
-            "computed": check.computed,
-            "match": check.match,
-        }
-        for check in checks
-    ]
     if args.format == "json":
         print(
             json.dumps(
@@ -357,7 +343,7 @@ def cmd_group(args) -> int:
                     "order": spec.order,
                     "class_number": k_cent,
                     "class_number_by_orbits": k_orbit,
-                    "identities": rows,
+                    "identities": [check.to_dict() for check in checks],
                 },
                 indent=2,
             )
@@ -366,8 +352,8 @@ def cmd_group(args) -> int:
         print(f"group {spec.kind} of order {spec.order} over Z/{args.p}^{args.n}")
         print(f"  class number (centralizer average) = {k_cent}")
         print(f"  class number (orbit partition)     = {k_orbit}")
-        _print_report(rows, args.format)
-    okay = k_cent == k_orbit and all(r["match"] is not False for r in rows)
+        _print_report(checks, args.format)
+    okay = k_cent == k_orbit and all(c.match is not False for c in checks)
     return 0 if okay else 1
 
 
@@ -414,24 +400,9 @@ def cmd_det_example(args) -> int:
     F = det_linear_matrix(rep)
     ring = TruncatedRing(args.p, 1)
     points, smooth = count_hypersurface_points(F, ring)
-    rows = []
     series = zeta_coeffs(rep, args.p, m=args.moment, levels=args.levels, budget=args.budget)
-    form = closed_form(
-        "determinantal", args.p, l=rep.l, d=rep.d, m=args.moment, num_points=points
-    )
-    expected = form.expand(args.levels)
-    ok = smooth
-    for n, c in enumerate(series.coeffs):
-        rows.append(
-            {
-                "claim": f"level {n}",
-                "identity": "determinantal closed form",
-                "expected": _frac(expected[n]),
-                "computed": _frac(c),
-                "match": expected[n] == c,
-            }
-        )
-        ok &= expected[n] == c
+    form, checks = determinantal_checks(rep, args.p, args.moment, points, series.coeffs)
+    ok = smooth and all(c.match for c in checks)
     if args.format == "json":
         print(
             json.dumps(
@@ -441,7 +412,7 @@ def cmd_det_example(args) -> int:
                     "smooth": smooth,
                     "projective_points": points,
                     "closed_form": form.to_json(),
-                    "levels": rows,
+                    "levels": [check.to_dict() for check in checks],
                 },
                 indent=2,
             )
@@ -451,7 +422,7 @@ def cmd_det_example(args) -> int:
         print(f"  smooth over F_{args.p}: {smooth}; projective points: {points}")
         if not smooth:
             print("  warning: the closed form assumes smoothness; comparison may fail")
-        _print_report(rows, args.format)
+        _print_report(checks, args.format)
     return 0 if ok else 1
 
 
@@ -475,8 +446,8 @@ def cmd_verify(args) -> int:
             f"({result.checks} checks, {result.seconds:.1f}s)"
         )
         for failure in result.failures[:10]:
-            print(f"    FAIL {failure['claim']}: {failure['identity']}")
-            print(f"         expected {failure['expected']}, computed {failure['computed']}")
+            print(f"    FAIL {failure.claim}: {failure.identity}")
+            print(f"         expected {failure.expected}, computed {failure.computed}")
         if len(result.failures) > 10:
             print(f"    ... {len(result.failures) - 10} more failures")
         sys.stdout.flush()

@@ -17,12 +17,11 @@ independent and are compared in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_m
+from .bulk import BudgetExceededError
 from .mrep import MRep
 from .ring import TruncatedRing
 
@@ -33,8 +32,6 @@ __all__ = [
     "build_group",
     "class_number",
     "lazard_group",
-    "ClaimCheck",
-    "verify_class_identities",
 ]
 
 DEFAULT_BUILD_BUDGET = 3**10
@@ -222,80 +219,3 @@ def lazard_group(
                 coeffs[b][a][w] = -half
     alpha = MRep(k, k, len(w_idx), tuple(tuple(tuple(r) for r in m) for m in coeffs))
     return build_group("g_alpha", alpha, ring, budget)
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    claim: str
-    identity: str
-    expected: str
-    computed: str
-    match: bool | None  # None = skipped
-    note: str = ""
-
-    @property
-    def skipped(self) -> bool:
-        return self.match is None
-
-
-def _check(claim: str, identity: str, expected, computed) -> ClaimCheck:
-    return ClaimCheck(claim, identity, str(expected), str(computed), expected == computed)
-
-
-def _skip(claim: str, identity: str, note: str) -> ClaimCheck:
-    return ClaimCheck(claim, identity, "", "", None, note)
-
-
-def verify_class_identities(
-    rep: MRep,
-    ring: TruncatedRing,
-    class_budget: int = DEFAULT_CLASS_BUDGET,
-    ask_budget: int = DEFAULT_BUDGET,
-) -> list[ClaimCheck]:
-    """Compare brute-force class numbers with the predicted kernel averages.
-
-    Runs whichever of the three identities applies to the given tensor:
-    the central-extension group of an alternating representation, the
-    semidirect-product group of an arbitrary representation, and the
-    exponential group of a class-<=2 Lie bracket.
-    """
-    checks: list[ClaimCheck] = []
-    W = Fraction(ring.size**rep.e)
-
-    if rep.is_alternating():
-        claim, identity = "central extension class number", "k(G) = |W| * ask(2a)"
-        if ring.p == 2:
-            checks.append(_skip(claim, identity, "needs p odd"))
-        else:
-            try:
-                g = build_group("g_alpha", rep, ring, budget=class_budget)
-                k = class_number(g, "centralizer", class_budget)
-            except BudgetExceededError as err:
-                checks.append(_skip(claim, identity, str(err)))
-            else:
-                predicted = W * ask_m(rep.scalar_multiply(2), ring, budget=ask_budget).value
-                checks.append(_check(claim, identity, predicted, Fraction(k)))
-
-    claim, identity = "semidirect product class number", "k(H) = |W| * ask(hull)"
-    try:
-        h = build_group("h_theta", rep, ring, budget=class_budget)
-        k = class_number(h, "centralizer", class_budget)
-    except BudgetExceededError as err:
-        checks.append(_skip(claim, identity, str(err)))
-    else:
-        predicted = W * ask_m(rep.alternating_hull(), ring, budget=ask_budget).value
-        checks.append(_check(claim, identity, predicted, Fraction(k)))
-
-    if rep.l == rep.d == rep.e and rep.is_alternating() and ring.p != 2:
-        claim, identity = "exponential group class number", "k(exp(g)) = ask(ad)"
-        try:
-            lz = lazard_group(rep, ring, budget=class_budget)
-        except BudgetExceededError as err:
-            checks.append(_skip(claim, identity, str(err)))
-        except ValueError:
-            lz = None
-        else:
-            k = class_number(lz, "centralizer", class_budget)
-            predicted = ask_m(rep, ring, budget=ask_budget).value
-            checks.append(_check(claim, identity, predicted, Fraction(k)))
-    return checks

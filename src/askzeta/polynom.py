@@ -9,7 +9,6 @@ intermediate value is an exact integer polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,7 +20,6 @@ __all__ = [
     "det_linear_matrix",
     "generic_rank",
     "count_hypersurface_points",
-    "rational_matrix_rank",
 ]
 
 
@@ -288,27 +286,3 @@ def count_hypersurface_points(
     walk(0)
     assert zeros % (p - 1) == 0
     return zeros // (p - 1), smooth
-
-
-def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by exact Gaussian elimination."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
-        for i in range(nrows):
-            if i != rank and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

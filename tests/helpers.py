@@ -37,3 +37,27 @@ def brute_census(rep, ring):
             k += 1
         census[k] = census.get(k, 0) + 1
     return census
+
+
+def rational_matrix_rank(rows):
+    """Rank over Q of an integer matrix, by exact Gaussian elimination."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    if not M:
+        return 0
+    nrows, ncols = len(M), len(M[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = 1 / M[rank][col]
+        M[rank] = [x * inv for x in M[rank]]
+        for i in range(nrows):
+            if i != rank and M[i][col]:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank

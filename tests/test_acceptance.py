@@ -15,7 +15,7 @@ def _run(index):
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {index:>2} {status}  {result.title} ({result.checks} checks)")
     for failure in result.failures[:5]:
-        print(f"    {failure['claim']}: expected {failure['expected']}, computed {failure['computed']}")
+        print(f"    {failure.claim}: expected {failure.expected}, computed {failure.computed}")
     assert result.passed, f"criterion {index}: {len(result.failures)} failed checks"
 
 

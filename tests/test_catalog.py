@@ -1,5 +1,6 @@
 import pytest
 
+from askzeta.ask import zeta_coeffs
 from askzeta.catalog import expected_zeta, list_examples, make
 from askzeta.mrep import HomotopyTriple, verify_homotopy
 from askzeta.ring import TruncatedRing
@@ -119,3 +120,25 @@ def test_descriptor_conditions():
     # constrains the class-number identities
     assert by_name["type_F"].applies({"d": 2}, TruncatedRing(2, 1))
     assert "odd" in by_name["type_F"].conditions
+
+
+def _registered_forms():
+    for example in list_examples():
+        for m in (1, 2, 3):
+            if expected_zeta(example.name, {k: 2 for k in example.params}, m, 2) is None:
+                continue
+            marks = ()
+            if (example.name, m) == ("type_G", 2):
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="ask2_matd is the second-moment series of the bullet dual of type_G",
+                )
+            yield pytest.param(example.name, m, marks=marks, id=f"{example.name}-m{m}")
+
+
+@pytest.mark.parametrize("name,m", list(_registered_forms()))
+def test_registered_closed_forms_match_enumeration(name, m):
+    params = {k: 2 for k in next(e for e in list_examples() if e.name == name).params}
+    rep = make(name, **params)
+    for p in (2, 3):
+        assert expected_zeta(name, params, m, p).expand(2) == zeta_coeffs(rep, p, m=m, levels=2).coeffs

@@ -123,6 +123,40 @@ def test_cmd_check_homotopy(tmp_path, capsys):
     assert json.loads(out) == {"homotopy": True}
 
 
+def _triple_payload():
+    rep = emit_rep(make("matdxe", d=1, e=1))
+    return {"source": rep, "target": rep, "nu": [[1]], "phi": [[1]], "psi": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        "[1, 2, 3]",
+        "{not json",
+        '"a string"',
+        {"nu": 3},
+        {"nu": [1]},
+        {"phi": [[1, "x"]]},
+        {"psi": None},
+        {"source": "nothing"},
+        {"nu": [[1, 0]]},
+        {"phi": [[1], [1, 2]]},
+    ],
+)
+def test_cmd_check_homotopy_malformed_input(tmp_path, capsys, content):
+    path = tmp_path / "triple.json"
+    if isinstance(content, dict):
+        content = json.dumps({**_triple_payload(), **content})
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "check", "homotopy", "--p", "3", "--triple", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cmd_group(capsys):
     code, out, _ = run(capsys, "group", "--kind", "galpha", "--catalog", "type_F",
                        "--d", "2", "--p", "3", "--n", "1", "--format", "json")
@@ -170,6 +204,27 @@ def test_verify_report_is_deterministic():
     a, b = first.to_dict(), second.to_dict()
     a.pop("seconds"), b.pop("seconds")
     assert a == b
+
+
+def test_check_records():
+    from fractions import Fraction
+
+    from askzeta.verify import Check, CriterionResult
+
+    res = CriterionResult(0, "records")
+    res.compare("claim", "identity", Fraction(1, 2), Fraction(1, 3))
+    res.compare("claim", "identity", 1, 1)
+    res.record([Check.of("a", "b", 2, 2), Check.of("c", "d", 2, 3)])
+    assert res.checks == 4 and not res.passed
+    assert [f.to_dict() for f in res.failures] == [
+        {"claim": "claim", "identity": "identity", "expected": "1/2", "computed": "1/3", "match": False},
+        {"claim": "c", "identity": "d", "expected": "2", "computed": "3", "match": False},
+    ]
+    skip = Check.skip("claim", "identity", "needs p odd")
+    assert skip.skipped and skip.to_dict() == {
+        "claim": "claim", "identity": "identity", "expected": "", "computed": "", "match": None,
+        "note": "needs p odd",
+    }
 
 
 def test_usage_errors(capsys):

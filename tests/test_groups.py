@@ -6,14 +6,10 @@ import pytest
 
 from askzeta.ask import BudgetExceededError, ask_m
 from askzeta.catalog import make
-from askzeta.groups import (
-    build_group,
-    class_number,
-    lazard_group,
-    verify_class_identities,
-)
+from askzeta.groups import build_group, class_number, lazard_group
 from askzeta.mrep import MRep, adjoint_rep
 from askzeta.ring import TruncatedRing
+from askzeta.verify import verify_class_identities
 
 F3 = TruncatedRing(3, 1)
 F5 = TruncatedRing(5, 1)
@@ -169,6 +165,13 @@ def test_verify_class_identities():
     checks = verify_class_identities(heis, F3)
     assert any("exponential" in c.claim for c in checks)
     assert all(c.match for c in checks if not c.skipped)
+    # no basis-aligned Lazard splitting: the exponential identity is a skip
+    # that says why, not a missing row
+    sl2ish = MRep(2, 2, 2, (((0, 0), (1, 0)), ((-1, 0), (0, 0))))
+    checks = verify_class_identities(sl2ish, F3)
+    assert [c.match for c in checks] == [True, True, None]
+    assert "exponential" in checks[2].claim
+    assert checks[2].note == "bracket values do not land in a central coordinate block"
 
 
 def test_group_reduces_its_tensor_once(monkeypatch):

@@ -9,9 +9,10 @@ from askzeta.polynom import (
     count_hypersurface_points,
     det_linear_matrix,
     generic_rank,
-    rational_matrix_rank,
 )
 from askzeta.ring import TruncatedRing
+
+from helpers import rational_matrix_rank
 
 
 def z(i, n):
