@@ -31,6 +31,7 @@ __all__ = [
     "ZetaSeries",
     "BudgetExceededError",
     "ask_m",
+    "ask_with_census",
     "kernel_census",
     "zeta_coeffs",
 ]
@@ -149,6 +150,21 @@ def ask_m(
     side, tensor = _side(rep, m, strategy)
     census = (_orbit_census if strategy == "auto" else _literal_census)(tensor, ring, budget)
     return _result(rep, side, tensor, census, ring, m)
+
+
+def ask_with_census(
+    rep: MRep,
+    ring: TruncatedRing,
+    m: int = 1,
+    strategy: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[AskResult, dict[int, int]]:
+    """(ask_m, kernel_census) of rep; on the direct side one census gives both."""
+    side, tensor = _side(rep, m, strategy)
+    if side != "direct":
+        return ask_m(rep, ring, m, strategy, budget), kernel_census(rep, ring, budget)
+    census = kernel_census(rep, ring, budget)
+    return _result(rep, side, tensor, census, ring, m), census
 
 
 def zeta_coeffs(

@@ -255,8 +255,8 @@ _EXAMPLES = (
         lambda m, q, d: closed_form("matdxe", q, d=d, e=d - 1) if m == 1 and d >= 2 else None,
     ),
     ExampleDescriptor(
-        "type_G", ("d",), "rank-one endomorphism family", "ask2_matd", "", _type_G,
-        lambda m, q, d: _matrix_zeta(m, q, d, d),
+        "type_G", ("d",), "rank-one endomorphism family", "matdxe", "", _type_G,
+        lambda m, q, d: closed_form("matdxe", q, d=d, e=d) if m == 1 else None,
     ),
     ExampleDescriptor("lie_heisenberg", (), "Heisenberg bracket tensor", None, "", _lie_heisenberg),
     ExampleDescriptor("lie_abelian", ("d",), "abelian bracket tensor", None, "", _lie_abelian),

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_m, kernel_census, zeta_coeffs
+from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_m, ask_with_census, zeta_coeffs
 from .corpus import DEFAULT_SEED
 from .groups import (
     DEFAULT_BUILD_BUDGET,
@@ -167,8 +167,11 @@ def _add_rep_arguments(sub, with_ring=True):
 def cmd_ask(args) -> int:
     rep = _resolve_rep(args)
     ring = TruncatedRing(args.p, args.n)
-    result = ask_m(rep, ring, m=args.moment, strategy=args.strategy, budget=args.budget)
-    census = kernel_census(rep, ring, budget=args.budget) if args.census else None
+    if args.census:
+        result, census = ask_with_census(rep, ring, args.moment, args.strategy, args.budget)
+    else:
+        result = ask_m(rep, ring, m=args.moment, strategy=args.strategy, budget=args.budget)
+        census = None
     if args.format == "json":
         out = {
             "value": _frac(result.value),

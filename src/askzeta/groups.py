@@ -9,9 +9,10 @@ formulas (no Cayley table):
   h_theta   on M x V x W (a semidirect product), with
             (a, x, y)(a', x', y') = (a + a', x + x', y + y' + x A(a'))
 
-Class numbers come from the orbit-counting lemma (average centraliser size)
-or from an explicit partition into conjugacy classes; the two routes are
-independent and are compared in the test suite.
+The centraliser method never lists the group: gh and hg differ only in W,
+by a bilinear form in the other coordinates (the commutator tensor), so
+k(G) = |W| * ask(commutator tensor), from one unit-orbit census. The orbit
+method, explicit conjugation, is the independent oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bulk
 from .bulk import BudgetExceededError
 from .mrep import MRep
 from .ring import TruncatedRing
@@ -118,6 +120,15 @@ class FiniteGroupSpec:
         weights = np.array([pn ** (k - 1 - i) for i in range(k)], dtype=np.int64)
         return X @ weights if k else np.zeros(len(X), dtype=np.int64)
 
+    def commutator_tensor(self) -> np.ndarray:
+        """comm[h, i] = W part of e_h e_i - e_i e_h, shape (k, k, e), k = arity - e."""
+        e = self.rep.e
+        k = self.arity - e
+        basis = np.eye(k, self.arity, dtype=np.int64)
+        X, Y = np.repeat(basis, k, axis=0), np.tile(basis, (k, 1))
+        diff = self.multiply(X, Y)[:, k:] - self.multiply(Y, X)[:, k:]
+        return (diff % self.ring.size).reshape(k, k, e)
+
 
 def build_group(
     kind: str,
@@ -132,6 +143,10 @@ def build_group(
     spec = FiniteGroupSpec(kind, rep, ring)
     if spec.order > budget:
         raise BudgetExceededError(spec.order, budget)
+    if rep.l * rep.d * (ring.size - 1) ** 3 >= 1 << 63:
+        raise ValueError(
+            f"l d = {rep.l * rep.d} over Z/{ring.size} breaks the int64 bound l d (p^n - 1)^3 < 2^63"
+        )
     return spec
 
 
@@ -142,22 +157,23 @@ def class_number(
 ) -> int:
     """Exact number of conjugacy classes.
 
-    method="centralizer" averages centraliser sizes over the group (the
-    orbit-counting lemma); method="orbit" partitions the group into
-    conjugacy classes by explicit conjugation.
+    method="centralizer" averages |C(g)| = p^(n e) |ker comm(g)|;
+    method="orbit" partitions the group by explicit conjugation. The
+    budget bounds the group order.
     """
     if spec.order > budget:
         raise BudgetExceededError(spec.order, budget)
-    E = spec.elements()
-    N = len(E)
     if method == "centralizer":
-        total = 0
-        for g in E:
-            G = np.broadcast_to(g, E.shape)
-            total += int((spec.multiply(G, E) == spec.multiply(E, G)).all(axis=1).sum())
-        assert total % N == 0
-        return total // N
+        p, n = spec.ring.p, spec.ring.n
+        comm = spec.commutator_tensor()
+        census = bulk.orbit_censuses(comm, p, n)[n]
+        total = sum(count * p**exp for exp, count in census.items())
+        classes, rest = divmod(spec.ring.size**spec.rep.e * total, spec.ring.size ** len(comm))
+        assert rest == 0
+        return classes
     if method == "orbit":
+        E = spec.elements()
+        N = len(E)
         inv = spec.inverse(E)
         seen = np.zeros(N, dtype=bool)
         classes = 0

@@ -127,13 +127,7 @@ def _registered_forms():
         for m in (1, 2, 3):
             if expected_zeta(example.name, {k: 2 for k in example.params}, m, 2) is None:
                 continue
-            marks = ()
-            if (example.name, m) == ("type_G", 2):
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="ask2_matd is the second-moment series of the bullet dual of type_G",
-                )
-            yield pytest.param(example.name, m, marks=marks, id=f"{example.name}-m{m}")
+            yield pytest.param(example.name, m, id=f"{example.name}-m{m}")
 
 
 @pytest.mark.parametrize("name,m", list(_registered_forms()))

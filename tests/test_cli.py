@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from askzeta import bulk
 from askzeta.cli import UsageError, emit_rep, main, parse_rep
 from askzeta.catalog import make
 
@@ -60,6 +61,28 @@ def test_cmd_ask_census_json_and_text(capsys):
         "  kernel size 2^1: 1 parameter vectors\n"
         "  kernel size 2^2: 1 parameter vectors\n"
     )
+
+
+def test_cmd_ask_census_computes_one_census(monkeypatch):
+    calls = []
+    orbit_censuses = bulk.orbit_censuses
+
+    def counting(coeffs, p, n):
+        calls.append(coeffs.shape)
+        return orbit_censuses(coeffs, p, n)
+
+    monkeypatch.setattr(bulk, "orbit_censuses", counting)
+    # matdxe(1,1) is enumerated on the direct side: its census gives ask^m too
+    for strategy in ("auto", "direct"):
+        for moment in ("1", "2"):
+            calls.clear()
+            assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
+                         "--n", "2", "--census", "--strategy", strategy, "--moment", moment]) == 0
+            assert calls == [(1, 1, 1)]
+    # matdxe(1,2) is enumerated on the circ side: two different tensors
+    calls.clear()
+    assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3", "--census"]) == 0
+    assert calls == [(1, 2, 2), (2, 1, 2)]
 
 
 def test_cmd_zeta_compare(capsys):

@@ -1,12 +1,17 @@
 import random
+import time
+from itertools import combinations, product
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from askzeta.ask import BudgetExceededError, ask_m
 from askzeta.catalog import make
-from askzeta.groups import build_group, class_number, lazard_group
+from askzeta.cli import main
+from askzeta.groups import FiniteGroupSpec, build_group, class_number, lazard_group
 from askzeta.mrep import MRep, adjoint_rep
 from askzeta.ring import TruncatedRing
 from askzeta.verify import verify_class_identities
@@ -104,6 +109,8 @@ def test_class_number_committed_and_methods_agree():
     assert class_number(tf, "orbit") == 11
     h = build_group("h_theta", make("matdxe", d=1, e=1), F3)
     assert class_number(h, "centralizer") == class_number(h, "orbit") == 11
+    zero_ring = build_group("h_theta", make("matdxe", d=1, e=1), TruncatedRing(3, 0))
+    assert class_number(zero_ring, "centralizer") == class_number(zero_ring, "orbit") == 1
     big = build_group("g_alpha", make("type_F", d=2), Z9)
     assert class_number(big, "centralizer") == class_number(big, "orbit")
     with pytest.raises(BudgetExceededError):
@@ -187,3 +194,113 @@ def test_group_reduces_its_tensor_once(monkeypatch):
     assert class_number(spec, "centralizer") == 11
     assert class_number(spec, "orbit") == 11
     assert calls == [F3]
+
+
+# every (p, n) with p^n <= 27 and n >= 1
+RINGS = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(5, 1), (5, 2)]
+RINGS += [(p, 1) for p in (7, 11, 13, 17, 19, 23)]
+MAX_ORDER = 5000
+
+
+def _shape(rnd, pn, ranks, rich):
+    """A block shape within the rank caps with |G| <= MAX_ORDER; three times
+    in four one that rich() accepts (a group that can be non-abelian), if any."""
+    shapes = [s for s in product(*(range(r + 1) for r in ranks)) if pn ** sum(s) <= MAX_ORDER]
+    rich_shapes = [s for s in shapes if rich(*s)]
+    return rnd.choice(rich_shapes if rich_shapes and rnd.random() < 0.75 else shapes)
+
+
+@st.composite
+def groups(draw):
+    """A random g_alpha, h_theta or Lazard group of order at most MAX_ORDER.
+
+    Shapes and coefficients come from a seeded `random.Random`: hypothesis's
+    own integer draws favour zero, which leaves most groups abelian.
+    """
+    kind = draw(st.sampled_from(("g_alpha", "h_theta", "lazard")))
+    p, n = draw(st.sampled_from([r for r in RINGS if kind != "lazard" or r[0] != 2]))
+    ring = TruncatedRing(p, n)
+    rnd = draw(st.randoms(use_true_random=True))
+    if kind == "h_theta":
+        l, d, e = _shape(rnd, ring.size, (2, 2, 2), lambda l, d, e: min(l, d, e) > 0)
+        coeffs = [[[rnd.randint(-9, 9) for _ in range(e)] for _ in range(d)] for _ in range(l)]
+        return build_group(kind, MRep(l, d, e, coeffs), ring)
+    k, e = _shape(rnd, ring.size, (3, 2), lambda k, e: k > 1 and e > 0)
+    # alternating: alpha[b][a] = -alpha[a][b], zero diagonal
+    alpha = [[[0] * e for _ in range(k)] for _ in range(k)]
+    for a, b in combinations(range(k), 2):
+        alpha[a][b] = [rnd.randint(-9, 9) for _ in range(e)]
+        alpha[b][a] = [-c for c in alpha[a][b]]
+    if kind == "g_alpha":
+        return build_group(kind, MRep(k, k, e, alpha), ring)
+    # a class-2 bracket on M + W with values in the central block W
+    rank = k + e
+    bracket = [[[0] * k + alpha[a][b] if a < k and b < k else [0] * rank for b in range(rank)]
+               for a in range(rank)]
+    return lazard_group(MRep(rank, rank, rank, bracket), ring)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=groups())
+def test_centralizer_method_equals_orbit_partition(spec):
+    assert spec.order <= MAX_ORDER
+    assert class_number(spec, "centralizer") == class_number(spec, "orbit")
+
+
+def test_centralizer_method_never_lists_the_group(monkeypatch):
+    rows = []
+    multiply = FiniteGroupSpec.multiply
+
+    def counting(self, X, Y):
+        rows.append(len(X))
+        return multiply(self, X, Y)
+
+    def refuse(self):
+        raise AssertionError("the centraliser method listed the group")
+
+    monkeypatch.setattr(FiniteGroupSpec, "multiply", counting)
+    monkeypatch.setattr(FiniteGroupSpec, "elements", refuse)
+    rep, ring = make("matdxe", d=2, e=2), TruncatedRing(3, 2)
+    spec = build_group("h_theta", rep, ring, budget=10**20)
+    k = spec.arity - rep.e
+    hull = ask_m(rep.alternating_hull(), ring).value
+    assert class_number(spec, "centralizer", budget=10**20) == ring.size**rep.e * hull
+    assert rows and max(rows) <= k * k
+
+
+def test_heisenberg_class_number_at_scale():
+    # the Heisenberg group over F_101 has order 101^3 and p^2 + p - 1 classes
+    ring = TruncatedRing(101, 1)
+    spec = build_group("h_theta", make("matdxe", d=1, e=1), ring, budget=10**7)
+    assert spec.order == 1_030_301
+    start = time.perf_counter()
+    assert class_number(spec, budget=spec.order) == 101**2 + 101 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_int64_bound(capsys):
+    # l d (p^n - 1)^3 < 2^63: for l = d = 1, 2^21 - 1 and 2097143 - 1 are
+    # inside it and the next prime 2097169 is past it; for l = d = 2 the
+    # primes 1321109 and 1321139 straddle it
+    heis = adjoint_rep(make("lie_heisenberg"))
+    mat11 = make("matdxe", d=1, e=1)
+    huge = 10**30
+    build_group("h_theta", mat11, TruncatedRing(2, 21), budget=huge)
+    build_group("h_theta", mat11, TruncatedRing(2097143, 1), budget=huge)
+    with pytest.raises(ValueError, match="int64 bound"):
+        build_group("h_theta", mat11, TruncatedRing(2097169, 1), budget=huge)
+    # the Lazard group of the Heisenberg bracket is g_alpha with l = d = 2
+    lazard_group(heis, TruncatedRing(1321109, 1), budget=huge)
+    with pytest.raises(ValueError, match="int64 bound"):
+        lazard_group(heis, TruncatedRing(1321139, 1), budget=huge)
+    argv = ["group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1",
+            "--p", "2097169", "--build-budget", str(huge)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "int64 bound" in err and err.count("\n") == 1
