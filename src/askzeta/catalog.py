@@ -29,7 +29,7 @@ def _matdxe(d: int, e: int) -> MRep:
     for i in range(d):
         for j in range(e):
             c[i * e + j][i][j] = 1
-    return MRep(d * e, d, e, tuple(c))
+    return MRep(d * e, d, e, c)
 
 
 def _so(d: int) -> MRep:
@@ -39,7 +39,7 @@ def _so(d: int) -> MRep:
     for h, (i, j) in enumerate(pairs):
         c[h][i][j] = 1
         c[h][j][i] = -1
-    return MRep(len(pairs), d, d, tuple(c))
+    return MRep(len(pairs), d, d, c)
 
 
 def _sym(d: int) -> MRep:
@@ -49,7 +49,7 @@ def _sym(d: int) -> MRep:
     for h, (i, j) in enumerate(pairs):
         c[h][i][j] = 1
         c[h][j][i] = 1
-    return MRep(len(pairs), d, d, tuple(c))
+    return MRep(len(pairs), d, d, c)
 
 
 def _band(r: int) -> MRep:
@@ -59,7 +59,7 @@ def _band(r: int) -> MRep:
         for j in range(r):
             if 0 <= i - j < r:
                 c[i - j][i][j] = 1
-    return MRep(r, 2 * r - 1, r, tuple(c))
+    return MRep(r, 2 * r - 1, r, c)
 
 
 def _hankel(r: int) -> MRep:
@@ -68,7 +68,7 @@ def _hankel(r: int) -> MRep:
     for i in range(r):
         for j in range(r):
             c[i + j][i][j] = 1
-    return MRep(2 * r - 1, r, r, tuple(c))
+    return MRep(2 * r - 1, r, r, c)
 
 
 def _westwick_H(r: int) -> MRep:
@@ -88,7 +88,7 @@ def _westwick_H(r: int) -> MRep:
             c[1][i][i] = 1
         if i + 1 < size:
             c[2][i][i + 1] = -1 if i == r - 1 else 1
-    return MRep(3, size, size, tuple(c))
+    return MRep(3, size, size, c)
 
 
 def _westwick_a(r: int) -> MRep:
@@ -109,7 +109,7 @@ def _westwick_a(r: int) -> MRep:
     # exceptional sign and hole
     c[r][r - 1][2] = -1
     c[r][r][1] = 0
-    return MRep(rows, rows, 3, tuple(c))
+    return MRep(rows, rows, 3, c)
 
 
 def _gamma(d: int) -> MRep:
@@ -134,7 +134,7 @@ def _gamma(d: int) -> MRep:
         for j, entry in enumerate(row):
             if entry is not None:
                 c[entry[0]][i][j] = entry[1]
-    return MRep(d, len(rows), d, tuple(c))
+    return MRep(d, len(rows), d, c)
 
 
 def _type_F(d: int) -> MRep:
@@ -149,7 +149,7 @@ def _type_F(d: int) -> MRep:
                 c[h][i][pairs[(i, h)]] = 1
             elif i > h:
                 c[h][i][pairs[(h, i)]] = -1
-    return MRep(d, d, len(pairs), tuple(c))
+    return MRep(d, d, len(pairs), c)
 
 
 def _type_G(d: int) -> MRep:
@@ -160,7 +160,7 @@ def _type_G(d: int) -> MRep:
     for h in range(d):
         for i in range(d):
             c[h][i][h * d + i] = 1
-    return MRep(d, d, d * d, tuple(c))
+    return MRep(d, d, d * d, c)
 
 
 def _lie_heisenberg() -> MRep:
@@ -168,7 +168,7 @@ def _lie_heisenberg() -> MRep:
     c = _tensor(3, 3, 3)
     c[1][0][2] = 1  # [e1, e2] = e3
     c[0][1][2] = -1
-    return MRep(3, 3, 3, tuple(c))
+    return MRep(3, 3, 3, c)
 
 
 def _lie_abelian(d: int) -> MRep:

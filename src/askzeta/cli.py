@@ -93,9 +93,9 @@ def parse_rep(payload) -> MRep:
         for i, row in enumerate(mat):
             if not isinstance(row, list) or len(row) != dims["e"]:
                 raise UsageError(f"coeffs[{h}][{i}] must be a list of {dims['e']} integers")
-            rows.append(tuple(_coerce_int(x, f"coeffs[{h}][{i}][{j}]") for j, x in enumerate(row)))
-        data.append(tuple(rows))
-    return MRep(dims["l"], dims["d"], dims["e"], tuple(data))
+            rows.append([_coerce_int(x, f"coeffs[{h}][{i}][{j}]") for j, x in enumerate(row)])
+        data.append(rows)
+    return MRep(dims["l"], dims["d"], dims["e"], data)
 
 
 def emit_rep(rep: MRep) -> dict:
@@ -104,7 +104,7 @@ def emit_rep(rep: MRep) -> dict:
 
     return {
         "shape": {"l": rep.l, "d": rep.d, "e": rep.e},
-        "coeffs": [[[enc(x) for x in row] for row in mat] for mat in rep.coeffs],
+        "coeffs": [[[enc(x) for x in row] for row in mat] for mat in rep.array.tolist()],
     }
 
 
@@ -328,15 +328,15 @@ def cmd_check(args) -> int:
 def cmd_group(args) -> int:
     rep = _resolve_rep(args)
     ring = TruncatedRing(args.p, args.n)
-    if args.kind == "lazard":
+    kind = {"galpha": "g_alpha", "htheta": "h_theta"}.get(args.kind, args.kind)
+    if kind == "lazard":
         spec = lazard_group(rep, ring, budget=args.build_budget)
     else:
-        kind = {"galpha": "g_alpha", "htheta": "h_theta"}[args.kind]
         spec = build_group(kind, rep, ring, budget=args.build_budget)
     k_cent = class_number(spec, "centralizer", budget=args.class_budget)
     k_orbit = class_number(spec, "orbit", budget=args.class_budget)
     checks = verify_class_identities(
-        rep, ring, class_budget=args.class_budget, ask_budget=args.budget
+        rep, ring, class_budget=args.class_budget, ask_budget=args.budget, known={kind: k_cent}
     )
     if args.format == "json":
         print(

@@ -34,7 +34,7 @@ def seeded_corpus(
             [[rng.randint(-coeff_bound, coeff_bound) for _ in range(e)] for _ in range(d)]
             for _ in range(l)
         ]
-        reps.append(MRep(l, d, e, tuple(coeffs)))
+        reps.append(MRep(l, d, e, coeffs))
     while len(reps) < count:
         l = rng.randint(1, max_rank)
         d = rng.randint(1, max_rank)
@@ -43,5 +43,5 @@ def seeded_corpus(
             [[rng.randint(-coeff_bound, coeff_bound) for _ in range(e)] for _ in range(d)]
             for _ in range(l)
         ]
-        reps.append(MRep(l, d, e, tuple(coeffs)))
+        reps.append(MRep(l, d, e, coeffs))
     return tuple(reps)

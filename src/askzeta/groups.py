@@ -200,38 +200,17 @@ def lazard_group(
     """
     if ring.p == 2:
         raise ValueError("the exponential correspondence needs p odd")
-    rank = bracket.l
     if not (bracket.l == bracket.d == bracket.e):
         raise ValueError("bracket tensor must be cubical")
-    central = [
-        j
-        for j in range(rank)
-        if all(
-            bracket.coeffs[j][i][k] == 0 and bracket.coeffs[i][j][k] == 0
-            for i in range(rank)
-            for k in range(rank)
-        )
-    ]
-    support = {
-        k
-        for h in range(rank)
-        for i in range(rank)
-        for k in range(rank)
-        if bracket.coeffs[h][i][k] != 0
-    }
-    if not support.issubset(central):
+    nonzero = bracket.array != 0
+    central = ~(nonzero.any(axis=(1, 2)) | nonzero.any(axis=(0, 2)))
+    if (nonzero.any(axis=(0, 1)) & ~central).any():
         raise ValueError("bracket values do not land in a central coordinate block")
-    mod_idx = [j for j in range(rank) if j not in central]
-    w_idx = sorted(central)
+    mod_idx, w_idx = np.flatnonzero(~central), np.flatnonzero(central)
     inv2 = pow(2, -1, ring.size) if ring.n else 0
+    # signed coefficients keep the halved bracket alternating over Z
+    half = inv2 * bracket.array[np.ix_(mod_idx, mod_idx, w_idx)].astype(object) % ring.size
     k = len(mod_idx)
-    coeffs = [[[0] * len(w_idx) for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            for w, j in enumerate(w_idx):
-                # signed coefficients keep the halved bracket alternating over Z
-                half = inv2 * bracket.coeffs[mod_idx[a]][mod_idx[b]][j] % ring.size
-                coeffs[a][b][w] = half
-                coeffs[b][a][w] = -half
-    alpha = MRep(k, k, len(w_idx), tuple(tuple(tuple(r) for r in m) for m in coeffs))
+    half = np.where(np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None], half, 0)
+    alpha = MRep(k, k, len(w_idx), half - half.transpose(1, 0, 2))
     return build_group("g_alpha", alpha, ring, budget)

@@ -13,6 +13,14 @@ Knuth duals are therefore pure index permutations of the tensor:
 
 Coefficients live in Z at arbitrary precision and are reduced per ring on
 demand, so one tensor serves every level n of its zeta function.
+
+The tensor is one read-only ndarray, stored as int64 when every entry is
+below 2^62 in absolute value (so negating or adding two entries cannot wrap)
+and as exact Python ints (dtype=object) otherwise; the values alone decide.
+scalar_multiply and collapse, the two operations that grow entries, compute
+in Python ints and narrow the result again. reduced_array and evaluate_at
+reduce mod p^n before any product; evaluate_at stays in int64 while
+l (p^n - 1)^2 < 2^63 (bulk.check_evaluation_bound) and uses Python ints past it.
 """
 
 from __future__ import annotations
@@ -26,20 +34,11 @@ from . import bulk
 from .ring import RingMatrix, TruncatedRing
 
 __all__ = [
-    "MRep",
-    "HomotopyTriple",
-    "Dual",
-    "collapse",
-    "collapsed_power",
-    "adjoint_rep",
-    "verify_homotopy",
-    "constant_rank_check",
-    "kminimality_check",
+    "MRep", "HomotopyTriple", "Dual", "collapse", "collapsed_power", "adjoint_rep",
+    "verify_homotopy", "constant_rank_check", "kminimality_check",
 ]
 
-Coeffs = tuple[tuple[tuple[int, ...], ...], ...]
-
-_DUALS = ("circ", "bullet", "vee")
+_STORAGE_LIMIT = 1 << 62
 
 
 class Dual:
@@ -50,124 +49,121 @@ class Dual:
     VEE = "vee"
 
 
-def _normalise(l: int, d: int, e: int, coeffs: Sequence) -> Coeffs:
+# each dual as the axis order of the transposed (l, d, e) tensor
+_AXES = {Dual.CIRC: (1, 0, 2), Dual.BULLET: (2, 1, 0), Dual.VEE: (0, 2, 1)}
+
+_SIDES = {"mod": 0, "dom": 1, "cod": 2}
+
+
+def _stored(array: np.ndarray) -> np.ndarray:
+    """The array read-only, in int64 if every entry is below 2^62 in size, else in Python ints."""
+    small = not array.size or (-_STORAGE_LIMIT < array.min() and array.max() < _STORAGE_LIMIT)
+    array = array.astype(np.int64 if small else object, copy=False)
+    array.flags.writeable = False
+    return array
+
+
+def _parse(l: int, d: int, e: int, coeffs) -> np.ndarray:
     if min(l, d, e) < 0:
         raise ValueError("tensor ranks must be nonnegative")
-    if len(coeffs) != l:
-        raise ValueError(f"expected {l} parameter slices, got {len(coeffs)}")
-    out = []
-    for h, mat in enumerate(coeffs):
-        if len(mat) != d:
-            raise ValueError(f"slice {h}: expected {d} rows, got {len(mat)}")
-        rows = []
-        for i, row in enumerate(mat):
-            if len(row) != e:
-                raise ValueError(f"slice {h}, row {i}: expected {e} entries, got {len(row)}")
-            rows.append(tuple(int(x) for x in row))
-        out.append(tuple(rows))
-    return tuple(out)
+    try:
+        array = np.array(coeffs, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64: keep exact Python ints
+        array = np.array(coeffs, dtype=object)
+    if array.size == 0 and array.shape == (l, d, e)[: array.ndim]:
+        array = array.reshape(l, d, e)
+    if array.shape != (l, d, e):
+        raise ValueError(f"coefficients have shape {array.shape}, expected {(l, d, e)}")
+    if array.dtype == object:
+        array = np.frompyfunc(int, 1, 1)(array)
+    return _stored(array)
 
 
-@dataclass(frozen=True)
 class MRep:
-    """A module representation with module/domain/codomain ranks (l, d, e)."""
+    """A module representation with module/domain/codomain ranks (l, d, e).
 
-    l: int
-    d: int
-    e: int
-    coeffs: Coeffs
+    `array` is the read-only tensor c[h, i, j]; `coeffs` is the same tensor
+    as nested tuples of Python ints.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalise(self.l, self.d, self.e, self.coeffs))
+    __slots__ = ("array",)
+
+    def __init__(self, l: int, d: int, e: int, coeffs) -> None:
+        self.array = _parse(l, d, e, coeffs)
+
+    @classmethod
+    def _of(cls, array: np.ndarray) -> "MRep":
+        rep = cls.__new__(cls)
+        rep.array = _stored(array)
+        return rep
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "MRep":
         l = len(coeffs)
         d = len(coeffs[0]) if l else 0
         e = len(coeffs[0][0]) if l and d else 0
-        return cls(l, d, e, _normalise(l, d, e, coeffs))
+        return cls(l, d, e, coeffs)
 
     @classmethod
     def zero(cls, l: int, d: int, e: int) -> "MRep":
-        block = tuple(tuple(0 for _ in range(e)) for _ in range(d))
-        return cls(l, d, e, tuple(block for _ in range(l)))
+        return cls(l, d, e, np.zeros((l, d, e), dtype=np.int64))
+
+    shape = property(lambda self: self.array.shape)
+    l = property(lambda self: self.array.shape[0])
+    d = property(lambda self: self.array.shape[1])
+    e = property(lambda self: self.array.shape[2])
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.l, self.d, self.e)
+    def coeffs(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(map(tuple, mat)) for mat in self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MRep):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, tuple(self.array.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"MRep(l={self.l}, d={self.d}, e={self.e}, coeffs={self.coeffs!r})"
 
     def reduced_array(self, ring: TruncatedRing) -> np.ndarray:
         """Coefficients reduced mod p^n, as an int64 array of shape (l, d, e)."""
-        pn = ring.size
-        data = [[[c % pn for c in row] for row in mat] for mat in self.coeffs]
-        return np.array(data, dtype=np.int64).reshape(self.l, self.d, self.e)
+        return (self.array % ring.size).astype(np.int64, copy=False)
 
     def evaluate_at(self, a: Sequence[int], ring: TruncatedRing) -> RingMatrix:
         """The d x e matrix A(a) = sum_h a_h c[h] over Z/p^n."""
         if len(a) != self.l:
             raise ValueError(f"parameter vector has length {len(a)}, expected {self.l}")
-        entries = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.e):
-                row.append(ring.reduce(sum(int(a[h]) * self.coeffs[h][i][j] for h in range(self.l))))
-            entries.append(tuple(row))
-        return RingMatrix(self.d, self.e, tuple(entries))
+        pn = ring.size
+        if max(self.l, 1) * (pn - 1) ** 2 < 1 << 63:  # inside bulk.check_evaluation_bound
+            coeffs = (self.array % pn).astype(np.int64, copy=False)
+        else:
+            coeffs = self.array.astype(object) % pn
+        x = np.array([int(v) % pn for v in a], dtype=coeffs.dtype)
+        entries = (x @ coeffs.reshape(self.l, self.d * self.e) % pn).reshape(self.d, self.e)
+        return RingMatrix(self.d, self.e, tuple(map(tuple, entries.tolist())))
 
     def dual(self, which: str) -> "MRep":
         """Knuth dual: an exact permutation of the tensor indices."""
-        if which == Dual.CIRC:
-            coeffs = tuple(
-                tuple(tuple(self.coeffs[h][i][j] for j in range(self.e)) for h in range(self.l))
-                for i in range(self.d)
-            )
-            return MRep(self.d, self.l, self.e, coeffs)
-        if which == Dual.BULLET:
-            coeffs = tuple(
-                tuple(tuple(self.coeffs[h][i][j] for h in range(self.l)) for i in range(self.d))
-                for j in range(self.e)
-            )
-            return MRep(self.e, self.d, self.l, coeffs)
-        if which == Dual.VEE:
-            coeffs = tuple(
-                tuple(tuple(self.coeffs[h][i][j] for i in range(self.d)) for j in range(self.e))
-                for h in range(self.l)
-            )
-            return MRep(self.l, self.e, self.d, coeffs)
-        raise ValueError(f"unknown dual {which!r}; expected one of {_DUALS}")
+        if which not in _AXES:
+            raise ValueError(f"unknown dual {which!r}; expected one of {tuple(_AXES)}")
+        return MRep._of(self.array.transpose(_AXES[which]))
 
     def direct_sum(self, other: "MRep") -> "MRep":
-        l, d, e = self.l + other.l, self.d + other.d, self.e + other.e
-        coeffs = []
-        for h in range(l):
-            mat = [[0] * e for _ in range(d)]
-            if h < self.l:
-                for i in range(self.d):
-                    for j in range(self.e):
-                        mat[i][j] = self.coeffs[h][i][j]
-            else:
-                for i in range(other.d):
-                    for j in range(other.e):
-                        mat[self.d + i][self.e + j] = other.coeffs[h - self.l][i][j]
-            coeffs.append(mat)
-        return MRep(l, d, e, _normalise(l, d, e, coeffs))
+        l, d, e = self.shape
+        out = np.zeros(np.add(self.shape, other.shape), dtype=np.result_type(self.array, other.array))
+        out[:l, :d, :e] = self.array
+        out[l:, d:, e:] = other.array
+        return MRep._of(out)
 
     def scalar_multiply(self, c: int) -> "MRep":
-        coeffs = tuple(
-            tuple(tuple(c * x for x in row) for row in mat) for mat in self.coeffs
-        )
-        return MRep(self.l, self.d, self.e, coeffs)
+        return MRep._of(self.array.astype(object) * c)
 
     def is_alternating(self) -> bool:
         """True iff l = d, c[h][i][:] = -c[i][h][:] and c[h][h][:] = 0."""
-        if self.l != self.d:
-            return False
-        for h in range(self.l):
-            for i in range(self.l):
-                for j in range(self.e):
-                    if self.coeffs[h][i][j] + self.coeffs[i][h][j] != 0:
-                        return False
-        return True
+        return self.l == self.d and np.array_equal(self.array, -self.array.transpose(1, 0, 2))
 
     def alternating_hull(self) -> "MRep":
         """The alternating representation on V + M induced by this one.
@@ -177,17 +173,11 @@ class MRep:
         x A(a') - x' A(a), i.e. the stacked matrix of linear forms
         [A(z) ; -A_circ(x)] in disjoint variable sets.
         """
-        l, d, e = self.l, self.d, self.e
-        r = d + l
-        coeffs = [[[0] * e for _ in range(r)] for _ in range(r)]
-        for h in range(l):
-            for i in range(d):
-                for j in range(e):
-                    c = self.coeffs[h][i][j]
-                    if c:
-                        coeffs[d + h][i][j] = c
-                        coeffs[i][d + h][j] = -c
-        return MRep(r, r, e, _normalise(r, r, e, coeffs))
+        l, d, e = self.shape
+        out = np.zeros((d + l, d + l, e), dtype=self.array.dtype)
+        out[d:, :d] = self.array
+        out[:d, d:] = -self.array.transpose(1, 0, 2)
+        return MRep._of(out)
 
 
 @dataclass(frozen=True)
@@ -200,20 +190,14 @@ class HomotopyTriple:
 
     @classmethod
     def identity(cls, rep: MRep) -> "HomotopyTriple":
-        return cls(_identity(rep.l), _identity(rep.d), _identity(rep.e))
+        return cls(*(tuple(map(tuple, np.eye(k, dtype=int).tolist())) for k in rep.shape))
 
 
-def _identity(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def _matrix_shape(m: Sequence[Sequence[int]]) -> tuple[int, int]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    for row in m:
-        if len(row) != cols:
-            raise ValueError("ragged matrix in homotopy triple")
-    return rows, cols
+def _matrix(name: str, m: Sequence[Sequence[int]], shape: tuple[int, int]) -> np.ndarray:
+    """m as a Python-int array, checked to have the given shape."""
+    if len(m) != shape[0] or any(len(row) != shape[1] for row in m):
+        raise ValueError(f"{name} is not a {shape[0]} x {shape[1]} matrix")
+    return np.array(m, dtype=object).reshape(shape)
 
 
 def verify_homotopy(
@@ -222,34 +206,16 @@ def verify_homotopy(
     """Check the intertwining identity of a candidate homotopy mod p^n.
 
     For all h, i, j': sum_j c[h][i][j] psi[j][j'] must agree with
-    sum_{h', i'} nu[h][h'] phi[i][i'] c~[h'][i'][j'].
+    sum_{h', i'} nu[h][h'] phi[i][i'] c~[h'][i'][j'], in Python ints.
     """
-    nu_shape = _matrix_shape(triple.nu) if triple.nu else (0, target.l)
-    phi_shape = _matrix_shape(triple.phi) if triple.phi else (0, target.d)
-    psi_shape = _matrix_shape(triple.psi) if triple.psi else (0, target.e)
-    if nu_shape != (source.l, target.l):
-        raise ValueError(f"nu has shape {nu_shape}, expected {(source.l, target.l)}")
-    if phi_shape != (source.d, target.d):
-        raise ValueError(f"phi has shape {phi_shape}, expected {(source.d, target.d)}")
-    if psi_shape != (source.e, target.e):
-        raise ValueError(f"psi has shape {psi_shape}, expected {(source.e, target.e)}")
-    for h in range(source.l):
-        for i in range(source.d):
-            for jp in range(target.e):
-                lhs = sum(source.coeffs[h][i][j] * triple.psi[j][jp] for j in range(source.e))
-                rhs = sum(
-                    triple.nu[h][hp] * triple.phi[i][ip] * target.coeffs[hp][ip][jp]
-                    for hp in range(target.l)
-                    for ip in range(target.d)
-                )
-                if ring.reduce(lhs - rhs) != 0:
-                    return False
-    return True
+    sides = zip(source.shape, target.shape)
+    nu, phi, psi = map(_matrix, ("nu", "phi", "psi"), (triple.nu, triple.phi, triple.psi), sides)
+    lhs = np.tensordot(source.array.astype(object), psi, axes=(2, 0))
+    rhs = np.tensordot(nu, np.tensordot(phi, target.array.astype(object), axes=(1, 1)), axes=(1, 1))
+    return bool(((lhs - rhs) % ring.size == 0).all())
 
 
-def collapse(
-    rep_sum: MRep, mode: str, blocks: Sequence[tuple[int, int, int]]
-) -> MRep:
+def collapse(rep_sum: MRep, mode: str, blocks: Sequence[tuple[int, int, int]]) -> MRep:
     """Collapse the shared side of a direct sum back down to a single copy.
 
     `rep_sum` must be the direct sum of representations whose shapes are
@@ -258,50 +224,19 @@ def collapse(
     realises precomposition with the diagonal (mod/dom) or postcomposition
     with the fold map (cod).
     """
-    ls, ds, es = (sum(b[k] for b in blocks) for k in range(3))
-    if (ls, ds, es) != rep_sum.shape:
-        raise ValueError(f"blocks sum to {(ls, ds, es)}, tensor has shape {rep_sum.shape}")
-    if mode == "mod":
-        shared = {b[0] for b in blocks}
-    elif mode == "dom":
-        shared = {b[1] for b in blocks}
-    elif mode == "cod":
-        shared = {b[2] for b in blocks}
-    else:
+    sums = tuple(sum(b[k] for b in blocks) for k in range(3))
+    if sums != rep_sum.shape:
+        raise ValueError(f"blocks sum to {sums}, tensor has shape {rep_sum.shape}")
+    if mode not in _SIDES:
         raise ValueError(f"unknown collapse mode {mode!r}")
+    axis = _SIDES[mode]
+    shared = {b[axis] for b in blocks}
     if len(shared) > 1:
         raise ValueError(f"summands do not share the {mode} side: sizes {sorted(shared)}")
     k = shared.pop() if shared else 0
-    c = rep_sum.coeffs
-    if mode == "mod":
-        offs = range(0, rep_sum.l, k) if k else []
-        coeffs = [
-            [
-                [sum(c[o + h][i][j] for o in offs) for j in range(rep_sum.e)]
-                for i in range(rep_sum.d)
-            ]
-            for h in range(k)
-        ]
-        return MRep(k, rep_sum.d, rep_sum.e, _normalise(k, rep_sum.d, rep_sum.e, coeffs))
-    if mode == "dom":
-        offs = range(0, rep_sum.d, k) if k else []
-        coeffs = [
-            [
-                [sum(c[h][o + i][j] for o in offs) for j in range(rep_sum.e)]
-                for i in range(k)
-            ]
-            for h in range(rep_sum.l)
-        ]
-        return MRep(rep_sum.l, k, rep_sum.e, _normalise(rep_sum.l, k, rep_sum.e, coeffs))
-    offs = range(0, rep_sum.e, k) if k else []
-    coeffs = [
-        [
-            [sum(c[h][i][o + j] for o in offs) for j in range(k)]
-            for i in range(rep_sum.d)
-        ]
-        for h in range(rep_sum.l)
-    ]
-    return MRep(rep_sum.l, rep_sum.d, k, _normalise(rep_sum.l, rep_sum.d, k, coeffs))
+    stacked = np.moveaxis(rep_sum.array.astype(object), axis, 0)
+    summed = stacked.reshape(len(blocks), k, *stacked.shape[1:]).sum(axis=0)
+    return MRep._of(np.moveaxis(summed, 0, axis))
 
 
 def collapsed_power(rep: MRep, m: int, mode: str = "mod") -> MRep:
@@ -320,9 +255,9 @@ def adjoint_rep(structure_constants: Sequence) -> MRep:
     The input tensor c[h][i][j] with l = d = e must satisfy
     c[h][i][:] = -c[i][h][:] (which forces zero diagonal slices over Z).
     """
-    rep = MRep.from_coeffs(structure_constants) if not isinstance(
-        structure_constants, MRep
-    ) else structure_constants
+    rep = structure_constants
+    if not isinstance(rep, MRep):
+        rep = MRep.from_coeffs(rep)
     if not (rep.l == rep.d == rep.e):
         raise ValueError(f"bracket tensor must be cubical, got shape {rep.shape}")
     if not rep.is_alternating():

@@ -164,18 +164,11 @@ class MultiPoly:
 
 
 def _linear_matrix(rep: "MRep") -> list[list[MultiPoly]]:
-    entries = []
-    for i in range(rep.d):
-        row = []
-        for j in range(rep.e):
-            terms = {}
-            for h in range(rep.l):
-                c = rep.coeffs[h][i][j]
-                if c:
-                    terms[tuple(1 if t == h else 0 for t in range(rep.l))] = c
-            row.append(MultiPoly(rep.l, terms))
-        entries.append(row)
-    return entries
+    monomials = [tuple(1 if t == h else 0 for t in range(rep.l)) for h in range(rep.l)]
+    return [
+        [MultiPoly(rep.l, {monomials[h]: c for h, c in enumerate(forms) if c}) for forms in row]
+        for row in rep.array.transpose(1, 2, 0).tolist()
+    ]
 
 
 def det_linear_matrix(rep: "MRep") -> MultiPoly:

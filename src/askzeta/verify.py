@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -159,6 +159,7 @@ def verify_class_identities(
     ring: TruncatedRing,
     class_budget: int = DEFAULT_CLASS_BUDGET,
     ask_budget: int = DEFAULT_BUDGET,
+    known: Mapping[str, int] | None = None,
 ) -> list[Check]:
     """Compare brute-force class numbers with the predicted kernel averages.
 
@@ -167,6 +168,7 @@ def verify_class_identities(
     semidirect-product group of an arbitrary representation, and the
     exponential group of a class-<=2 Lie bracket. A group that cannot be
     built, or is over budget, gives a skip whose note is the reason.
+    `known` maps a kind to a class number the caller has already computed.
     """
     kinds = ["g_alpha", "h_theta"] if rep.is_alternating() else ["h_theta"]
     if rep.l == rep.d == rep.e and rep.is_alternating() and ring.p != 2:
@@ -178,11 +180,13 @@ def verify_class_identities(
             checks.append(Check.skip(claim, identity, "needs p odd"))
             continue
         try:
-            if kind == "lazard":
-                group = lazard_group(rep, ring, class_budget)
-            else:
-                group = build_group(kind, rep, ring, class_budget)
-            k = class_number(group, "centralizer", class_budget)
+            k = (known or {}).get(kind)
+            if k is None:
+                if kind == "lazard":
+                    group = lazard_group(rep, ring, class_budget)
+                else:
+                    group = build_group(kind, rep, ring, class_budget)
+                k = class_number(group, "centralizer", class_budget)
         except (BudgetExceededError, ValueError) as err:
             checks.append(Check.skip(claim, identity, str(err)))
         else:
@@ -515,7 +519,7 @@ def seeded_determinantal_instance(
         mats = [
             [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)
         ]
-        rep = MRep(2, 2, 2, tuple(tuple(tuple(row) for row in m) for m in mats))
+        rep = MRep(2, 2, 2, mats)
         F = det_linear_matrix(rep)
         if F.is_zero() or F.total_degree() != 2 or not F.is_homogeneous():
             continue
@@ -560,9 +564,7 @@ def criterion_14(seed: int, budget: int) -> CriterionResult:
                 xs = np.concatenate(
                     list(bulk.iter_vector_chunks(ring.size, rep.d, 1 << 14)), axis=0
                 )
-                A = np.array([list(row) for row in mat.entries], dtype=np.int64).reshape(
-                    rep.d, rep.e
-                )
+                A = np.array(mat.entries, dtype=np.int64).reshape(rep.d, rep.e)
                 brute = int(((xs @ A) % ring.size == 0).all(axis=1).sum())
                 res.compare(
                     f"rep {i} a={a} over Z/{p}^{n}", "kernel size by enumeration", brute, fast

@@ -61,3 +61,121 @@ def rational_matrix_rank(rows):
         if rank == nrows:
             break
     return rank
+
+
+# Literal index definitions of the tensor operations. Each takes MReps only
+# through .shape and .coeffs and returns (shape, nested tuples).
+
+
+def literal_dual(rep, which):
+    """circ swaps the parameter and domain slots, bullet the parameter and
+    codomain slots, vee the domain and codomain slots."""
+    l, d, e = rep.shape
+    c = rep.coeffs
+    if which == "circ":
+        return (d, l, e), tuple(
+            tuple(tuple(c[h][i][j] for j in range(e)) for h in range(l)) for i in range(d)
+        )
+    if which == "bullet":
+        return (e, d, l), tuple(
+            tuple(tuple(c[h][i][j] for h in range(l)) for i in range(d)) for j in range(e)
+        )
+    return (l, e, d), tuple(
+        tuple(tuple(c[h][i][j] for i in range(d)) for j in range(e)) for h in range(l)
+    )
+
+
+def literal_direct_sum(a, b):
+    """Parameters, rows and columns of b follow those of a; the off-diagonal blocks are zero."""
+    l, d, e = a.l + b.l, a.d + b.d, a.e + b.e
+    coeffs = []
+    for h in range(l):
+        mat = [[0] * e for _ in range(d)]
+        if h < a.l:
+            for i in range(a.d):
+                for j in range(a.e):
+                    mat[i][j] = a.coeffs[h][i][j]
+        else:
+            for i in range(b.d):
+                for j in range(b.e):
+                    mat[a.d + i][a.e + j] = b.coeffs[h - a.l][i][j]
+        coeffs.append(tuple(map(tuple, mat)))
+    return (l, d, e), tuple(coeffs)
+
+
+def literal_collapse(rep, mode, k):
+    """Sum the slices of the shared side, k apart."""
+    l, d, e = rep.shape
+    c = rep.coeffs
+    if mode == "mod":
+        offs = range(0, l, k) if k else []
+        return (k, d, e), tuple(
+            tuple(tuple(sum(c[o + h][i][j] for o in offs) for j in range(e)) for i in range(d))
+            for h in range(k)
+        )
+    if mode == "dom":
+        offs = range(0, d, k) if k else []
+        return (l, k, e), tuple(
+            tuple(tuple(sum(c[h][o + i][j] for o in offs) for j in range(e)) for i in range(k))
+            for h in range(l)
+        )
+    offs = range(0, e, k) if k else []
+    return (l, d, k), tuple(
+        tuple(tuple(sum(c[h][i][o + j] for o in offs) for j in range(k)) for i in range(d))
+        for h in range(l)
+    )
+
+
+def literal_hull(rep):
+    """coeffs[d + h][i][j] = c[h][i][j] and coeffs[i][d + h][j] = -c[h][i][j]."""
+    l, d, e = rep.shape
+    r = d + l
+    coeffs = [[[0] * e for _ in range(r)] for _ in range(r)]
+    for h in range(l):
+        for i in range(d):
+            for j in range(e):
+                coeffs[d + h][i][j] = rep.coeffs[h][i][j]
+                coeffs[i][d + h][j] = -rep.coeffs[h][i][j]
+    return (r, r, e), tuple(tuple(map(tuple, mat)) for mat in coeffs)
+
+
+def literal_is_alternating(rep):
+    l, d, e = rep.shape
+    c = rep.coeffs
+    return l == d and all(
+        c[h][i][j] + c[i][h][j] == 0 for h in range(l) for i in range(l) for j in range(e)
+    )
+
+
+def literal_scalar_multiply(rep, s):
+    return rep.shape, tuple(tuple(tuple(s * x for x in row) for row in mat) for mat in rep.coeffs)
+
+
+def literal_evaluate(rep, a, ring):
+    """Entries of A(a) = sum_h a_h c[h], reduced mod p^n."""
+    l, d, e = rep.shape
+    return tuple(
+        tuple(sum(a[h] * rep.coeffs[h][i][j] for h in range(l)) % ring.size for j in range(e))
+        for i in range(d)
+    )
+
+
+def literal_reduced(rep, ring):
+    return tuple(tuple(tuple(x % ring.size for x in row) for row in mat) for mat in rep.coeffs)
+
+
+def literal_homotopy(triple, source, target, ring):
+    """sum_j c[h][i][j] psi[j][j'] = sum_{h', i'} nu[h][h'] phi[i][i'] c~[h'][i'][j'] mod p^n."""
+    c, t = source.coeffs, target.coeffs
+    for h in range(source.l):
+        for i in range(source.d):
+            for jp in range(target.e):
+                lhs = sum(c[h][i][j] * triple.psi[j][jp] for j in range(source.e))
+                rhs = sum(
+                    triple.nu[h][hp] * triple.phi[i][ip] * t[hp][ip][jp]
+                    for hp in range(target.l)
+                    for ip in range(target.d)
+                )
+                if (lhs - rhs) % ring.size:
+                    return False
+    return True

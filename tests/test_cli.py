@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from askzeta import bulk
+from askzeta import bulk, cli, groups, verify
 from askzeta.cli import UsageError, emit_rep, main, parse_rep
 from askzeta.catalog import make
 
@@ -83,6 +83,22 @@ def test_cmd_ask_census_computes_one_census(monkeypatch):
     calls.clear()
     assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3", "--census"]) == 0
     assert calls == [(1, 2, 2), (2, 1, 2)]
+
+
+def test_cmd_group_computes_each_class_number_once(monkeypatch, capsys):
+    calls = []
+    class_number = groups.class_number
+
+    def counting(spec, method="centralizer", budget=groups.DEFAULT_CLASS_BUDGET):
+        calls.append((spec.kind, method))
+        return class_number(spec, method, budget)
+
+    monkeypatch.setattr(cli, "class_number", counting)
+    monkeypatch.setattr(verify, "class_number", counting)
+    code, out, _ = run(capsys, "group", "--kind", "galpha", "--catalog", "type_F", "--d", "2", "--p", "3")
+    assert code == 0 and '"match": false' not in out
+    # the requested g_alpha once by each method; the h_theta identity needs its own group
+    assert calls == [("g_alpha", "centralizer"), ("g_alpha", "orbit"), ("h_theta", "centralizer")]
 
 
 def test_cmd_zeta_compare(capsys):
