@@ -47,11 +47,10 @@ class BudgetExceededError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _valuation_table(p: int, n: int) -> np.ndarray:
-    pn = p**n
-    vals = np.zeros(pn, dtype=np.int64)
+    """val[x] = p-adic valuation of x mod p^n, n for 0; uint8, as n <= 31."""
+    vals = np.zeros(p**n, dtype=np.uint8)
     for v in range(1, n + 1):
         vals[:: p**v] = v
-    vals[0] = n
     return vals
 
 
@@ -86,9 +85,16 @@ def _inverse_table(p: int, n: int) -> np.ndarray:
 def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     """Elementary divisor exponents for a batch of matrices over Z/p^n.
 
-    mats has shape (N, d, e) with entries already reduced mod p^n; the result
-    has shape (N, min(d, e)) with ascending exponents in [0, n]. Follows the
-    same minimal-valuation row-major pivot rule as ring.smith_exponents.
+    mats has shape (N, d, e); the result has shape (N, min(d, e)), each row
+    ascending in [0, n]. Step k works on the trailing (d-k) x (e-k) block
+    only: it pivots on the entry of minimal valuation (first in row-major
+    order, as ring.smith_exponents does), swaps it to the corner, clears the
+    rows below it and keeps the remainder. That pivot divides every entry
+    left, so each later pivot has no smaller valuation, and clearing the
+    pivot's columns would change only its row, which no later step reads.
+    Matrices whose block is zero drop out with exponent n; after the last
+    pivot nothing is eliminated. Valuations come from a uint8 table of p^n
+    entries (n <= 31 below the 2^31 modulus bound).
     """
     mats = np.asarray(mats, dtype=np.int64)
     N, d, e = mats.shape
@@ -101,42 +107,31 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
         raise ValueError(f"modulus {p}^{n} too large for vectorised arithmetic")
     val = _valuation_table(p, n)
     inv = _inverse_table(p, n)
+    power = p ** np.arange(n + 1, dtype=np.int64)
 
     work = mats % pn
     alive = np.arange(N)
     for k in range(m):
-        if alive.size == 0:
+        nw, r, c = work.shape
+        vals = val[work.reshape(nw, r * c)]
+        pos = vals.argmin(axis=1)
+        vmin = vals[np.arange(nw), pos]
+        live = vmin < n
+        out[alive[live], k] = vmin[live]
+        if k == m - 1 or not live.any():
             break
-        nw = work.shape[0]
-        vflat = val[work[:, k:, k:]].reshape(nw, -1)
-        pos = vflat.argmin(axis=1)
-        vmin = vflat[np.arange(nw), pos]
-        cont = vmin < n
-        out[alive[cont], k] = vmin[cont]
-        work = work[cont]
-        alive = alive[cont]
-        if alive.size == 0:
-            break
-        nw = work.shape[0]
-        ar = np.arange(nw)
-        pos = pos[cont]
-        vmin = vmin[cont]
-        r = pos // (e - k) + k
-        c = pos % (e - k) + k
-        tmp = work[ar, k, :].copy()
-        work[ar, k, :] = work[ar, r, :]
-        work[ar, r, :] = tmp
-        tmp = work[ar, :, k].copy()
-        work[ar, :, k] = work[ar, :, c]
-        work[ar, :, c] = tmp
-        pv = p ** vmin.astype(np.int64)
-        iu = inv[work[:, k, k] // pv]
-        if k + 1 < d:
-            f = (work[:, k + 1 :, k] // pv[:, None]) * iu[:, None] % pn
-            work[:, k + 1 :, :] = (work[:, k + 1 :, :] - f[:, :, None] * work[:, k : k + 1, :]) % pn
-        if k + 1 < e:
-            g = (work[:, k, k + 1 :] // pv[:, None]) * iu[:, None] % pn
-            work[:, :, k + 1 :] = (work[:, :, k + 1 :] - g[:, None, :] * work[:, :, k : k + 1]) % pn
+        if not live.all():
+            work, alive, pos, vmin = work[live], alive[live], pos[live], vmin[live]
+        ar = np.arange(alive.size)
+        i, j = np.divmod(pos, c)
+        row, col = work[ar, i], work[ar, :, j]
+        pv = power[vmin]
+        iu = inv[row[ar, j] // pv]
+        # swap row i with row 0 and column j with column 0, then drop both
+        work[ar, i], col[ar, i] = work[:, 0], col[:, 0]
+        work[ar, :, j], row[ar, j] = work[:, :, 0], row[:, 0]
+        f = (col[:, 1:] // pv[:, None]) * iu[:, None] % pn
+        work = (work[:, 1:, 1:] - f[:, :, None] * row[:, None, 1:]) % pn
     return out
 
 

@@ -554,16 +554,18 @@ def criterion_14(seed: int, budget: int) -> CriterionResult:
     rng = random.Random(seed + 1)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
+        vectors: dict[int, np.ndarray] = {}  # all of (Z/p^n)^d, keyed by d
         for i, rep in enumerate(reps):
             if ring.size**rep.d > 4096:
                 continue
+            if rep.d not in vectors:
+                chunks = bulk.iter_vector_chunks(ring.size, rep.d, 1 << 14)
+                vectors[rep.d] = np.concatenate(list(chunks), axis=0)
+            xs = vectors[rep.d]
             for _ in range(4):
                 a = [rng.randrange(ring.size) for _ in range(rep.l)]
                 mat = rep.evaluate_at(a, ring)
                 fast = kernel_size(mat, ring)
-                xs = np.concatenate(
-                    list(bulk.iter_vector_chunks(ring.size, rep.d, 1 << 14)), axis=0
-                )
                 A = np.array(mat.entries, dtype=np.int64).reshape(rep.d, rep.e)
                 brute = int(((xs @ A) % ring.size == 0).all(axis=1).sum())
                 res.compare(

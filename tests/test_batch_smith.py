@@ -1,0 +1,89 @@
+"""The batch Smith kernel against the scalar reduction and literal counting."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from askzeta import bulk
+from askzeta.bulk import batch_kernel_exponents, batch_smith_exponents
+from askzeta.ring import RingMatrix, TruncatedRing, kernel_size, smith_exponents
+
+from helpers import brute_kernel_count
+
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+RINGS = [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2), (2, 20), (3, 13)]
+# vectors both ways, the collapsed powers of the moment laws, and the largest square
+SHAPES = [(1, 1), (1, 7), (7, 1), (1, 9), (9, 1), (5, 6), (6, 5), (9, 9)]
+KINDS = ("skewed", "zero rows", "zero columns", "zero", "low rank")
+
+
+def skewed(rng, p, n, shape, skew):
+    """Entries u p^v, v geometric with parameter skew and capped at n (a zero)."""
+    v = np.minimum(rng.geometric(skew, size=shape) - 1, n)
+    return rng.integers(0, p**n, size=shape) * p**v % p**n
+
+
+def matrix(rng, kind, p, n, d, e, skew):
+    """One d x e matrix over Z/p^n whose trailing block empties as kind says."""
+    if kind == "zero":
+        return np.zeros((d, e), dtype=np.int64)
+    if kind == "low rank":
+        r = int(rng.integers(0, max(1, min(d, e))))
+        return skewed(rng, p, n, (d, r), skew) @ skewed(rng, p, n, (r, e), skew) % p**n
+    A = skewed(rng, p, n, (d, e), skew)
+    if kind == "zero rows":
+        A[rng.random(d) < 0.5] = 0
+    if kind == "zero columns":
+        A[:, rng.random(e) < 0.5] = 0
+    return A
+
+
+@st.composite
+def batches(draw):
+    """A ring and a batch of same-shaped matrices of mixed kinds, so some drop out early."""
+    p, n = draw(st.sampled_from(RINGS))
+    d, e = draw(st.sampled_from(SHAPES) | st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    skew = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [matrix(rng, kind, p, n, d, e, skew) for kind in kinds]
+    return p, n, np.array(mats, dtype=np.int64).reshape(len(kinds), d, e)
+
+
+@PROPERTY
+@given(batch=batches())
+def test_batch_smith_matches_scalar(batch):
+    p, n, mats = batch
+    ring = TruncatedRing(p, n)
+    N, d, e = mats.shape
+    smith = batch_smith_exponents(mats, p, n)
+    kexp = batch_kernel_exponents(mats, p, n)
+    assert smith.shape == (N, min(d, e))
+    flipped = mats.transpose(0, 2, 1)
+    assert (batch_smith_exponents(flipped, p, n) == smith).all()
+    assert (batch_kernel_exponents(flipped, p, n) == kexp + n * (e - d)).all()
+    for entries, exps, k in zip(mats.tolist(), smith.tolist(), kexp.tolist()):
+        A = RingMatrix(d, e, tuple(map(tuple, entries)))
+        assert exps == smith_exponents(A, ring)
+        assert p**k == kernel_size(A, ring)
+        if ring.size**d <= 256:
+            assert p**k == brute_kernel_count(entries, ring)
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 13)])
+def test_valuation_table_is_uint8_and_exact(p, n):
+    ring = TruncatedRing(p, n)
+    table = bulk._valuation_table(p, n)
+    assert table.dtype == np.uint8 and table.shape == (ring.size,)
+    assert table.min() == 0 and table.max() == n
+    powers = [p**v * u for v in range(n + 1) for u in (1, p + 1, ring.size - 1)]
+    sample = list(range(0, ring.size, 997)) + [x % ring.size for x in powers]
+    assert all(int(table[x]) == ring.valuation(x) for x in sample)
