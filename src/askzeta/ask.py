@@ -17,8 +17,11 @@ Budgets always count the nominal p^(n l) parameter vectors of the side.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from . import bulk
 from .bulk import BudgetExceededError
@@ -32,7 +35,9 @@ __all__ = [
     "BudgetExceededError",
     "ask_m",
     "ask_with_census",
+    "census_plan",
     "kernel_census",
+    "literal_censuses",
     "zeta_coeffs",
 ]
 
@@ -67,11 +72,43 @@ def _check_budget(rep: MRep, ring: TruncatedRing, budget: int) -> None:
         raise BudgetExceededError(cost, budget)
 
 
+# the memo of the active census plan: (shape, reduced bytes, p, n) -> literal census
+_PLAN: ContextVar[dict | None] = ContextVar("census_plan", default=None)
+
+
+@contextmanager
+def census_plan() -> Iterator[dict]:
+    """Share literal censuses within a block; a nested plan reuses the outer memo."""
+    token = _PLAN.set(_PLAN.get() if _PLAN.get() is not None else {})
+    try:
+        yield _PLAN.get()
+    finally:
+        _PLAN.reset(token)
+
+
+def literal_censuses(
+    reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
+) -> list[dict[int, int]]:
+    """The census of each rep by evaluating every parameter vector, budgets checked first.
+
+    Misses of the plan's memo (a fresh dict outside a plan) are stacked by shape, one
+    bulk.census_of_stack sweep per shape; the histograms returned are the memo's."""
+    for rep in reps:
+        _check_budget(rep, ring, budget)
+    memo = {} if _PLAN.get() is None else _PLAN.get()
+    arrays = [rep.reduced_array(ring) for rep in reps]
+    keys = [(array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
+    misses: dict[tuple, dict] = {}  # shape -> {key: reduced array}, each key once
+    for key, array in zip(keys, arrays):
+        if key not in memo:
+            misses.setdefault(array.shape, {})[key] = array
+    for stack in misses.values():
+        memo.update(zip(stack, bulk.census_of_stack([*stack.values()], ring.p, ring.n)))
+    return [memo[key] for key in keys]
+
+
 def _literal_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
-    """The census by evaluating every parameter vector."""
-    _check_budget(rep, ring, budget)
-    stack = rep.reduced_array(ring).reshape(1, rep.l, rep.d, rep.e)
-    return bulk.census_of_stack(stack, ring.p, ring.n)[0]
+    return literal_censuses([rep], ring, budget)[0]
 
 
 def _orbit_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:

@@ -189,7 +189,8 @@ def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
     chunk = max(1, _CHUNK_ELEMENTS // max(1, T * d * e))
     for avec in iter_vector_chunks(pn, l, chunk):
         cN = avec.shape[0]
-        mats = np.einsum("cl,tlf->tcf", avec, flat, optimize=True) % pn
+        # nonnegative and below the int64 bound; the kernel reduces it mod p^n
+        mats = np.einsum("cl,tlf->tcf", avec, flat, optimize=True)
         ks = batch_kernel_exponents(mats.reshape(T * cN, d, e), p, n)
         offs = np.repeat(np.arange(T, dtype=np.int64) * width, cN)
         counts += np.bincount(ks + offs, minlength=T * width)
@@ -252,7 +253,7 @@ def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
         flat = coeffs.reshape(l, d * e) % pn
         chunk = max(1, _CHUNK_ELEMENTS // max(1, l, d * e))
         for reps in _orbit_representatives(p, n, l, chunk):
-            mats = (reps @ flat) % pn
+            mats = reps @ flat
             exps = batch_smith_exponents(mats.reshape(len(reps), d, e), p, n)
             for k in range(1, n + 1):
                 capped[k] += np.bincount(np.minimum(exps, k).sum(axis=1), minlength=m * n + 1)

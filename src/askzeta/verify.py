@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bulk, catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_from_census, ask_m, zeta_coeffs
+from .ask import census_plan, literal_censuses
 from .corpus import DEFAULT_SEED, RING_SPECS, seeded_corpus
 from .groups import DEFAULT_CLASS_BUDGET, build_group, class_number, lazard_group
 from .mrep import (
@@ -210,26 +211,9 @@ def determinantal_checks(
 def direct_asks(
     reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[Fraction]:
-    """Direct-enumeration ask^m for many representations, grouped by shape."""
-    out: list[Fraction | None] = [None] * len(reps)
-    by_shape: dict[tuple[int, int, int], list[int]] = {}
-    for rep in reps:
-        cost = ring.size**rep.l
-        if cost > budget:
-            raise bulk.BudgetExceededError(cost, budget)
-    for i, rep in enumerate(reps):
-        by_shape.setdefault(rep.shape, []).append(i)
-    for (l, _, _), idxs in by_shape.items():
-        stack = np.stack([reps[i].reduced_array(ring) for i in idxs])
-        censuses = bulk.census_of_stack(stack, ring.p, ring.n)
-        for i, census in zip(idxs, censuses):
-            out[i] = ask_from_census(census, ring, l, m)
-    assert all(x is not None for x in out)
-    return out  # type: ignore[return-value]
-
-
-def _corpus(seed: int) -> tuple[MRep, ...]:
-    return seeded_corpus(seed=seed)
+    """Direct-enumeration ask^m for many representations, from their literal censuses."""
+    censuses = literal_censuses(reps, ring, budget)
+    return [ask_from_census(census, ring, rep.l, m) for rep, census in zip(reps, censuses)]
 
 
 def _dual_laws_over(
@@ -254,7 +238,7 @@ def _dual_laws_over(
 
 def criterion_1(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(1, "kernel-average duality under the three duals")
-    reps = _corpus(seed)
+    reps = seeded_corpus(seed=seed)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         _dual_laws_over(res, reps, ring, budget, "rep {i} shape {shape} over Z/{p}^{n}")
@@ -263,7 +247,7 @@ def criterion_1(seed: int, budget: int) -> CriterionResult:
 
 def criterion_2(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(2, "duals: involutions and the braid identity")
-    for i, rep in enumerate(_corpus(seed)):
+    for i, rep in enumerate(seeded_corpus(seed=seed)):
         tag = f"rep {i} shape {rep.shape}"
         for s in ("circ", "bullet", "vee"):
             res.compare(tag, f"{s} twice = identity", rep, rep.dual(s).dual(s))
@@ -342,38 +326,34 @@ def criterion_5(seed: int, budget: int) -> CriterionResult:
 
 def criterion_6(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(6, "moment laws: products and collapsed powers")
-    reps = _corpus(seed)
-    pair_cap = 20_000
+    reps = seeded_corpus(seed=seed)
+    k = len(reps)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
-        pairs = 0
-        for i, rep in enumerate(reps):
-            other = reps[(i + 1) % len(reps)]
-            if ring.size ** (rep.l + other.l) > pair_cap:
-                continue
-            pairs += 1
-            lhs = ask_m(rep.direct_sum(other), ring, strategy="direct", budget=budget).value
-            rhs = (
-                ask_m(rep, ring, strategy="direct", budget=budget).value
-                * ask_m(other, ring, strategy="direct", budget=budget).value
-            )
-            res.compare(f"pair {i} over Z/{p}^{n}", "ask(sum) = ask * ask", rhs, lhs)
-        res.compare(f"Z/{p}^{n}", "enough product-law pairs sampled", True, pairs >= 15)
-        for i, rep in enumerate(reps):
+        pairs = [i for i in range(k) if ring.size ** (reps[i].l + reps[(i + 1) % k].l) <= 20_000]
+        sums = [reps[i].direct_sum(reps[(i + 1) % k]) for i in pairs]
+        powers = [collapsed_power(rep, m, "mod") for rep in reps for m in (1, 2, 3)]
+        # one literal census of each tensor gives all of its moments
+        tensors = [*reps, *powers, *sums]  # rep i, its powers at k + 3i + m - 1, sums from 4k
+        censuses = literal_censuses(tensors, ring, budget)
+
+        def ask(t: int, m: int = 1) -> Fraction:
+            return ask_from_census(censuses[t], ring, tensors[t].l, m)
+
+        for j, i in enumerate(pairs):
+            product = ask(i) * ask((i + 1) % k)
+            res.compare(f"pair {i} over Z/{p}^{n}", "ask(sum) = ask * ask", product, ask(4 * k + j))
+        res.compare(f"Z/{p}^{n}", "enough product-law pairs sampled", True, len(pairs) >= 15)
+        for i in range(k):
             for m in (1, 2, 3):
-                direct = ask_m(rep, ring, m=m, strategy="direct", budget=budget).value
-                coll = ask_m(
-                    collapsed_power(rep, m, "mod"), ring, strategy="direct", budget=budget
-                ).value
-                res.compare(
-                    f"rep {i} m={m} over Z/{p}^{n}", "ask^m = ask of collapsed power", direct, coll
-                )
+                claim, coll = f"rep {i} m={m} over Z/{p}^{n}", ask(k + 3 * i + m - 1)
+                res.compare(claim, "ask^m = ask of collapsed power", ask(i, m), coll)
     return res
 
 
 def criterion_7(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(7, "hull law: ask of the alternating hull")
-    reps = _corpus(seed)
+    reps = seeded_corpus(seed=seed)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         qn = Fraction(p) ** n
@@ -502,7 +482,7 @@ def criterion_11(seed: int, budget: int) -> CriterionResult:
 
 def criterion_12(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(12, "zeta coefficients shift correctly under duals")
-    reps = _corpus(seed)
+    reps = seeded_corpus(seed=seed)
     for p in sorted({p for p, _ in RING_SPECS}):
         for n in (1, 2):
             # the n-th zeta coefficient is ask over Z/p^n, so the dual laws shift it
@@ -550,7 +530,7 @@ def criterion_13(seed: int, budget: int) -> CriterionResult:
 
 def criterion_14(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(14, "diagonal-reduction kernel size equals literal counting")
-    reps = _corpus(seed)
+    reps = seeded_corpus(seed=seed)
     rng = random.Random(seed + 1)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
@@ -607,9 +587,10 @@ def run_all(
     report: Callable[[CriterionResult], None] | None = None,
 ) -> list[CriterionResult]:
     results = []
-    for index in indices or sorted(CRITERIA):
-        result = run_criterion(index, seed, budget)
-        results.append(result)
-        if report is not None:
-            report(result)
+    with census_plan():  # every criterion shares the run's literal censuses
+        for index in indices or sorted(CRITERIA):
+            result = run_criterion(index, seed, budget)
+            results.append(result)
+            if report is not None:
+                report(result)
     return results

@@ -87,3 +87,19 @@ def test_valuation_table_is_uint8_and_exact(p, n):
     powers = [p**v * u for v in range(n + 1) for u in (1, p + 1, ring.size - 1)]
     sample = list(range(0, ring.size, 997)) + [x % ring.size for x in powers]
     assert all(int(table[x]) == ring.valuation(x) for x in sample)
+
+
+@PROPERTY
+@given(batch=batches())
+def test_unreduced_batch_gives_the_same_exponents(batch):
+    p, n, mats = batch
+    pn = p**n
+    smith = batch_smith_exponents(mats, p, n)
+    # the kernel reduces a copy: negative or unreduced entries are safe and kept
+    shifted = mats - pn * (np.arange(mats.size).reshape(mats.shape) % 3)
+    before = shifted.copy()
+    assert (batch_smith_exponents(shifted, p, n) == smith).all()
+    assert (shifted == before).all()
+    unreduced = mats + pn * (np.arange(mats.size).reshape(mats.shape) % 5)
+    kexp = batch_kernel_exponents(mats, p, n)
+    assert (batch_kernel_exponents(unreduced, p, n) == kexp).all()

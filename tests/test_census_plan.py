@@ -1,0 +1,98 @@
+"""The run-scoped literal census plan of `verify.run_all`."""
+
+from collections import Counter
+
+import pytest
+
+from askzeta import bulk
+from askzeta.ask import census_plan, literal_censuses
+from askzeta.corpus import seeded_corpus
+from askzeta.ring import TruncatedRing
+from askzeta.verify import CRITERIA, run_all, run_criterion
+
+
+def outcome(result):
+    return result.checks, result.passed, result.failures
+
+
+@pytest.fixture
+def censused(monkeypatch):
+    """Every (tensor, ring) key census_of_stack computes, in order."""
+    keys = []
+    census_of_stack = bulk.census_of_stack
+
+    def counting(coeffs, p, n):
+        keys.extend((t.shape, t.tobytes(), p, n) for t in coeffs)
+        return census_of_stack(coeffs, p, n)
+
+    monkeypatch.setattr(bulk, "census_of_stack", counting)
+    return keys
+
+
+@pytest.mark.parametrize("seed", [8020, 1807])
+def test_plan_changes_no_result(seed, censused):
+    shared = run_all(seed)
+    computed = Counter(censused)
+    assert computed and max(computed.values()) == 1  # no key computed twice in one run
+    alone = [run_criterion(index, seed) for index in sorted(CRITERIA)]
+    assert [outcome(r) for r in shared] == [outcome(r) for r in alone]
+    assert all(r.passed for r in shared)
+    assert len(censused) > 2 * len(computed)  # criteria run alone compute the shared censuses again
+
+
+def test_perturbed_shape_still_fails_the_laws(monkeypatch):
+    # one census per tensor of one shape is off by one vector; every law
+    # still compares two literal enumerations, so the laws that cross
+    # shapes must fail, even where a census came from the plan's memo
+    shapes = Counter(rep.shape for rep in seeded_corpus() if rep.l != rep.d)
+    target = shapes.most_common(1)[0][0]
+    census_of_stack = bulk.census_of_stack
+
+    def perturbed(coeffs, p, n):
+        censuses = census_of_stack(coeffs, p, n)
+        if coeffs[0].shape == target:
+            censuses = [{**c, 0: c.get(0, 0) + 1} for c in censuses]
+        return censuses
+
+    monkeypatch.setattr(bulk, "census_of_stack", perturbed)
+    results = {r.index: r for r in run_all()}
+    assert results[1].failures
+    assert {f.identity for f in results[6].failures} == {
+        "ask(sum) = ask * ask", "ask^m = ask of collapsed power"
+    }
+    # criterion 12 reads criterion 1's censuses from the memo at every level but Z/5^2
+    assert any(not f.claim.endswith("level 2 p=5") for f in results[12].failures)
+
+
+def test_plan_scope(censused):
+    run_all(indices=(1, 7))
+    first = list(censused)
+    with census_plan() as memo:
+        assert memo == {}  # no plan outlives run_all
+    run_all(indices=(1, 7))
+    # the second run recomputes every census, each once
+    assert censused[len(first):] == first == list(dict.fromkeys(first))
+    rep = next(rep for rep in seeded_corpus() if rep.l and rep.e != rep.l)  # bullet: (e, d, l)
+    ring = TruncatedRing(3, 1)
+    with census_plan() as outer:
+        census = literal_censuses([rep], ring)[0]
+        with census_plan() as inner:
+            assert inner is outer
+            assert literal_censuses([rep, rep.dual("bullet")], ring)[0] is census
+        assert len(outer) == 2
+    with census_plan() as memo:
+        assert memo == {}
+
+
+def test_literal_censuses_share_within_a_call(censused):
+    reps = seeded_corpus()[:6]
+    ring = TruncatedRing(2, 2)
+    censuses = literal_censuses([*reps, *reps], ring)
+    assert censuses[:6] == censuses[6:]
+    assert len(censused) == len(set(censused)) == len({(r.shape, r.array.tobytes()) for r in reps})
+    assert censuses[:6] == [literal_censuses([rep], ring)[0] for rep in reps]
+    computed = len(censused)
+    small = min(reps, key=lambda rep: rep.l)
+    with pytest.raises(bulk.BudgetExceededError):  # every budget is checked before any sweep
+        literal_censuses([small, *reps], ring, budget=ring.size**small.l)
+    assert len(censused) == computed
