@@ -1,7 +1,8 @@
 """Vectorised enumeration internals (numpy).
 
-Everything here is exact integer arithmetic mod p^n carried out on int64
-arrays; callers turn the resulting exponent histograms into exact rationals.
+Everything here is exact integer arithmetic mod p^n: evaluations in int64,
+Smith reductions in the narrowest signed dtype that holds (p^n)^2; callers
+turn the resulting exponent histograms into exact rationals.
 Chunked enumeration keeps memory flat and makes results independent of the
 partitioning, so partial histograms can be combined in any order.
 """
@@ -82,57 +83,110 @@ def _inverse_table(p: int, n: int) -> np.ndarray:
     return inv
 
 
+def _narrow_dtype(pn: int) -> type:
+    """The smallest signed dtype for a pivot step mod pn: block - f row,
+    all three in [0, pn), and its reduction stay within |x| < pn^2."""
+    if pn * pn <= 1 << 15:
+        return np.int16
+    if pn * pn <= 1 << 31:
+        return np.int32
+    return np.int64
+
+
+@lru_cache(maxsize=None)
+def _pivot_orders(r: int, c: int) -> np.ndarray:
+    """orders[s, pos]: the flat position that lands at s when the entry at pos
+    is swapped to the corner (its row with row 0, its column with column 0)."""
+    def swapped(k):  # row i: 0..k-1 with 0 and i exchanged
+        i, t = np.ogrid[:k, :k]
+        return np.where(t == 0, i, np.where(t == i, 0, t))
+
+    i, j = np.divmod(np.arange(r * c), c)
+    orders = swapped(r)[i][:, :, None] * c + swapped(c)[j][:, None, :]
+    return np.ascontiguousarray(orders.reshape(r * c, r * c).T)
+
+
 def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     """Elementary divisor exponents for a batch of matrices over Z/p^n.
 
-    mats has shape (N, d, e); the result has shape (N, min(d, e)), each row
-    ascending in [0, n]. Step k works on the trailing (d-k) x (e-k) block
-    only: it pivots on the entry of minimal valuation (first in row-major
-    order, as ring.smith_exponents does), swaps it to the corner, clears the
-    rows below it and keeps the remainder. That pivot divides every entry
-    left, so each later pivot has no smaller valuation, and clearing the
-    pivot's columns would change only its row, which no later step reads.
-    Matrices whose block is zero drop out with exponent n; after the last
-    pivot nothing is eliminated. Valuations come from a uint8 table of p^n
-    entries (n <= 31 below the 2^31 modulus bound).
+    mats has shape (N, d, e) and any integer entries; the result has shape
+    (N, min(d, e)), each row ascending in [0, n]. Step k works on the
+    trailing (d-k) x (e-k) block only: it pivots on the entry of minimal
+    valuation (first in row-major order, as ring.smith_exponents does),
+    swaps it to the corner, clears the rows below it and keeps the
+    remainder. That pivot divides every entry left, so each later pivot has
+    no smaller valuation, and clearing the pivot's columns would change only
+    its row, which no later step reads. A zero block stays zero, with
+    exponent n; after the last pivot nothing is eliminated.
+
+    Reduce, then narrow: entries are reduced mod p^n once, in int64 (or in
+    the narrow dtype if mats has it: x - x // p^n * p^n is exact in any
+    signed dtype, wrapping included), then narrowed to int16 when
+    (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64. Narrowing
+    first would wrap unreduced input, such as orbit_censuses' evaluations
+    up to l (p^n - 1)^2. The block is kept batch-last, so a step is a few
+    passes over contiguous rows: one flat-index gather of the swapped block
+    and reductions x - x // p^n * p^n. Valuations come from a uint8 table
+    of p^n entries (n <= 31 below the 2^31 modulus bound).
     """
-    mats = np.asarray(mats, dtype=np.int64)
+    mats = np.asarray(mats)
     N, d, e = mats.shape
     m = min(d, e)
-    out = np.full((N, m), n, dtype=np.int64)
+    out = np.full((m, N), n, dtype=np.int64)
     if N == 0 or m == 0 or n == 0:
-        return out
+        return out.T
     pn = p**n
     if pn > _MAX_MODULUS:
         raise ValueError(f"modulus {p}^{n} too large for vectorised arithmetic")
+    dtype = _narrow_dtype(pn)
     val = _valuation_table(p, n)
     inv = _inverse_table(p, n)
-    power = p ** np.arange(n + 1, dtype=np.int64)
+    power = (p ** np.arange(n + 1)).astype(dtype)
 
-    work = mats % pn
-    alive = np.arange(N)
+    if mats.dtype != dtype:
+        mats = mats.astype(np.int64, copy=False)
+    reduced = mats // pn
+    reduced *= pn
+    np.subtract(mats, reduced, out=reduced)
+    # batch-last and narrow; no copy when mats is already laid out that way
+    work = reduced.reshape(N, d * e).T.astype(dtype, order="C", copy=False)
+    r, c = d, e
+    # alive: the columns of out that work fills, all of them until some drop out
+    alive, columns = slice(None), np.arange(N)
     for k in range(m):
-        nw, r, c = work.shape
-        vals = val[work.reshape(nw, r * c)]
-        pos = vals.argmin(axis=1)
-        vmin = vals[np.arange(nw), pos]
-        live = vmin < n
-        out[alive[live], k] = vmin[live]
-        if k == m - 1 or not live.any():
+        vals = val.take(work)
+        if k == m - 1:
+            out[k, alive] = vals.min(axis=0)
             break
-        if not live.all():
-            work, alive, pos, vmin = work[live], alive[live], pos[live], vmin[live]
-        ar = np.arange(alive.size)
-        i, j = np.divmod(pos, c)
-        row, col = work[ar, i], work[ar, :, j]
+        # the first minimal valuation in row-major order, as one minimum
+        rc = r * c
+        key = vals.astype(np.min_scalar_type((n + 1) * rc - 1))
+        key *= rc
+        key += np.arange(rc, dtype=key.dtype)[:, None]
+        key = key.min(axis=0)
+        vmin = key // rc
+        out[k, alive] = vmin
+        # zero blocks are dropped only once they are half the batch:
+        # carrying fewer costs less than the copy
+        live = vmin < n
+        if 2 * np.count_nonzero(live) <= len(columns):
+            if not live.any():
+                break
+            work, key, vmin = work[:, live], key[live], vmin[live]
+            alive, columns = np.arange(N)[alive][live], columns[: len(vmin)]
+        nw = len(columns)
+        idx = (_pivot_orders(r, c) * nw).take(key - vmin * rc, axis=1)
+        idx += columns
+        block = work.take(idx).reshape(r, c, nw)
         pv = power[vmin]
-        iu = inv[row[ar, j] // pv]
-        # swap row i with row 0 and column j with column 0, then drop both
-        work[ar, i], col[ar, i] = work[:, 0], col[:, 0]
-        work[ar, :, j], row[ar, j] = work[:, :, 0], row[:, 0]
-        f = (col[:, 1:] // pv[:, None]) * iu[:, None] % pn
-        work = (work[:, 1:, 1:] - f[:, :, None] * row[:, None, 1:]) % pn
-    return out
+        iu = inv.take(block[0, 0] // pv).astype(dtype)
+        f = block[1:, 0] // pv * iu
+        f -= f // pn * pn
+        work = block[1:, 1:] - f[:, None] * block[0, 1:]
+        work -= work // pn * pn
+        r, c = r - 1, c - 1
+        work = work.reshape(r * c, nw)
+    return out.T
 
 
 def batch_kernel_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -170,30 +224,63 @@ def iter_vector_chunks(q: int, length: int, chunk: int) -> Iterator[np.ndarray]:
         start = stop
 
 
+def _add_mod(a: np.ndarray, b: np.ndarray, pn: int) -> np.ndarray:
+    """(a + b) mod pn for a, b in [0, pn) of one signed dtype that holds 2 pn."""
+    total = np.add(a, b)
+    # as unsigned, total - pn wraps above total exactly when total < pn
+    wrapped = total.view(total.dtype.str.replace("i", "u"))
+    np.minimum(wrapped, wrapped - pn, out=wrapped)
+    return total
+
+
 def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
     """Kernel-size exponent histograms for a stack of tensors, one shared sweep.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n. For every tensor t
     the full parameter space (Z/p^n)^l is enumerated; the returned histogram
     maps an exponent k to the number of parameter vectors whose evaluated
-    matrix has kernel size p^k. The einsum needs l (p^n - 1)^2 < 2^63;
+    matrix has kernel size p^k.
+
+    Evaluation is additive: the sums A(a) over the trailing coordinates of
+    a are built once, from tables of x M_i mod p^n; each chunk adds one
+    offset per leading prefix (an int64 matmul) and subtracts p^n where a
+    sum reaches it. So matrices reach the kernel reduced, narrow and
+    batch-last, as it keeps them. The offsets need l (p^n - 1)^2 < 2^63;
     other inputs raise ValueError before anything is enumerated.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     T, l, d, e = coeffs.shape
     pn = p**n
     check_evaluation_bound(l, pn)
-    flat = coeffs.reshape(T, l, d * e)
+    if T == 0:
+        return []
+    dtype = _narrow_dtype(pn)
+    # M[i, f T + t] is entry f of tensor t's i-th coefficient matrix
+    F = d * e * T
+    M = coeffs.transpose(1, 2, 3, 0).reshape(l, F)
+    # the trailing coordinates whose sums fit in one chunk (a matrix counts at least 1)
+    per_vector = T * max(1, d * e)
+    trail = 0
+    while trail < l and pn ** (trail + 1) * per_vector <= _CHUNK_ELEMENTS:
+        trail += 1
+    lead = l - trail
+    sums = np.zeros((F, 1), dtype=dtype)
+    x = np.arange(pn, dtype=np.int64)
+    for i in range(l - 1, lead - 1, -1):
+        table = (M[i][:, None] * x % pn).astype(dtype)
+        sums = _add_mod(table[:, :, None], sums[:, None, :], pn).reshape(F, pn * sums.shape[1])
     width = n * d + 1
     counts = np.zeros(T * width, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, T * d * e))
-    for avec in iter_vector_chunks(pn, l, chunk):
-        cN = avec.shape[0]
-        # nonnegative and below the int64 bound; the kernel reduces it mod p^n
-        mats = np.einsum("cl,tlf->tcf", avec, flat, optimize=True)
-        ks = batch_kernel_exponents(mats.reshape(T * cN, d, e), p, n)
-        offs = np.repeat(np.arange(T, dtype=np.int64) * width, cN)
-        counts += np.bincount(ks + offs, minlength=T * width)
+    offsets_per_chunk = max(1, _CHUNK_ELEMENTS // (sums.shape[1] * per_vector))
+    for prefixes in iter_vector_chunks(pn, lead, offsets_per_chunk):
+        offsets = (M[:lead].T @ prefixes.T % pn).astype(dtype)
+        mats = _add_mod(offsets[:, :, None], sums[:, None, :], pn)
+        N = T * mats.shape[1] * mats.shape[2]
+        # batch-last: column t P V + a V + v is tensor t at prefix a, suffix v
+        batch = mats.reshape(d * e, N).T.reshape(N, d, e)
+        ks = batch_kernel_exponents(batch, p, n).reshape(T, -1)
+        ks += np.arange(T)[:, None] * width
+        counts += np.bincount(ks.ravel(), minlength=T * width)
     result = []
     for t in range(T):
         row = counts[t * width : (t + 1) * width]

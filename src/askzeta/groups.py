@@ -68,9 +68,14 @@ class FiniteGroupSpec:
         return self.rep.reduced_array(self.ring)
 
     def _bilinear(self, dom: np.ndarray, par: np.ndarray) -> np.ndarray:
-        """Rows dom times the evaluated matrices A(par), mod p^n."""
-        out = np.einsum("nh,ni,hij->nj", par, dom, self._coeffs, optimize=True)
-        return out % self.ring.size
+        """Rows dom times the evaluated matrices A(par), mod p^n.
+
+        Every term is nonnegative, so build_group's bound l d (p^n - 1)^3 < 2^63
+        keeps both matmuls exact.
+        """
+        l, d, e = self._coeffs.shape
+        evaluated = (par @ self._coeffs.reshape(l, d * e)).reshape(len(par), d, e)
+        return (dom[:, None, :] @ evaluated)[:, 0] % self.ring.size
 
     def multiply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         pn = self.ring.size

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from askzeta import bulk
@@ -19,10 +19,12 @@ PROPERTY = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-RINGS = [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2), (2, 20), (3, 13)]
+# both sides of each narrow-dtype threshold: int16 | int32 and int32 | int64
+THRESHOLD_RINGS = [(181, 1), (2, 8), (46337, 1), (2, 16)]
+RINGS = [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2), (2, 20), (3, 13)] + THRESHOLD_RINGS
 # vectors both ways, the collapsed powers of the moment laws, and the largest square
 SHAPES = [(1, 1), (1, 7), (7, 1), (1, 9), (9, 1), (5, 6), (6, 5), (9, 9)]
-KINDS = ("skewed", "zero rows", "zero columns", "zero", "low rank")
+KINDS = ("skewed", "zero rows", "zero columns", "zero", "low rank", "units near p^n")
 
 
 def skewed(rng, p, n, shape, skew):
@@ -35,6 +37,12 @@ def matrix(rng, kind, p, n, d, e, skew):
     """One d x e matrix over Z/p^n whose trailing block empties as kind says."""
     if kind == "zero":
         return np.zeros((d, e), dtype=np.int64)
+    if kind == "units near p^n":
+        # the largest products a step forms: all p^n - 1, or units p^n - k with small k
+        if rng.random() < 0.5:
+            return np.full((d, e), p**n - 1, dtype=np.int64)
+        k = rng.integers(1, 2 * p + 1, size=(d, e))
+        return (p**n - np.where(k % p, k, 1)) % p**n
     if kind == "low rank":
         r = int(rng.integers(0, max(1, min(d, e))))
         return skewed(rng, p, n, (d, r), skew) @ skewed(rng, p, n, (r, e), skew) % p**n
@@ -58,7 +66,18 @@ def batches(draw):
     return p, n, np.array(mats, dtype=np.int64).reshape(len(kinds), d, e)
 
 
+def at_thresholds(test):
+    """Pin batches of the largest intermediates at each threshold ring, in every shape."""
+    rng = np.random.default_rng(0)
+    for p, n in THRESHOLD_RINGS:
+        for d, e in SHAPES:
+            mats = np.array([matrix(rng, "units near p^n", p, n, d, e, 0.5) for _ in range(4)])
+            test = example(batch=(p, n, mats))(test)
+    return test
+
+
 @PROPERTY
+@at_thresholds
 @given(batch=batches())
 def test_batch_smith_matches_scalar(batch):
     p, n, mats = batch
@@ -89,7 +108,16 @@ def test_valuation_table_is_uint8_and_exact(p, n):
     assert all(int(table[x]) == ring.valuation(x) for x in sample)
 
 
+@pytest.mark.parametrize(
+    "pn,dtype", [(181, np.int16), (2**8, np.int32), (46337, np.int32), (2**16, np.int64)]
+)
+def test_narrow_dtype_holds_a_step(pn, dtype):
+    assert bulk._narrow_dtype(pn) is dtype
+    assert (pn - 1) * pn <= np.iinfo(dtype).max
+
+
 @PROPERTY
+@at_thresholds
 @given(batch=batches())
 def test_unreduced_batch_gives_the_same_exponents(batch):
     p, n, mats = batch
@@ -103,3 +131,9 @@ def test_unreduced_batch_gives_the_same_exponents(batch):
     unreduced = mats + pn * (np.arange(mats.size).reshape(mats.shape) % 5)
     kexp = batch_kernel_exponents(mats, p, n)
     assert (batch_kernel_exponents(unreduced, p, n) == kexp).all()
+    # shifts up to the evaluation bound l (p^n - 1)^2 at l = 9, both signs:
+    # a kernel that narrowed before reducing would wrap them
+    top = (9 * (pn - 1) ** 2 - (pn - 1)) // pn
+    shifts = pn * (top >> (np.arange(mats.size).reshape(mats.shape) % 8))
+    for sign in (1, -1):
+        assert (batch_smith_exponents(mats + sign * shifts, p, n) == smith).all()

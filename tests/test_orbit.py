@@ -74,6 +74,25 @@ def test_orbit_census_equals_literal_census(rep, ring):
     assert kernel_census(rep, TruncatedRing(p, n)) == censuses[n]
 
 
+# chunk sizes: the default, one vector per chunk (every coordinate a prefix),
+# and sizes that split the coordinates between prefixes and stored sums
+@pytest.mark.parametrize("chunk", [None, 1, 40, 300])
+@pytest.mark.parametrize(
+    "p,n,l,d,e", [(2, 2, 3, 2, 2), (3, 1, 3, 2, 3), (2, 3, 2, 1, 2), (5, 1, 0, 2, 2), (3, 1, 2, 0, 2), (2, 2, 2, 2, 0)]
+)
+def test_census_sweep_matches_brute_force(monkeypatch, chunk, p, n, l, d, e):
+    if chunk is not None:
+        monkeypatch.setattr(bulk, "_CHUNK_ELEMENTS", chunk)
+    ring = TruncatedRing(p, n)
+    rng = np.random.default_rng(l * 100 + d * 10 + e)
+    reps = [MRep(l, d, e, rng.integers(-9, 10, size=(l, d, e))) for _ in range(3)]
+    reps.append(MRep.zero(l, d, e))
+    stack = np.stack([rep.reduced_array(ring) for rep in reps])
+    censuses = bulk.census_of_stack(stack, p, n)
+    assert censuses == [brute_census(rep, ring) for rep in reps]
+    assert censuses == [literal_census(rep, ring) for rep in reps]
+
+
 @PROPERTY
 @given(rep=reps(), ring=st.sampled_from(RINGS), m=st.integers(1, 3))
 def test_auto_equals_direct(rep, ring, m):
