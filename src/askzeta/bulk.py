@@ -55,37 +55,10 @@ def _valuation_table(p: int, n: int) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(p: int, n: int) -> np.ndarray:
-    """inv[u] = u^-1 mod p^n for units u, 0 elsewhere.
-
-    Inverses mod p come from Fermat (u^(p-2)), then Newton steps
-    x <- x (2 - u x) double the p-adic precision up to p^n. Every product
-    stays below p^(2n) <= 2^62.
-    """
-    pn = p**n
-    residues = np.arange(p, dtype=np.int64)
-    inv_p = np.ones(p, dtype=np.int64)
-    base, k = residues, p - 2
-    while k:
-        if k & 1:
-            inv_p = inv_p * base % p
-        base = base * base % p
-        k >>= 1
-    u = np.arange(pn, dtype=np.int64)
-    residue = u % p
-    inv = inv_p[residue]
-    precision = 1
-    while precision < n:
-        inv = inv * ((2 - u * inv) % pn) % pn
-        precision *= 2
-    inv[residue == 0] = 0
-    return inv
-
-
 def _narrow_dtype(pn: int) -> type:
-    """The smallest signed dtype for a pivot step mod pn: block - f row,
-    all three in [0, pn), and its reduction stay within |x| < pn^2."""
+    """The smallest signed dtype for a pivot step mod pn: u b - g r, all
+    four in [0, pn), has |u b - g r| <= (pn - 1)^2, and its reduction
+    stays within |x| < pn^2."""
     if pn * pn <= 1 << 15:
         return np.int16
     if pn * pn <= 1 << 31:
@@ -119,15 +92,23 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     its row, which no later step reads. A zero block stays zero, with
     exponent n; after the last pivot nothing is eliminated.
 
+    Clearing divides nothing: the pivot is p^v u with u a unit and row i's
+    entry is p^v g_i, so row i becomes u row_i - g_i row_0. Those row
+    operations form a lower triangular matrix with unit diagonal (1, u,
+    ..., u), invertible over Z/p^n, so they keep the Smith form.
+
     Reduce, then narrow: entries are reduced mod p^n once, in int64 (or in
     the narrow dtype if mats has it: x - x // p^n * p^n is exact in any
     signed dtype, wrapping included), then narrowed to int16 when
     (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64. Narrowing
     first would wrap unreduced input, such as orbit_censuses' evaluations
-    up to l (p^n - 1)^2. The block is kept batch-last, so a step is a few
-    passes over contiguous rows: one flat-index gather of the swapped block
-    and reductions x - x // p^n * p^n. Valuations come from a uint8 table
-    of p^n entries (n <= 31 below the 2^31 modulus bound).
+    up to l (p^n - 1)^2. A step's u row_i - g_i row_0 has all four factors
+    in [0, p^n), so it stays within (p^n - 1)^2 in that dtype. The block is
+    kept batch-last, so a step is a few passes over contiguous rows: one
+    flat-index gather of the swapped block, the two products and one
+    reduction x - x // p^n * p^n. Valuations come from a uint8 table of
+    p^n entries (n <= 31 below the 2^31 modulus bound), the only table
+    sized by p^n.
     """
     mats = np.asarray(mats)
     N, d, e = mats.shape
@@ -140,7 +121,6 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
         raise ValueError(f"modulus {p}^{n} too large for vectorised arithmetic")
     dtype = _narrow_dtype(pn)
     val = _valuation_table(p, n)
-    inv = _inverse_table(p, n)
     power = (p ** np.arange(n + 1)).astype(dtype)
 
     if mats.dtype != dtype:
@@ -178,11 +158,10 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
         idx = (_pivot_orders(r, c) * nw).take(key - vmin * rc, axis=1)
         idx += columns
         block = work.take(idx).reshape(r, c, nw)
-        pv = power[vmin]
-        iu = inv.take(block[0, 0] // pv).astype(dtype)
-        f = block[1:, 0] // pv * iu
-        f -= f // pn * pn
-        work = block[1:, 1:] - f[:, None] * block[0, 1:]
+        # pivot column / p^v: the pivot's unit u, then each row's multiplier g
+        g = block[:, 0] // power[vmin]
+        work = g[0] * block[1:, 1:]
+        work -= g[1:, None] * block[0, 1:]
         work -= work // pn * pn
         r, c = r - 1, c - 1
         work = work.reshape(r * c, nw)

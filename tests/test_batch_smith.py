@@ -1,5 +1,7 @@
 """The batch Smith kernel against the scalar reduction and literal counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -106,6 +108,23 @@ def test_valuation_table_is_uint8_and_exact(p, n):
     powers = [p**v * u for v in range(n + 1) for u in (1, p + 1, ring.size - 1)]
     sample = list(range(0, ring.size, 997)) + [x % ring.size for x in powers]
     assert all(int(table[x]) == ring.valuation(x) for x in sample)
+
+
+def test_first_call_allocates_only_the_valuation_table():
+    # memory grows with the batch, not with p^n: the only p^n-sized
+    # allocation is the uint8 valuation table
+    p, n = 2, 20
+    mats = np.array([[[3, 6], [10, 12]], [[2**20 - 1, 5], [7, 2**19]]], dtype=np.int64)
+    bulk._valuation_table.cache_clear()
+    bulk._pivot_orders.cache_clear()
+    tracemalloc.start()
+    try:
+        exps = batch_smith_exponents(mats, p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exps.tolist() == [[0, 3], [0, 0]]
+    assert peak < p**n + (1 << 20)
 
 
 @pytest.mark.parametrize(

@@ -48,18 +48,6 @@ def literal_census(rep, ring):
     return bulk.census_of_stack(stack, ring.p, ring.n)[0]
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 7), (3, 5), (5, 3), (7, 2), (13, 1), (2, 20)])
-def test_inverse_table_matches_pow(p, n):
-    pn = p**n
-    table = bulk._inverse_table(p, n)
-    assert table.dtype == np.int64 and table.shape == (pn,)
-    units = np.flatnonzero(np.arange(pn) % p)
-    sample = units if len(units) <= 5000 else units[:: len(units) // 5000]
-    assert all(table[u] == pow(int(u), -1, pn) for u in sample)
-    assert not table[np.arange(0, pn, p)].any()
-    assert ((table[units] * units) % pn == 1).all()
-
-
 @PROPERTY
 @given(rep=reps(), ring=st.sampled_from(RINGS))
 def test_orbit_census_equals_literal_census(rep, ring):
@@ -202,6 +190,20 @@ def test_cli_int64_bound_is_a_usage_error(tmp_path, capsys):
     path.write_text(json.dumps({"shape": {"l": 2, "d": 1, "e": 1}, "coeffs": [[[1]], [[0]]]}))
     code = main(["ask", "--input", str(path), "--p", "2", "--n", "31"])
     assert code == 3 and "budget" in capsys.readouterr().err
+
+
+def test_cli_ask_census_of_a_unit_scalar_at_depth(tmp_path, capsys):
+    # a -> (u a) over Z/2^23: ask = 1 + n (p-1)/p, and the census counts valuations
+    p, n = 2, 23
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"shape": {"l": 1, "d": 1, "e": 1}, "coeffs": [[[p**n - 5]]]}))
+    code = main(["ask", "--input", str(path), "--p", str(p), "--n", str(n), "--census",
+                 "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert Fraction(payload["value"]) == 1 + Fraction(n * (p - 1), p)
+    census = {v: p ** (n - v - 1) * (p - 1) for v in range(n)} | {n: 1}
+    assert payload["census"] == {str(v): count for v, count in census.items()}
 
 
 def test_orbit_census_committed_values():

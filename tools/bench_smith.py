@@ -3,19 +3,31 @@
 Each class reduces fixed seeded batches of uniform int64 matrices over
 Z/p^n, the input orbit_censuses passes. The classes are the ones that carry
 most of the reductions of an `askzeta verify` run and of the census part of
-perfbench's queries workload, and the deep moduli of its deep part. A sample
-of every batch is checked against the scalar ring.smith_exponents first.
+perfbench's queries workload, the deep moduli of its deep part, and 3 x 3
+classes whose two pivot steps run in int32 and in int64. A sample of every
+batch is checked against the scalar ring.smith_exponents first, so every
+working dtype (int16, int32, int64) is checked over several steps.
 
 Two rates per class: a large batch (the kernel's arithmetic) and a batch of
-64 matrices (its per-call cost; most of verify's calls are that small). The
-first call of a class starts from empty table caches, so it also builds the
-p^n-sized tables; it is timed apart.
+64 matrices (its per-call cost; most of verify's calls are that small), and
+the minor page faults per large batch. Every class runs nine times, each
+run in a new interpreter, and the file keeps every run and their medians.
+A run's first call starts from empty table caches, so it also builds the
+p^n-sized valuation table (timed apart), and no run inherits what another
+left behind: a large array built and freed raises glibc's mmap and trim
+thresholds, after which a process's temporaries stop faulting in fresh
+pages and the kernel runs faster.
 
-    python tools/bench_smith.py --label narrow_kernel           # about a minute
+    python tools/bench_smith.py --label unit_pivot              # about a minute
     python tools/bench_smith.py --label ci --quick --out /tmp   # a few seconds
+    python tools/bench_smith.py --label unit_pivot --before ../parent   # twice that
 
 The result goes to BENCH_smith_<label>.json, with the machine and the commit.
-Run it from any directory: it imports askzeta from the src/ beside it.
+Run it from any directory: it imports askzeta from the src/ beside it. With
+--before, the runs of an earlier tree (a checkout, or a git archive with
+--before-commit) alternate with this tree's, class by class, and go to
+BENCH_smith_<label>_before.json: a before/after pair from the same host and
+the same spells of load.
 """
 
 from __future__ import annotations
@@ -28,7 +40,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import multiprocessing
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -38,7 +52,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# a run imports askzeta from the tree this names (default: this one)
+TREE_ENV = "BENCH_SMITH_TREE"
+sys.path.insert(0, str(Path(os.environ.get(TREE_ENV, ROOT)) / "src"))
 
 from askzeta import bulk  # noqa: E402
 from askzeta.ring import RingMatrix, TruncatedRing, smith_exponents  # noqa: E402
@@ -63,16 +79,18 @@ CLASSES = [
     (7, 6, 2, 2, "queries deep"),
     (13, 4, 2, 2, "queries deep"),
     (17, 4, 1, 1, "queries deep"),
+    (2, 15, 3, 3, "wide dtype"),
+    (3, 13, 3, 3, "wide dtype"),
 ]
 SMALL = 64
 SAMPLE = 32
 
 
-def commit() -> str:
+def commit(tree: Path) -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
+            cwd=tree, capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -101,59 +119,96 @@ def measure(p: int, n: int, d: int, e: int, batch: int, repeats: int, small_call
     rng = np.random.default_rng([p, n, d, e])
     mats = rng.integers(0, p**n, size=(batch, d, e), dtype=np.int64)
     small = mats[:SMALL].copy()
-    bulk._valuation_table.cache_clear()
-    bulk._inverse_table.cache_clear()
     start = time.perf_counter()
     exps = bulk.batch_smith_exponents(small, p, n)
     first_call = time.perf_counter() - start
     check(small, exps, p, n)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     large = seconds(lambda: bulk.batch_smith_exponents(mats, p, n), repeats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     per_small = seconds(lambda: bulk.batch_smith_exponents(small, p, n), small_calls)
     median = statistics.median(large)
     return {
+        "dtype": np.dtype(bulk._narrow_dtype(p**n)).name,
         "first_call_s": first_call,
         "batch": batch,
         "batch_s": large,
         "matrices_per_s": batch / median,
+        "minor_faults_per_batch": faults / repeats,
         "small_call_s": statistics.median(per_small),
         "small_matrices_per_s": SMALL / statistics.median(per_small),
     }
 
 
+def summary(runs: list[dict]) -> dict:
+    """A class over several runs: the median of each figure, and every run."""
+    keys = ("matrices_per_s", "minor_faults_per_batch", "small_call_s", "first_call_s")
+    row = {key: statistics.median(run[key] for run in runs) for key in keys}
+    row["small_matrices_per_s"] = SMALL / row["small_call_s"]
+    return {"dtype": runs[0]["dtype"], "batch": runs[0]["batch"], **row, "runs": runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_smith_<label>.json")
-    parser.add_argument("--quick", action="store_true", help="small batches, one repeat: a smoke run")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory of the output file")
+    parser.add_argument("--quick", action="store_true", help="small batches, one run: a smoke run")
+    parser.add_argument("--out", type=Path, default=ROOT, help="directory of the output files")
+    parser.add_argument(
+        "--before", type=Path,
+        help="an earlier tree (checkout or git archive), run in alternation with this one; "
+        "its results go to BENCH_smith_<label>_before.json",
+    )
+    parser.add_argument("--before-commit", help="the commit to record for --before if it has no .git")
     args = parser.parse_args(argv)
-    batch, repeats, small_calls = (1 << 10, 1, 5) if args.quick else (1 << 16, 7, 200)
+    rounds, batch, repeats, small_calls = (1, 1 << 10, 1, 5) if args.quick else (9, 1 << 16, 7, 200)
+    trees = {args.label: (ROOT, commit(ROOT))}
+    if args.before:
+        before = args.before.resolve()
+        trees[f"{args.label}_before"] = (before, args.before_commit or commit(before))
 
-    rows = []
-    for p, n, d, e, source in CLASSES:
-        row = {"p": p, "n": n, "d": d, "e": e, "source": source}
-        row.update(measure(p, n, d, e, batch, repeats, small_calls))
-        rows.append(row)
-        print(
-            f"Z/{p}^{n} {d}x{e} ({source}): {row['matrices_per_s'] / 1e6:.2f} M/s, "
-            f"{row['small_call_s'] * 1e6:.0f} us per {SMALL}, first call {row['first_call_s']:.3f} s"
-        )
-    report = {
-        "label": args.label,
-        "commit": commit(),
-        "machine": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "quick": args.quick,
-        "repeats": repeats,
-        "small_batch": SMALL,
-        "classes": rows,
+    # round by round, the trees in alternating order, so that a slow spell
+    # of the host touches every class and both trees alike
+    spawn = multiprocessing.get_context("spawn")
+    runs = {(label, cls): [] for label in trees for cls in CLASSES}
+    for r in range(rounds):
+        for cls in CLASSES:
+            for label, (tree, _) in list(trees.items())[:: -1 if r % 2 else 1]:
+                os.environ[TREE_ENV] = str(tree)
+                with spawn.Pool(1) as pool:
+                    runs[label, cls].append(pool.apply(measure, (*cls[:4], batch, repeats, small_calls)))
+    machine = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        # glibc allocator settings, which decide how often temporaries fault
+        "malloc_env": {k: v for k, v in os.environ.items() if k.startswith("MALLOC_")},
     }
-    path = args.out / f"BENCH_smith_{args.label}.json"
-    path.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}")
+    for label, (tree, tree_commit) in trees.items():
+        rows = []
+        for p, n, d, e, source in CLASSES:
+            row = {"p": p, "n": n, "d": d, "e": e, "source": source}
+            row.update(summary(runs[label, (p, n, d, e, source)]))
+            rows.append(row)
+            print(
+                f"{label}: Z/{p}^{n} {d}x{e} {row['dtype']} ({source}): "
+                f"{row['matrices_per_s'] / 1e6:.2f} M/s, "
+                f"{row['minor_faults_per_batch']:.0f} faults per batch, "
+                f"{row['small_call_s'] * 1e6:.0f} us per {SMALL}, first call {row['first_call_s']:.3f} s"
+            )
+        report = {
+            "label": label,
+            "commit": tree_commit,
+            "machine": machine,
+            "quick": args.quick,
+            "rounds": rounds,
+            "repeats": repeats,
+            "small_batch": SMALL,
+            "classes": rows,
+        }
+        path = args.out / f"BENCH_smith_{label}.json"
+        path.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
