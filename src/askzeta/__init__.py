@@ -31,7 +31,7 @@ from .mrep import (
     verify_homotopy,
 )
 from .polynom import MultiPoly, count_hypersurface_points, det_linear_matrix, generic_rank
-from .ring import RingMatrix, TruncatedRing, image_size, kernel_size, reduce_mod, smith_exponents
+from .ring import TruncatedRing, image_size, kernel_size, smith_exponents
 from .verify import verify_class_identities
 from .zeta import QPolynomial, RationalFunction, closed_form
 
@@ -48,7 +48,6 @@ __all__ = [
     "MultiPoly",
     "QPolynomial",
     "RationalFunction",
-    "RingMatrix",
     "TruncatedRing",
     "ZetaSeries",
     "adjoint_rep",
@@ -68,7 +67,6 @@ __all__ = [
     "kminimality_check",
     "lazard_group",
     "make_example",
-    "reduce_mod",
     "smith_exponents",
     "verify_class_identities",
     "verify_homotopy",

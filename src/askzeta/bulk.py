@@ -85,12 +85,13 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     mats has shape (N, d, e) and any integer entries; the result has shape
     (N, min(d, e)), each row ascending in [0, n]. Step k works on the
     trailing (d-k) x (e-k) block only: it pivots on the entry of minimal
-    valuation (first in row-major order, as ring.smith_exponents does),
-    swaps it to the corner, clears the rows below it and keeps the
-    remainder. That pivot divides every entry left, so each later pivot has
-    no smaller valuation, and clearing the pivot's columns would change only
-    its row, which no later step reads. A zero block stays zero, with
-    exponent n; after the last pivot nothing is eliminated.
+    valuation (first in row-major order, as the pure-Python oracle
+    smith_exponents in tests/helpers.py does), swaps it to the corner,
+    clears the rows below it and keeps the remainder. That pivot divides
+    every entry left, so each later pivot has no smaller valuation, and
+    clearing the pivot's columns would change only its row, which no later
+    step reads. A zero block stays zero, with exponent n; after the last
+    pivot nothing is eliminated.
 
     Clearing divides nothing: the pivot is p^v u with u a unit and row i's
     entry is p^v g_i, so row i becomes u row_i - g_i row_0. Those row

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bulk
-from .ring import RingMatrix, TruncatedRing
+from .ring import TruncatedRing
 
 __all__ = [
     "MRep", "HomotopyTriple", "Dual", "collapse", "collapsed_power", "adjoint_rep",
@@ -132,8 +132,8 @@ class MRep:
         """Coefficients reduced mod p^n, as an int64 array of shape (l, d, e)."""
         return (self.array % ring.size).astype(np.int64, copy=False)
 
-    def evaluate_at(self, a: Sequence[int], ring: TruncatedRing) -> RingMatrix:
-        """The d x e matrix A(a) = sum_h a_h c[h] over Z/p^n."""
+    def evaluate_at(self, a: Sequence[int], ring: TruncatedRing) -> np.ndarray:
+        """The d x e matrix A(a) = sum_h a_h c[h] over Z/p^n, entries in [0, p^n)."""
         if len(a) != self.l:
             raise ValueError(f"parameter vector has length {len(a)}, expected {self.l}")
         pn = ring.size
@@ -142,8 +142,7 @@ class MRep:
         else:
             coeffs = self.array.astype(object) % pn
         x = np.array([int(v) % pn for v in a], dtype=coeffs.dtype)
-        entries = (x @ coeffs.reshape(self.l, self.d * self.e) % pn).reshape(self.d, self.e)
-        return RingMatrix(self.d, self.e, tuple(map(tuple, entries.tolist())))
+        return (x @ coeffs.reshape(self.l, self.d * self.e) % pn).reshape(self.d, self.e)
 
     def dual(self, which: str) -> "MRep":
         """Knuth dual: an exact permutation of the tensor indices."""

@@ -1,10 +1,12 @@
-"""Exact arithmetic over the truncated rings Z/p^n.
+"""The truncated rings Z/p^n, and kernel sizes of single matrices over them.
 
 Z/p^n is a chain ring: every element is a unit times a power of p, so a
 matrix over it has a diagonal reduction diag(p^a_1, ..., p^a_k) with
 0 <= a_1 <= ... <= a_k <= n (exponent n stands for a zero diagonal entry).
 The exponent multiset determines the kernel and image cardinalities of the
-matrix acting on row vectors, which is all the enumeration engine needs.
+matrix acting on row vectors. smith_exponents, kernel_size and image_size
+take one d x e integer matrix and run bulk.batch_smith_exponents, the
+library's only reduction, on a batch of one.
 
 The level n = 0 denotes the zero ring; every module over it is trivial and
 every kernel has size 1.
@@ -13,13 +15,14 @@ every kernel has size 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
+
+from . import bulk
 
 __all__ = [
     "TruncatedRing",
-    "RingMatrix",
     "is_prime",
-    "reduce_mod",
     "smith_exponents",
     "kernel_size",
     "image_size",
@@ -59,117 +62,46 @@ class TruncatedRing:
     def size(self) -> int:
         return self.p**self.n
 
-    @property
-    def q(self) -> int:
-        """Residue field size (always p itself here)."""
-        return self.p
-
     def reduce(self, x: int) -> int:
         return x % self.size
 
-    def valuation(self, x: int) -> int:
-        """p-adic valuation of the canonical representative, capped at n."""
-        x %= self.size
-        if x == 0:
-            return self.n
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"Z/{self.p}^{self.n}"
 
 
-@dataclass(frozen=True)
-class RingMatrix:
-    """A d x e matrix with entries stored as canonical representatives."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
-
-    def transpose(self) -> "RingMatrix":
-        flipped = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
-        return RingMatrix(self.cols, self.rows, flipped)
+def _batch_of_one(A, ring: TruncatedRing) -> np.ndarray:
+    """A as a (1, d, e) int64 batch, once p^n is inside the batch kernel's bound."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2:
+        raise ValueError(f"expected a d x e matrix, got shape {A.shape}")
+    if ring.size > bulk._MAX_MODULUS:
+        raise ValueError(f"modulus {ring} too large for vectorised arithmetic")
+    return A[None]
 
 
-def reduce_mod(entries: Sequence[Sequence[int]], ring: TruncatedRing) -> RingMatrix:
-    """Reduce an integer matrix entrywise to canonical representatives."""
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    data = tuple(tuple(ring.reduce(int(x)) for x in row) for row in entries)
-    return RingMatrix(rows, cols, data)
+def smith_exponents(A, ring: TruncatedRing) -> list[int]:
+    """Elementary divisor exponents of a d x e integer matrix over Z/p^n, ascending.
 
-
-def smith_exponents(A: RingMatrix, ring: TruncatedRing) -> list[int]:
-    """Elementary divisor exponents of A over Z/p^n, sorted ascending.
-
-    Pivots on the entry of minimal p-adic valuation in the remaining
-    submatrix, ties broken in row-major order; over a chain ring that entry
-    divides everything left, so a single clearing round per step suffices.
+    p^n must be at most 2^31, the batch kernel's bound; larger moduli raise
+    ValueError.
     """
-    d, e = A.rows, A.cols
-    m = min(d, e)
-    n, p = ring.n, ring.p
-    if m == 0:
-        return []
-    if n == 0:
-        return [0] * m
-    pn = ring.size
-    M = [[x % pn for x in row] for row in A.entries]
-    exps: list[int] = []
-    for k in range(m):
-        best_v, bi, bj = n, -1, -1
-        for i in range(k, d):
-            for j in range(k, e):
-                v = ring.valuation(M[i][j])
-                if v < best_v:
-                    best_v, bi, bj = v, i, j
-            if best_v == 0:
-                break
-        if best_v >= n:
-            exps.extend([n] * (m - k))
-            return exps
-        exps.append(best_v)
-        if bi != k:
-            M[k], M[bi] = M[bi], M[k]
-        if bj != k:
-            for row in M:
-                row[k], row[bj] = row[bj], row[k]
-        pv = p**best_v
-        inv_u = pow(M[k][k] // pv, -1, pn)
-        for i in range(k + 1, d):
-            f = (M[i][k] // pv) * inv_u % pn
-            if f:
-                M[i] = [(M[i][j] - f * M[k][j]) % pn for j in range(e)]
-        for j in range(k + 1, e):
-            g = (M[k][j] // pv) * inv_u % pn
-            if g:
-                for i in range(k, d):
-                    M[i][j] = (M[i][j] - g * M[i][k]) % pn
-    return exps
+    return bulk.batch_smith_exponents(_batch_of_one(A, ring), ring.p, ring.n)[0].tolist()
 
 
-def kernel_size(A: RingMatrix, ring: TruncatedRing) -> int:
-    """|{x in (Z/p^n)^d : x A = 0}| for a d x e matrix acting on row vectors."""
-    m = min(A.rows, A.cols)
-    total = sum(smith_exponents(A, ring)) + ring.n * (A.rows - m)
-    return ring.p**total
+def kernel_size(A, ring: TruncatedRing) -> int:
+    """|{x in (Z/p^n)^d : x A = 0}| for a d x e integer matrix acting on row vectors.
+
+    p^n must be at most 2^31, the batch kernel's bound; larger moduli raise
+    ValueError.
+    """
+    return ring.p ** int(bulk.batch_kernel_exponents(_batch_of_one(A, ring), ring.p, ring.n)[0])
 
 
-def image_size(A: RingMatrix, ring: TruncatedRing) -> int:
-    """|row space of A| = p^(n d) / kernel_size (first isomorphism theorem)."""
-    return ring.size**A.rows // kernel_size(A, ring)
+def image_size(A, ring: TruncatedRing) -> int:
+    """|row space of A| = p^(n d) / kernel_size (first isomorphism theorem).
+
+    p^n must be at most 2^31, the batch kernel's bound; larger moduli raise
+    ValueError.
+    """
+    kernel = kernel_size(A, ring)
+    return ring.size ** len(A) // kernel

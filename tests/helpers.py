@@ -22,7 +22,7 @@ def brute_ask(rep, ring, m=1):
     total = 0
     for a in product(range(pn), repeat=rep.l):
         mat = rep.evaluate_at(a, ring)
-        total += brute_kernel_count(mat.entries, ring) ** m
+        total += brute_kernel_count(mat.tolist(), ring) ** m
     return Fraction(total, pn**rep.l)
 
 
@@ -30,13 +30,68 @@ def brute_census(rep, ring):
     """{k: #a with |kernel A(a)| = p^k} by literal enumeration."""
     census = {}
     for a in product(range(ring.size), repeat=rep.l):
-        count = brute_kernel_count(rep.evaluate_at(a, ring).entries, ring)
+        count = brute_kernel_count(rep.evaluate_at(a, ring).tolist(), ring)
         k = 0
         while count > 1:
             count //= ring.p
             k += 1
         census[k] = census.get(k, 0) + 1
     return census
+
+
+def valuation(x, p, n):
+    """p-adic valuation of x mod p^n, capped at n (n for 0)."""
+    x %= p**n
+    if x == 0:
+        return n
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def smith_exponents(entries, p, n):
+    """Elementary divisor exponents of a d x e integer matrix over Z/p^n, ascending.
+
+    Scalar elimination: each step pivots on the entry of minimal valuation
+    left (the first in row-major order), which over a chain ring divides
+    every entry left, then clears the pivot's row and column with its
+    unit's inverse.
+    """
+    pn = p**n
+    M = [[int(x) % pn for x in row] for row in entries]
+    d = len(M)
+    e = len(M[0]) if d else 0
+    m = min(d, e)
+    if n == 0:
+        return [0] * m
+    exps = []
+    for k in range(m):
+        best_v, bi, bj = n, -1, -1
+        for i in range(k, d):
+            for j in range(k, e):
+                v = valuation(M[i][j], p, n)
+                if v < best_v:
+                    best_v, bi, bj = v, i, j
+            if best_v == 0:
+                break
+        if best_v >= n:
+            return exps + [n] * (m - k)
+        exps.append(best_v)
+        M[k], M[bi] = M[bi], M[k]
+        for row in M:
+            row[k], row[bj] = row[bj], row[k]
+        pv = p**best_v
+        inv_u = pow(M[k][k] // pv, -1, pn)
+        for i in range(k + 1, d):
+            f = (M[i][k] // pv) * inv_u % pn
+            M[i] = [(M[i][j] - f * M[k][j]) % pn for j in range(e)]
+        for j in range(k + 1, e):
+            g = (M[k][j] // pv) * inv_u % pn
+            for i in range(k, d):
+                M[i][j] = (M[i][j] - g * M[i][k]) % pn
+    return exps
 
 
 def rational_matrix_rank(rows):

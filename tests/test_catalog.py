@@ -13,42 +13,42 @@ def test_band_committed_tensor():
     band2 = make("band", r=2)
     assert band2.shape == (2, 3, 2)
     # [[x1, 0], [x2, x1], [0, x2]]
-    assert band2.evaluate_at([1, 0], F3).entries == ((1, 0), (0, 1), (0, 0))
-    assert band2.evaluate_at([0, 1], F3).entries == ((0, 0), (1, 0), (0, 1))
+    assert band2.evaluate_at([1, 0], F3).tolist() == [[1, 0], [0, 1], [0, 0]]
+    assert band2.evaluate_at([0, 1], F3).tolist() == [[0, 0], [1, 0], [0, 1]]
 
 
 def test_gamma_committed_tensor():
     g2 = make("gamma", d=2)
     assert g2.shape == (2, 3, 2)
-    assert g2.evaluate_at([1, 0], F3).entries == ((1, 0), (0, 1), (0, 0))
+    assert g2.evaluate_at([1, 0], F3).tolist() == [[1, 0], [0, 1], [0, 0]]
     g3 = make("gamma", d=3)
     assert g3.shape == (3, 6, 3)
-    assert g3.evaluate_at([1, 0, 0], F3).entries[:3] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert g3.evaluate_at([1, 0, 0], F3).tolist()[:3] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_westwick_a1_committed_matrix():
     a1 = make("westwick_a", r=1)
     assert a1.shape == (3, 3, 3)
     F7 = TruncatedRing(7, 1)
-    assert a1.evaluate_at([1, 0, 0], F7).entries == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
-    assert a1.evaluate_at([0, 1, 0], F7).entries == ((0, 0, 6), (0, 0, 0), (1, 0, 0))
-    assert a1.evaluate_at([0, 0, 1], F7).entries == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert a1.evaluate_at([1, 0, 0], F7).tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    assert a1.evaluate_at([0, 1, 0], F7).tolist() == [[0, 0, 6], [0, 0, 0], [1, 0, 0]]
+    assert a1.evaluate_at([0, 0, 1], F7).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
 
 
 def test_westwick_a2_exceptional_entries():
     a2 = make("westwick_a", r=2)
-    mat = a2.evaluate_at([0, 0, 1, 0, 0], TruncatedRing(7, 1)).entries
+    mat = a2.evaluate_at([0, 0, 1, 0, 0], TruncatedRing(7, 1)).tolist()
     # the parameter vector hitting the sign flip and the hole
-    assert mat == ((0, 0, 0), (0, 0, 6), (0, 0, 0), (1, 0, 0), (0, 0, 0))
+    assert mat == [[0, 0, 0], [0, 0, 6], [0, 0, 0], [1, 0, 0], [0, 0, 0]]
 
 
 def test_westwick_H_structure():
     H2 = make("westwick_H", r=2)
     assert H2.shape == (3, 5, 5)
     F7 = TruncatedRing(7, 1)
-    y = H2.evaluate_at([0, 1, 0], F7).entries
+    y = H2.evaluate_at([0, 1, 0], F7).tolist()
     assert [y[i][i] for i in range(5)] == [1, 1, 0, 1, 1]  # diagonal hole at row r
-    z = H2.evaluate_at([0, 0, 1], F7).entries
+    z = H2.evaluate_at([0, 0, 1], F7).tolist()
     assert [z[i][i + 1] for i in range(4)] == [1, 6, 1, 1]  # sign flip at row r - 1
 
 
@@ -72,13 +72,13 @@ def test_type_f_and_g():
     tg = make("type_G", d=2)
     assert tg.shape == (2, 2, 4)
     # rank-one matrices: evaluating at a basis vector picks out one row
-    assert tg.evaluate_at([1, 0], F3).entries == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert tg.evaluate_at([1, 0], F3).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_matdxe_identity_inclusion():
     m = make("matdxe", d=2, e=3)
     assert m.shape == (6, 2, 3)
-    assert m.evaluate_at([1, 0, 0, 0, 1, 0], F3).entries == ((1, 0, 0), (0, 1, 0))
+    assert m.evaluate_at([1, 0, 0, 0, 1, 0], F3).tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_hankel_is_circ_dual_of_band():

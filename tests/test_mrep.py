@@ -34,15 +34,15 @@ def test_validation():
     with pytest.raises(ValueError):
         MRep(1, 2, 2, (((1, 0), (0,)),))
     empty = MRep.zero(0, 2, 3)
-    assert empty.evaluate_at([], F3).entries == ((0, 0, 0), (0, 0, 0))
+    assert empty.evaluate_at([], F3).tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_evaluate_at():
     m22 = make("matdxe", d=2, e=2)
-    assert m22.evaluate_at([1, 0, 0, 1], F3).entries == ((1, 0), (0, 1))
-    assert m22.evaluate_at([0, 0, 0, 0], F3).entries == ((0, 0), (0, 0))
+    assert m22.evaluate_at([1, 0, 0, 1], F3).tolist() == [[1, 0], [0, 1]]
+    assert m22.evaluate_at([0, 0, 0, 0], F3).tolist() == [[0, 0], [0, 0]]
     g2 = make("gamma", d=2)
-    assert g2.evaluate_at([0, 1], F3).entries == ((0, 0), (0, 0), (0, 1))
+    assert g2.evaluate_at([0, 1], F3).tolist() == [[0, 0], [0, 0], [0, 1]]
     with pytest.raises(ValueError):
         m22.evaluate_at([1, 0], F3)
 
@@ -56,11 +56,11 @@ def test_evaluation_linearity():
         a = [rng.randrange(9) for _ in range(2)]
         b = [rng.randrange(9) for _ in range(2)]
         ab = [x + y for x, y in zip(a, b)]
-        left = rep.evaluate_at(ab, Z9).entries
-        right = tuple(
-            tuple((x + y) % 9 for x, y in zip(r1, r2))
-            for r1, r2 in zip(rep.evaluate_at(a, Z9).entries, rep.evaluate_at(b, Z9).entries)
-        )
+        left = rep.evaluate_at(ab, Z9).tolist()
+        right = [
+            [(x + y) % 9 for x, y in zip(r1, r2)]
+            for r1, r2 in zip(rep.evaluate_at(a, Z9).tolist(), rep.evaluate_at(b, Z9).tolist())
+        ]
         assert left == right
 
 
@@ -136,7 +136,7 @@ def test_collapse_modes():
     assert collapsed_power(one, 1, "mod") == one
     sq = collapsed_power(one, 2, "mod")
     assert sq.shape == (1, 2, 2)
-    assert sq.evaluate_at([1], F3).entries == ((1, 0), (0, 1))
+    assert sq.evaluate_at([1], F3).tolist() == [[1, 0], [0, 1]]
     assert ask_m(sq, F2).value == Fraction(5, 2)
     dom = collapsed_power(one, 2, "dom")
     assert dom.shape == (2, 1, 2)
@@ -161,11 +161,11 @@ def test_collapse_block_semantics():
     merged = collapse(a.direct_sum(b), "mod", [a.shape, b.shape])
     assert merged.shape == (2, 3, 3)
     for h in range(2):
-        ev = merged.evaluate_at([1 if t == h else 0 for t in range(2)], F3)
-        ea = a.evaluate_at([1 if t == h else 0 for t in range(2)], F3)
-        eb = b.evaluate_at([1 if t == h else 0 for t in range(2)], F3)
-        assert ev.entries[0][:2] == ea.entries[0]
-        assert tuple(row[2] for row in ev.entries[1:]) == tuple(r[0] for r in eb.entries)
+        ev = merged.evaluate_at([1 if t == h else 0 for t in range(2)], F3).tolist()
+        ea = a.evaluate_at([1 if t == h else 0 for t in range(2)], F3).tolist()
+        eb = b.evaluate_at([1 if t == h else 0 for t in range(2)], F3).tolist()
+        assert ev[0][:2] == ea[0]
+        assert tuple(row[2] for row in ev[1:]) == tuple(r[0] for r in eb)
 
 
 def test_scalar_multiply():

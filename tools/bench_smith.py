@@ -5,8 +5,10 @@ Z/p^n, the input orbit_censuses passes. The classes are the ones that carry
 most of the reductions of an `askzeta verify` run and of the census part of
 perfbench's queries workload, the deep moduli of its deep part, and 3 x 3
 classes whose two pivot steps run in int32 and in int64. A sample of every
-batch is checked against the scalar ring.smith_exponents first, so every
-working dtype (int16, int32, int64) is checked over several steps.
+batch is checked first against the pure-Python oracle smith_exponents in
+this tree's tests/helpers.py (also when another tree's kernel runs), so
+every working dtype (int16, int32, int64) is checked over several steps, and
+a mismatch stops the run with a non-zero exit.
 
 Two rates per class: a large batch (the kernel's arithmetic) and a batch of
 64 matrices (its per-call cost; most of verify's calls are that small), and
@@ -55,9 +57,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # a run imports askzeta from the tree this names (default: this one)
 TREE_ENV = "BENCH_SMITH_TREE"
 sys.path.insert(0, str(Path(os.environ.get(TREE_ENV, ROOT)) / "src"))
+# the reference reduction is always this tree's, whichever kernel runs
+sys.path.insert(0, str(ROOT / "tests"))
 
 from askzeta import bulk  # noqa: E402
-from askzeta.ring import RingMatrix, TruncatedRing, smith_exponents  # noqa: E402
+from helpers import smith_exponents  # noqa: E402
 
 # (p, n, d, e, where the class comes from)
 CLASSES = [
@@ -107,12 +111,16 @@ def seconds(fn, repeats: int) -> list[float]:
 
 
 def check(mats: np.ndarray, exps: np.ndarray, p: int, n: int) -> None:
-    ring = TruncatedRing(p, n)
     _, d, e = mats.shape
     for entries, row in zip(mats[:SAMPLE].tolist(), exps[:SAMPLE].tolist()):
-        want = smith_exponents(RingMatrix(d, e, tuple(map(tuple, entries))), ring)
+        want = smith_exponents(entries, p, n)
         if row != want:
-            raise SystemExit(f"Z/{p}^{n} {d}x{e}: batch gave {row}, scalar {want} for {entries}")
+            # an Exception, not SystemExit: a pool worker that exits loses its
+            # task, and the parent would wait for it forever
+            raise RuntimeError(
+                f"Z/{p}^{n} {d}x{e}: batch gave {row}, the oracle in tests/helpers.py "
+                f"{want} for {entries}"
+            )
 
 
 def measure(p: int, n: int, d: int, e: int, batch: int, repeats: int, small_calls: int) -> dict:
@@ -175,7 +183,11 @@ def main(argv=None) -> int:
             for label, (tree, _) in list(trees.items())[:: -1 if r % 2 else 1]:
                 os.environ[TREE_ENV] = str(tree)
                 with spawn.Pool(1) as pool:
-                    runs[label, cls].append(pool.apply(measure, (*cls[:4], batch, repeats, small_calls)))
+                    try:
+                        run = pool.apply(measure, (*cls[:4], batch, repeats, small_calls))
+                    except RuntimeError as err:
+                        raise SystemExit(f"{label}: {err}") from None
+                runs[label, cls].append(run)
     machine = {
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
