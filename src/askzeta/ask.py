@@ -11,8 +11,10 @@ of p, and the bullet dual preserves the average kernel size outright. The
 auto strategy picks whichever side is cheapest (moments m >= 2 stay on the
 parameter side) and reads its census off one vector per unit orbit, split by
 valuation (bulk.orbit_censuses). An explicit strategy ("direct", "circ",
-"bullet") enumerates every parameter vector: the literal definition.
-Budgets always count the nominal p^(n l) parameter vectors of the side.
+"bullet") enumerates every parameter vector: the literal definition. Both
+evaluate with one additive sweep, on stacks of tensors: literal_censuses and
+unit_orbit_censuses stack many reps by shape, one sweep per shape. Budgets
+always count the nominal p^(n l) parameter vectors of the side.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ __all__ = [
     "BudgetExceededError",
     "ask_m",
     "ask_with_census",
+    "auto_asks",
     "census_plan",
     "kernel_census",
     "literal_censuses",
+    "unit_orbit_censuses",
     "zeta_coeffs",
 ]
 
@@ -86,16 +90,11 @@ def census_plan() -> Iterator[dict]:
         _PLAN.reset(token)
 
 
-def literal_censuses(
-    reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
-) -> list[dict[int, int]]:
-    """The census of each rep by evaluating every parameter vector, budgets checked first.
-
-    Misses of the plan's memo (a fresh dict outside a plan) are stacked by shape, one
-    bulk.census_of_stack sweep per shape; the histograms returned are the memo's."""
+def _censuses(reps, ring: TruncatedRing, budget: int, memo: dict, sweep) -> list[dict[int, int]]:
+    """memo's census of each rep, budgets checked first; the misses are stacked by
+    shape, one sweep per shape."""
     for rep in reps:
         _check_budget(rep, ring, budget)
-    memo = {} if _PLAN.get() is None else _PLAN.get()
     arrays = [rep.reduced_array(ring) for rep in reps]
     keys = [(array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
     misses: dict[tuple, dict] = {}  # shape -> {key: reduced array}, each key once
@@ -103,18 +102,32 @@ def literal_censuses(
         if key not in memo:
             misses.setdefault(array.shape, {})[key] = array
     for stack in misses.values():
-        memo.update(zip(stack, bulk.census_of_stack([*stack.values()], ring.p, ring.n)))
+        memo.update(zip(stack, sweep([*stack.values()])))
     return [memo[key] for key in keys]
 
 
-def _literal_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
-    return literal_censuses([rep], ring, budget)[0]
+def literal_censuses(
+    reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
+) -> list[dict[int, int]]:
+    """The census of each rep by evaluating every parameter vector, budgets checked first.
+
+    Misses of the plan's memo (a fresh dict outside a plan) are stacked by shape, one
+    bulk.census_of_stack sweep per shape; the histograms returned are the memo's."""
+    memo = {} if _PLAN.get() is None else _PLAN.get()
+    return _censuses(reps, ring, budget, memo, lambda s: bulk.census_of_stack(s, ring.p, ring.n))
 
 
-def _orbit_census(rep: MRep, ring: TruncatedRing, budget: int) -> dict[int, int]:
-    """The census from one pass over unit-orbit representatives."""
-    _check_budget(rep, ring, budget)
-    return bulk.orbit_censuses(rep.reduced_array(ring), ring.p, ring.n)[ring.n]
+def unit_orbit_censuses(
+    reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
+) -> list[dict[int, int]]:
+    """The census of each rep read off its unit-orbit representatives, budgets checked first.
+
+    The reps are stacked by shape, one bulk.orbit_censuses sweep per shape. A plan's
+    memo holds literal censuses only, so these never enter it."""
+    def sweep(stack):
+        return [levels[ring.n] for levels in bulk.orbit_censuses(stack, ring.p, ring.n)]
+
+    return _censuses(reps, ring, budget, {}, sweep)
 
 
 def kernel_census(
@@ -127,7 +140,7 @@ def kernel_census(
     The budget bounds the nominal p^(n l) vectors; the census itself is
     read off the unit-orbit representatives (bulk.orbit_censuses).
     """
-    return _orbit_census(rep, ring, budget)
+    return unit_orbit_censuses([rep], ring, budget)[0]
 
 
 def ask_from_census(
@@ -184,9 +197,23 @@ def ask_m(
     "auto" reads the census of the cheapest side off its unit-orbit
     representatives; an explicit side enumerates every parameter vector.
     """
+    if strategy == "auto":
+        return auto_asks([rep], ring, m, budget)[0]
     side, tensor = _side(rep, m, strategy)
-    census = (_orbit_census if strategy == "auto" else _literal_census)(tensor, ring, budget)
-    return _result(rep, side, tensor, census, ring, m)
+    return _result(rep, side, tensor, literal_censuses([tensor], ring, budget)[0], ring, m)
+
+
+def auto_asks(
+    reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
+) -> list[AskResult]:
+    """ask_m(rep, ring, m, "auto") for each rep: the cheapest side of each, and
+    one unit-orbit sweep per shape of the tensors enumerated there."""
+    sides = [_side(rep, m, "auto") for rep in reps]
+    censuses = unit_orbit_censuses([tensor for _, tensor in sides], ring, budget)
+    return [
+        _result(rep, side, tensor, census, ring, m)
+        for rep, (side, tensor), census in zip(reps, sides, censuses)
+    ]
 
 
 def ask_with_census(
@@ -229,7 +256,8 @@ def zeta_coeffs(
             raise BudgetExceededError(1, budget, 0)
         censuses = []
         if top >= 0:
-            censuses = bulk.orbit_censuses(tensor.reduced_array(TruncatedRing(p, top)), p, top)
+            array = tensor.reduced_array(TruncatedRing(p, top))
+            censuses = bulk.orbit_censuses(array[None], p, top)[0]
         for n, census in enumerate(censuses):
             coeffs.append(_result(rep, side, tensor, census, TruncatedRing(p, n), m).value)
         return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

@@ -1,18 +1,20 @@
 """Vectorised enumeration internals (numpy).
 
-Everything here is exact integer arithmetic mod p^n: evaluations in int64,
-Smith reductions in the narrowest signed dtype that holds (p^n)^2; callers
-turn the resulting exponent histograms into exact rationals.
-Chunked enumeration keeps memory flat and makes results independent of the
-partitioning, so partial histograms can be combined in any order.
+Everything here is exact integer arithmetic mod p^n: evaluations and Smith
+reductions in the narrowest signed dtype that holds (p^n)^2, int64 prefix
+offsets; callers turn the resulting exponent histograms into exact
+rationals. One additive sweep (_sweep) evaluates a stack of tensors for
+both censuses: every parameter vector for census_of_stack, one vector per
+unit orbit for orbit_censuses. Chunked enumeration keeps memory flat and
+makes results independent of the partitioning, so partial histograms can
+be combined in any order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -102,8 +104,8 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     the narrow dtype if mats has it: x - x // p^n * p^n is exact in any
     signed dtype, wrapping included), then narrowed to int16 when
     (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64. Narrowing
-    first would wrap unreduced input, such as orbit_censuses' evaluations
-    up to l (p^n - 1)^2. A step's u row_i - g_i row_0 has all four factors
+    first would wrap unreduced input, such as the entries of kernel_size's
+    integer matrices (the census sweeps pass reduced, narrow batches). A step's u row_i - g_i row_0 has all four factors
     in [0, p^n), so it stays within (p^n - 1)^2 in that dtype. The block is
     kept batch-last, so a step is a few passes over contiguous rows: one
     flat-index gather of the swapped block, the two products and one
@@ -189,19 +191,26 @@ def check_evaluation_bound(l: int, pn: int) -> None:
         )
 
 
-def iter_vector_chunks(q: int, length: int, chunk: int) -> Iterator[np.ndarray]:
-    """All vectors of (Z/q)^length in row-major order, in chunks."""
-    total = q**length
-    if length == 0:
+# a coordinate's values base + step * range(radix), as (base, step, radix)
+Progression = tuple[int, int, int]
+
+
+def _progression_chunks(progs: Sequence[Progression], chunk: int) -> Iterator[np.ndarray]:
+    """Every vector of the product of progressions, in row-major order, in int64 chunks."""
+    if not progs:
         yield np.zeros((1, 0), dtype=np.int64)
         return
-    weights = np.array([q ** (length - 1 - h) for h in range(length)], dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        yield (idx[:, None] // weights[None, :]) % q
-        start = stop
+    total = prod(radix for _, _, radix in progs)
+    base, step, radix = (np.array(column, dtype=np.int64) for column in zip(*progs))
+    weights = np.array([prod(r for _, _, r in progs[h + 1 :]) for h in range(len(progs))])
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield idx[:, None] // weights % radix * step + base
+
+
+def iter_vector_chunks(q: int, length: int, chunk: int) -> Iterator[np.ndarray]:
+    """All vectors of (Z/q)^length in row-major order, in chunks."""
+    return _progression_chunks([(0, 1, q)] * length, chunk)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, pn: int) -> np.ndarray:
@@ -213,20 +222,83 @@ def _add_mod(a: np.ndarray, b: np.ndarray, pn: int) -> np.ndarray:
     return total
 
 
+def _sweep(
+    coeffs: np.ndarray, p: int, n: int, blocks: Sequence[Sequence[Progression]], weight: int
+) -> Iterator[np.ndarray]:
+    """Evaluate a stack of tensors at every vector of each block, in chunks.
+
+    coeffs has shape (T, l, d, e), entries reduced mod p^n; a block gives
+    each of the l coordinates a progression, and stands for the product of
+    them. Yields (T K, d, e) batches of matrices, reduced and in the narrow
+    dtype, kept batch-last: matrix t K + k is tensor t at the chunk's k-th
+    vector. Every vector of every block comes once, in block order, and a
+    chunk of up to _CHUNK_ELEMENTS // weight vectors may join small blocks.
+
+    Evaluation is additive. The sums A(a) over the trailing coordinates
+    whose progression is all of Z/p^n are built once, from tables of
+    x M_i mod p^n, and shared by every block that ends in as many; a
+    coordinate with any other progression, such as a single value, gets no
+    table. A chunk adds one offset per leading prefix (an int64 matmul) and
+    subtracts p^n where a sum reaches it. The offsets need
+    l (p^n - 1)^2 < 2^63, which callers check first.
+    """
+    T, l, d, e = coeffs.shape
+    pn = p**n
+    dtype = _narrow_dtype(pn)
+    # M[i, f T + t] is entry f of tensor t's i-th coefficient matrix
+    F = d * e * T
+    M = coeffs.transpose(1, 2, 3, 0).reshape(l, F)
+    cap = max(1, _CHUNK_ELEMENTS // weight)  # vectors per chunk
+
+    def full_tail(block):  # trailing coordinates that run over all of Z/p^n
+        return next((t for t in range(len(block)) if block[-1 - t] != (0, 1, pn)), len(block))
+
+    tails = [full_tail(block) for block in blocks]
+    trail = 0  # the longest stored suffix: one that fits in a chunk
+    while trail < max(tails, default=0) and pn ** (trail + 1) <= cap:
+        trail += 1
+    used = {min(trail, t) for t in tails}
+    # sums[t]: A over the last t coordinates at each of their p^(n t) values
+    sums = {0: np.zeros((F, 1), dtype=dtype)}
+    for t in range(1, trail + 1):
+        table = (M[l - t][:, None] * np.arange(pn, dtype=np.int64) % pn).astype(dtype)
+        prev = sums[t - 1] if t - 1 in used else sums.pop(t - 1)
+        sums[t] = _add_mod(table[:, :, None], prev[:, None, :], pn).reshape(F, pn * prev.shape[1])
+        del table, prev  # not kept alive through the sweep
+
+    def batch(parts, K):
+        mats = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        # batch-last: column t K + k of the (d e, T K) view is tensor t at vector k
+        return mats.reshape(d * e, T * K).T.reshape(T * K, d, e)
+
+    parts, filled = [], 0
+    for block, tail in zip(blocks, tails):
+        suffix = sums[min(trail, tail)]
+        lead = l - min(trail, tail)
+        V = suffix.shape[1]
+        for prefixes in _progression_chunks(block[:lead], max(1, cap // V)):
+            K = len(prefixes) * V
+            if parts and filled + K > cap:  # before the next part, so no two chunks overlap
+                yield batch(parts, filled)
+                parts, filled = [], 0
+            offsets = (M[:lead].T @ prefixes.T % pn).astype(dtype)
+            parts.append(_add_mod(offsets[:, :, None], suffix[:, None, :], pn).reshape(F, K))
+            filled += K
+    if parts:
+        yield batch(parts, filled)
+
+
 def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
     """Kernel-size exponent histograms for a stack of tensors, one shared sweep.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n. For every tensor t
     the full parameter space (Z/p^n)^l is enumerated; the returned histogram
     maps an exponent k to the number of parameter vectors whose evaluated
-    matrix has kernel size p^k.
-
-    Evaluation is additive: the sums A(a) over the trailing coordinates of
-    a are built once, from tables of x M_i mod p^n; each chunk adds one
-    offset per leading prefix (an int64 matmul) and subtracts p^n where a
-    sum reaches it. So matrices reach the kernel reduced, narrow and
-    batch-last, as it keeps them. The offsets need l (p^n - 1)^2 < 2^63;
-    other inputs raise ValueError before anything is enumerated.
+    matrix has kernel size p^k. The matrices come from the additive sweep
+    (_sweep, with every coordinate over all of Z/p^n), reduced, narrow and
+    batch-last, as the kernel keeps them. Its offsets need
+    l (p^n - 1)^2 < 2^63; other inputs raise ValueError before anything is
+    enumerated.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     T, l, d, e = coeffs.shape
@@ -234,72 +306,27 @@ def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
     check_evaluation_bound(l, pn)
     if T == 0:
         return []
-    dtype = _narrow_dtype(pn)
-    # M[i, f T + t] is entry f of tensor t's i-th coefficient matrix
-    F = d * e * T
-    M = coeffs.transpose(1, 2, 3, 0).reshape(l, F)
-    # the trailing coordinates whose sums fit in one chunk (a matrix counts at least 1)
-    per_vector = T * max(1, d * e)
-    trail = 0
-    while trail < l and pn ** (trail + 1) * per_vector <= _CHUNK_ELEMENTS:
-        trail += 1
-    lead = l - trail
-    sums = np.zeros((F, 1), dtype=dtype)
-    x = np.arange(pn, dtype=np.int64)
-    for i in range(l - 1, lead - 1, -1):
-        table = (M[i][:, None] * x % pn).astype(dtype)
-        sums = _add_mod(table[:, :, None], sums[:, None, :], pn).reshape(F, pn * sums.shape[1])
     width = n * d + 1
     counts = np.zeros(T * width, dtype=np.int64)
-    offsets_per_chunk = max(1, _CHUNK_ELEMENTS // (sums.shape[1] * per_vector))
-    for prefixes in iter_vector_chunks(pn, lead, offsets_per_chunk):
-        offsets = (M[:lead].T @ prefixes.T % pn).astype(dtype)
-        mats = _add_mod(offsets[:, :, None], sums[:, None, :], pn)
-        N = T * mats.shape[1] * mats.shape[2]
-        # batch-last: column t P V + a V + v is tensor t at prefix a, suffix v
-        batch = mats.reshape(d * e, N).T.reshape(N, d, e)
+    for batch in _sweep(coeffs, p, n, [[(0, 1, pn)] * l], T * max(1, d * e)):
         ks = batch_kernel_exponents(batch, p, n).reshape(T, -1)
         ks += np.arange(T)[:, None] * width
         counts += np.bincount(ks.ravel(), minlength=T * width)
-    result = []
-    for t in range(T):
-        row = counts[t * width : (t + 1) * width]
-        result.append({int(k): int(v) for k, v in enumerate(row) if v})
-    return result
+    return [{int(k): int(row[k]) for k in np.flatnonzero(row)} for row in counts.reshape(T, width)]
 
 
-def _orbit_representatives(p: int, n: int, l: int, chunk: int) -> Iterator[np.ndarray]:
-    """One vector from each unit orbit of the primitive vectors of (Z/p^n)^l, in chunks.
+def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[list[dict[int, int]]]:
+    """Kernel-size histograms of a stack of tensors at every level 0..n, in one sweep.
 
-    The representative has 1 at its first unit coordinate j, coordinates in
-    pZ/p^n before j and arbitrary coordinates after it: block j holds
-    p^((n-1) j + n (l-1-j)) vectors, p^((n-1)(l-1)) (p^l - 1)/(p - 1) in all.
-    """
-    pn = p**n
-    # block j: radix[j][h] values of coordinate h, scaled by step[j][h]
-    radix = [[p ** (n - 1)] * j + [1] + [pn] * (l - 1 - j) for j in range(l)]
-    step = [[p] * j + [1] * (l - j) for j in range(l)]
-    weight = [[prod(row[h + 1 :]) for h in range(l)] for row in radix]
-    offsets = list(accumulate((prod(row) for row in radix), initial=0))
-    radix, step, weight, offsets = (
-        np.array(t, dtype=np.int64) for t in (radix, step, weight, offsets)
-    )
-    unit = np.eye(l, dtype=np.int64)
-    total = int(offsets[-1])
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        j = np.searchsorted(offsets, idx, side="right") - 1
-        local = idx - offsets[j]
-        yield (local[:, None] // weight[j]) % radix[j] * step[j] + unit[j]
-
-
-def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
-    """Kernel-size histograms of one tensor at every level 0..n, in one sweep.
-
-    coeffs has shape (l, d, e), entries reduced mod p^n; entry k of the
-    result is what census_of_stack returns at level k. Instead of all p^(nl)
-    parameter vectors, only one vector per unit orbit of the primitive
-    vectors mod p^n is reduced (scaling by a unit keeps the kernel):
+    coeffs has shape (T, l, d, e), entries reduced mod p^n; entry k of tensor
+    t's list is what census_of_stack returns for it at level k. Instead of
+    all p^(nl) parameter vectors, only one vector per unit orbit of the
+    primitive vectors mod p^n is reduced (scaling by a unit keeps the
+    kernel). Block j of representatives has coordinates in pZ/p^n before j,
+    1 at j and any coordinates after it, p^((n-1) j + n (l-1-j)) vectors.
+    The sweep evaluates them additively, as it does census_of_stack's
+    vectors, and the blocks share the stored sums over their trailing
+    coordinates.
 
     * a representative's Smith exponents at level k <= n are min(e_i, k);
     * its orbit has p^(n-1)(p-1) members, and p^((n-k) l) primitive vectors
@@ -307,33 +334,40 @@ def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
     * a vector that is not primitive is p b with b in (Z/p^(k-1))^l, and
       A(p b) over Z/p^k has d more kernel exponent than A(b) over Z/p^(k-1).
 
-    The evaluation matmul needs l (p^n - 1)^2 < 2^63, checked up front.
+    The sweep's offsets need l (p^n - 1)^2 < 2^63, checked up front.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    l, d, e = coeffs.shape
+    T, l, d, e = coeffs.shape
     m = min(d, e)
     pn = p**n
     check_evaluation_bound(l, pn)
-    # capped[k, s]: representatives whose exponents capped at k sum to s
-    capped = np.zeros((n + 1, m * n + 1), dtype=np.int64)
-    if n > 0 and l > 0:
-        flat = coeffs.reshape(l, d * e) % pn
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, l, d * e))
-        for reps in _orbit_representatives(p, n, l, chunk):
-            mats = reps @ flat
-            exps = batch_smith_exponents(mats.reshape(len(reps), d, e), p, n)
-            for k in range(1, n + 1):
-                capped[k] += np.bincount(np.minimum(exps, k).sum(axis=1), minlength=m * n + 1)
-    censuses = [{0: 1}]
-    for k in range(1, n + 1):
-        orbit = p ** (k - 1) * (p - 1)
-        fibre = p ** ((n - k) * (l - 1))
-        level: dict[int, int] = {}
-        for s in np.flatnonzero(capped[k]):
-            count, rest = divmod(int(capped[k, s]) * orbit, fibre)
-            assert rest == 0
-            level[int(s) + k * (d - m)] = count
-        for exp, count in censuses[-1].items():
-            level[exp + d] = level.get(exp + d, 0) + count
-        censuses.append(level)
-    return censuses
+    width = m * n + 1
+    # capped[t, k - 1, s]: tensor t's representatives whose exponents capped at k sum to s
+    capped = np.zeros(T * n * width, dtype=np.int64)
+    blocks = [[(0, p, pn // p)] * j + [(1, 1, 1)] + [(0, 1, pn)] * (l - 1 - j) for j in range(l)]
+    if T and n and blocks:
+        levels = np.arange(1, n + 1, dtype=np.uint8)
+        first = (np.arange(T)[:, None, None] * n + np.arange(n)) * width
+        # a representative costs a chunk its entries, or its n capped sums
+        for batch in _sweep(coeffs, p, n, blocks, T * max(1, d * e, n)):
+            exps = batch_smith_exponents(batch, p, n).astype(np.uint8)
+            keys = np.minimum(exps[:, None, :], levels[:, None]).sum(axis=2, dtype=np.intp)
+            keys = keys.reshape(T, -1, n)
+            keys += first
+            capped += np.bincount(keys.ravel(), minlength=T * n * width)
+    result = []
+    for counts in capped.reshape(T, n, width):
+        censuses = [{0: 1}]
+        for k in range(1, n + 1):
+            orbit = p ** (k - 1) * (p - 1)
+            fibre = p ** ((n - k) * (l - 1))
+            level: dict[int, int] = {}
+            for s in np.flatnonzero(counts[k - 1]):
+                count, rest = divmod(int(counts[k - 1, s]) * orbit, fibre)
+                assert rest == 0
+                level[int(s) + k * (d - m)] = count
+            for exp, count in censuses[-1].items():
+                level[exp + d] = level.get(exp + d, 0) + count
+            censuses.append(level)
+        result.append(censuses)
+    return result

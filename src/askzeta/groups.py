@@ -171,7 +171,7 @@ def class_number(
     if method == "centralizer":
         p, n = spec.ring.p, spec.ring.n
         comm = spec.commutator_tensor()
-        census = bulk.orbit_censuses(comm, p, n)[n]
+        census = bulk.orbit_censuses(comm[None], p, n)[0][n]
         total = sum(count * p**exp for exp, count in census.items())
         classes, rest = divmod(spec.ring.size**spec.rep.e * total, spec.ring.size ** len(comm))
         assert rest == 0

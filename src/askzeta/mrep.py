@@ -290,7 +290,7 @@ def constant_rank_check(
         raise ValueError("constant-rank scan needs at least one parameter")
     if ring.p**rep.l > budget:
         raise bulk.BudgetExceededError(ring.p**rep.l, budget)
-    censuses = bulk.orbit_censuses(rep.reduced_array(ring), ring.p, 1)
+    censuses = bulk.orbit_censuses(rep.reduced_array(ring)[None], ring.p, 1)[0]
     ranks = {rep.d - k for k in _unit_census(censuses, 1, rep.d)}
     return (len(ranks) == 1, max(ranks))
 
@@ -315,7 +315,7 @@ def kminimality_check(
         if p ** (n * rep.l) > budget:
             raise bulk.BudgetExceededError(p ** (n * rep.l), budget, level=n)
     ring = TruncatedRing(p, up_to_level)
-    censuses = bulk.orbit_censuses(rep.reduced_array(ring), p, up_to_level)
+    censuses = bulk.orbit_censuses(rep.reduced_array(ring)[None], p, up_to_level)[0]
     return {
         n: set(_unit_census(censuses, n, rep.d)) <= {n * (rep.d - r)}
         for n in range(1, up_to_level + 1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bulk, catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_from_census, ask_m, zeta_coeffs
-from .ask import census_plan, literal_censuses
+from .ask import auto_asks, census_plan, literal_censuses
 from .corpus import DEFAULT_SEED, RING_SPECS, seeded_corpus
 from .groups import DEFAULT_CLASS_BUDGET, build_group, class_number, lazard_group
 from .mrep import (
@@ -357,8 +357,10 @@ def criterion_7(seed: int, budget: int) -> CriterionResult:
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         qn = Fraction(p) ** n
+        # every hull's auto side at once: one unit-orbit sweep per shape
+        hull_asks = auto_asks([rep.alternating_hull() for rep in reps], ring, budget=budget)
         for i, rep in enumerate(reps):
-            hull_ask = ask_m(rep.alternating_hull(), ring, strategy="auto", budget=budget).value
+            hull_ask = hull_asks[i].value
             second = ask_m(rep.dual("bullet"), ring, m=2, strategy="direct", budget=budget).value
             res.compare(
                 f"rep {i} over Z/{p}^{n}",

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askzeta import bulk, cli, groups, verify
 from askzeta.cli import UsageError, emit_rep, main, parse_rep
 from askzeta.catalog import make
+from askzeta.mrep import MRep
 
 
 def run(capsys, *argv):
@@ -25,6 +29,39 @@ def test_parse_rep_big_integers_and_strings():
     rep = parse_rep(json.dumps(payload))
     assert rep.coeffs[0][0][0] == huge
     assert emit_rep(rep)["coeffs"][0][0][0] == str(huge)
+
+
+# entries on both sides of the JSON-safe 2^53 and of the 2^62 int64 storage limit
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**53 - 4, 2**53 + 4).map(lambda x: x * (-1) ** (x % 3)),
+    st.integers(2**62 - 4, 2**62 + 4).map(lambda x: x * (-1) ** (x % 3)),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def big_reps(draw):
+    l, d, e = (draw(st.integers(0, 3)) for _ in range(3))
+    rows = st.lists(ENTRIES, min_size=e, max_size=e)
+    return MRep(l, d, e, draw(st.lists(st.lists(rows, min_size=d, max_size=d), min_size=l, max_size=l)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rep=big_reps(), all_strings=st.booleans())
+def test_parse_rep_emit_rep_round_trip(rep, all_strings):
+    payload = emit_rep(rep)
+    entries = [x for mat in payload["coeffs"] for row in mat for x in row]
+    values = [x for mat in rep.coeffs for row in mat for x in row]
+    # exactly the entries a double cannot hold go out as decimal strings
+    assert [isinstance(x, str) for x in entries] == [abs(x) >= 2**53 for x in values]
+    if all_strings:
+        payload["coeffs"] = [[[str(x) for x in row] for row in mat] for mat in payload["coeffs"]]
+    again = parse_rep(json.dumps(payload))
+    assert again == rep and again.coeffs == rep.coeffs
+    # int64 storage below 2^62, exact Python ints (dtype object) past it
+    wide = any(abs(x) >= 2**62 for x in values)
+    assert again.array.dtype == (object if wide else np.int64)
 
 
 def test_parse_rep_diagnostics():
@@ -68,7 +105,7 @@ def test_cmd_ask_census_computes_one_census(monkeypatch):
     orbit_censuses = bulk.orbit_censuses
 
     def counting(coeffs, p, n):
-        calls.append(coeffs.shape)
+        calls.extend(tensor.shape for tensor in coeffs)
         return orbit_censuses(coeffs, p, n)
 
     monkeypatch.setattr(bulk, "orbit_censuses", counting)
@@ -99,6 +136,22 @@ def test_cmd_group_computes_each_class_number_once(monkeypatch, capsys):
     assert code == 0 and '"match": false' not in out
     # the requested g_alpha once by each method; the h_theta identity needs its own group
     assert calls == [("g_alpha", "centralizer"), ("g_alpha", "orbit"), ("h_theta", "centralizer")]
+
+
+def test_cmd_group_skips_the_orbit_oracle_above_the_default_class_budget(capsys):
+    # order 101^3: the centraliser answer is immediate, the orbit partition
+    # would visit all 1030301 elements, so it is reported as skipped
+    argv = ("group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "101",
+            "--build-budget", "10000000", "--class-budget", "10000000")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class_number"] == 10301 and payload["class_number_by_orbits"] is None
+    assert all(check["match"] for check in payload["identities"])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "class number (centralizer average) = 10301" in out
+    assert "class number (orbit partition)     skipped" in out
 
 
 def test_cmd_zeta_compare(capsys):

@@ -1,6 +1,7 @@
 """The valuation-layer, unit-orbit census against literal enumeration."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ def literal_census(rep, ring):
 @given(rep=reps(), ring=st.sampled_from(RINGS))
 def test_orbit_census_equals_literal_census(rep, ring):
     p, n = ring
-    censuses = bulk.orbit_censuses(rep.reduced_array(TruncatedRing(p, n)), p, n)
+    censuses = bulk.orbit_censuses(rep.reduced_array(TruncatedRing(p, n))[None], p, n)[0]
     assert len(censuses) == n + 1
     for k, census in enumerate(censuses):
         level = TruncatedRing(p, k)
@@ -79,6 +80,54 @@ def test_census_sweep_matches_brute_force(monkeypatch, chunk, p, n, l, d, e):
     censuses = bulk.census_of_stack(stack, p, n)
     assert censuses == [brute_census(rep, ring) for rep in reps]
     assert censuses == [literal_census(rep, ring) for rep in reps]
+
+
+# the same chunk sizes split the orbit blocks between prefixes and stored sums,
+# and join small blocks into one kernel batch
+@pytest.mark.parametrize("chunk", [None, 1, 40, 300])
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize(
+    "p,n,l,d,e",
+    [(2, 2, 3, 2, 2), (3, 1, 3, 2, 3), (2, 3, 2, 1, 2), (3, 2, 2, 1, 1), (5, 1, 0, 2, 2),
+     (3, 1, 2, 0, 2), (2, 2, 2, 2, 0)],
+)
+def test_orbit_sweep_matches_brute_force(monkeypatch, chunk, T, p, n, l, d, e):
+    if chunk is not None:
+        monkeypatch.setattr(bulk, "_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng([T, p, n, l, d, e])
+    reps = [MRep(l, d, e, rng.integers(-9, 10, size=(l, d, e))) for _ in range(max(1, T - 1))]
+    if T > 1:
+        reps.insert(1, MRep.zero(l, d, e))
+    stack = np.stack([rep.reduced_array(TruncatedRing(p, n)) for rep in reps])
+    censuses = bulk.orbit_censuses(stack, p, n)
+    assert len(censuses) == T
+    for k in range(n + 1):
+        level = TruncatedRing(p, k)
+        literal = bulk.census_of_stack(np.stack([rep.reduced_array(level) for rep in reps]), p, k)
+        assert [levels[k] for levels in censuses] == literal
+        assert literal == [brute_census(rep, level) for rep in reps]
+
+
+def test_depth_orbit_census_allocates_only_the_valuation_table():
+    # an l = 1 census at Z/2^20 reduces one representative, [1]; no table of
+    # stored sums or prefixes is sized by p^n, only the kernel's uint8 valuations
+    p, n = 2, 20
+    coeffs = np.array([[[[2**20 - 3, 6], [10, 2**19]]]], dtype=np.int64)
+    bulk._valuation_table.cache_clear()
+    bulk._pivot_orders.cache_clear()
+    tracemalloc.start()
+    try:
+        censuses = bulk.orbit_censuses(coeffs, p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p**n + (1 << 20)
+    # A(1) has Smith exponents (0, 2), so A(a) for a of valuation v has (v, v + 2), capped at n
+    want: dict[int, int] = {}
+    for v in range(n + 1):
+        k = v + min(v + 2, n)
+        want[k] = want.get(k, 0) + (p ** (n - v - 1) if v < n else 1)
+    assert censuses[0][n] == want
 
 
 @PROPERTY
@@ -163,17 +212,17 @@ def test_int64_bound_refused_before_enumeration(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    for name in ("batch_smith_exponents", "iter_vector_chunks", "_orbit_representatives"):
+    for name in ("batch_smith_exponents", "iter_vector_chunks", "_sweep"):
         monkeypatch.setattr(bulk, name, forbidden)
     # the bound is tight over Z/2^31: it holds at l = 2 and fails at l = 3
     bulk.check_evaluation_bound(2, 2**31)
     tiny = np.zeros((3, 1, 1), dtype=np.int64)
     with pytest.raises(ValueError, match="int64"):
-        bulk.orbit_censuses(tiny, 2, 31)
+        bulk.orbit_censuses(tiny[None], 2, 31)
     with pytest.raises(ValueError, match="int64"):
         bulk.census_of_stack(tiny.reshape(1, 3, 1, 1), 2, 31)
     with pytest.raises(ValueError, match="int64"):
-        bulk.orbit_censuses(np.zeros((2, 1, 1), dtype=np.int64), 2, 32)
+        bulk.orbit_censuses(np.zeros((1, 2, 1, 1), dtype=np.int64), 2, 32)
     big = MRep.zero(3, 3, 3)  # every side has 3 parameters
     for strategy in ("auto", "direct"):
         with pytest.raises(ValueError, match="int64"):
@@ -208,11 +257,12 @@ def test_cli_ask_census_of_a_unit_scalar_at_depth(tmp_path, capsys):
 
 def test_orbit_census_committed_values():
     # one representative, [1], stands for all the units of Z/2^3
-    assert bulk.orbit_censuses(np.ones((1, 1, 1), dtype=np.int64), 2, 3) == [
+    assert bulk.orbit_censuses(np.ones((1, 1, 1, 1), dtype=np.int64), 2, 3) == [[
         {0: 1},
         {0: 1, 1: 1},
         {0: 2, 1: 1, 2: 1},
         {0: 4, 1: 2, 2: 1, 3: 1},
-    ]
+    ]]
     assert zeta_coeffs(MRep(1, 1, 1, (((1,),),)), 2, levels=2).coeffs == (1, Fraction(3, 2), 2)
-    assert bulk.orbit_censuses(np.zeros((0, 2, 1), dtype=np.int64), 3, 2) == [{0: 1}, {2: 1}, {4: 1}]
+    assert bulk.orbit_censuses(np.zeros((1, 0, 2, 1), dtype=np.int64), 3, 2) == [[{0: 1}, {2: 1}, {4: 1}]]
+    assert bulk.orbit_censuses(np.zeros((0, 2, 2, 1), dtype=np.int64), 3, 2) == []

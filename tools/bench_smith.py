@@ -1,7 +1,10 @@
-"""Matrices per second of bulk.batch_smith_exponents, per (p, n, d, e) class.
+"""Matrices per second of bulk.batch_smith_exponents, per (p, n, d, e) class,
+and representatives per second of bulk.orbit_censuses, per orbit class.
 
-Each class reduces fixed seeded batches of uniform int64 matrices over
-Z/p^n, the input orbit_censuses passes. The classes are the ones that carry
+Each kernel class reduces fixed seeded batches of uniform int64 matrices
+over Z/p^n, which the kernel reduces mod p^n and narrows itself (the census
+sweeps hand it the same matrices already reduced, narrow and batch-last).
+The classes are the ones that carry
 most of the reductions of an `askzeta verify` run and of the census part of
 perfbench's queries workload, the deep moduli of its deep part, and 3 x 3
 classes whose two pivot steps run in int32 and in int64. A sample of every
@@ -10,15 +13,22 @@ this tree's tests/helpers.py (also when another tree's kernel runs), so
 every working dtype (int16, int32, int64) is checked over several steps, and
 a mismatch stops the run with a non-zero exit.
 
-Two rates per class: a large batch (the kernel's arithmetic) and a batch of
-64 matrices (its per-call cost; most of verify's calls are that small), and
-the minor page faults per large batch. Every class runs nine times, each
-run in a new interpreter, and the file keeps every run and their medians.
+Two rates per kernel class: a large batch (the kernel's arithmetic) and a
+batch of 64 matrices (its per-call cost; most of verify's calls are that
+small), and the minor page faults per large batch. Every class runs nine
+times, each run in a new interpreter, and the file keeps every run and their
+medians.
 A run's first call starts from empty table caches, so it also builds the
 p^n-sized valuation table (timed apart), and no run inherits what another
 left behind: a large array built and freed raises glibc's mmap and trim
 thresholds, after which a process's temporaries stop faulting in fresh
 pages and the kernel runs faster.
+
+An orbit class times one pass of bulk.orbit_censuses over its tensors, one
+stacked call per shape: matdxe families of perfbench's census queries, and
+the hulls criterion 7 of `askzeta verify` reads at seed 8020 over Z/9 (100
+tensors in 17 shapes). Before the timing, every level of every tensor's
+orbit censuses is checked against bulk.census_of_stack at that level.
 
     python tools/bench_smith.py --label unit_pivot              # about a minute
     python tools/bench_smith.py --label ci --quick --out /tmp   # a few seconds
@@ -60,7 +70,9 @@ sys.path.insert(0, str(Path(os.environ.get(TREE_ENV, ROOT)) / "src"))
 # the reference reduction is always this tree's, whichever kernel runs
 sys.path.insert(0, str(ROOT / "tests"))
 
-from askzeta import bulk  # noqa: E402
+from askzeta import ask, bulk, catalog  # noqa: E402
+from askzeta.corpus import DEFAULT_SEED, seeded_corpus  # noqa: E402
+from askzeta.ring import TruncatedRing  # noqa: E402
 from helpers import smith_exponents  # noqa: E402
 
 # (p, n, d, e, where the class comes from)
@@ -85,6 +97,13 @@ CLASSES = [
     (17, 4, 1, 1, "queries deep"),
     (2, 15, 3, 3, "wide dtype"),
     (3, 13, 3, 3, "wide dtype"),
+]
+# (name, p, n, catalog family or None for criterion 7's hulls, where the class comes from)
+ORBIT_CLASSES = [
+    ("matdxe(3,3)", 2, 2, ("matdxe", {"d": 3, "e": 3}), "queries census"),
+    ("matdxe(2,3)", 3, 2, ("matdxe", {"d": 2, "e": 3}), "queries census"),
+    ("matdxe(2,2)", 5, 2, ("matdxe", {"d": 2, "e": 2}), "queries census"),
+    ("criterion 7 hulls", 3, 2, None, "verify"),
 ]
 SMALL = 64
 SAMPLE = 32
@@ -148,6 +167,63 @@ def measure(p: int, n: int, d: int, e: int, batch: int, repeats: int, small_call
     }
 
 
+def orbit_stacks(family, p: int, n: int) -> list[np.ndarray]:
+    """The reduced tensors of an orbit class, stacked by shape."""
+    ring = TruncatedRing(p, n)
+    if family is None:  # each hull on the side ask_m(strategy="auto") enumerates
+        reps = [rep.alternating_hull() for rep in seeded_corpus(seed=DEFAULT_SEED)]
+        tensors = [ask._side(rep, 1, "auto")[1] for rep in reps]
+    else:
+        tensors = [catalog.make(family[0], **family[1])]
+    stacks: dict[tuple, list] = {}
+    for tensor in tensors:
+        array = tensor.reduced_array(ring)
+        stacks.setdefault(array.shape, []).append(array)
+    return [np.stack(stack) for stack in stacks.values()]
+
+
+# a tree from before stacked orbit censuses takes one tensor per call
+UNSTACKED = hasattr(bulk, "_orbit_representatives")
+
+
+def orbit_censuses(stack: np.ndarray, p: int, n: int) -> list:
+    if UNSTACKED:
+        return [bulk.orbit_censuses(tensor, p, n) for tensor in stack]
+    return bulk.orbit_censuses(stack, p, n)
+
+
+def measure_orbit(index: int, repeats: int) -> dict:
+    name, p, n, family, _ = ORBIT_CLASSES[index]
+    stacks = orbit_stacks(family, p, n)
+
+    def sweep():
+        return [orbit_censuses(stack, p, n) for stack in stacks]
+
+    start = time.perf_counter()
+    result = sweep()
+    first_call = time.perf_counter() - start
+    for stack, levels in zip(stacks, result):
+        for k in range(n + 1):
+            want = bulk.census_of_stack(stack % p**k, p, k)
+            if [tensor_levels[k] for tensor_levels in levels] != want:
+                raise RuntimeError(f"{name} over Z/{p}^{n}: orbit census at level {k} differs from census_of_stack")
+    # one vector per unit orbit: block j has p^((n-1) j + n (l-1-j)) of them
+    reps = sum(
+        len(stack) * sum(p ** ((n - 1) * j + n * (stack.shape[1] - 1 - j)) for j in range(stack.shape[1]))
+        for stack in stacks
+    )
+    call = seconds(sweep, repeats)
+    return {
+        "tensors": sum(len(stack) for stack in stacks),
+        "stacks": len(stacks),
+        "calls": sum(map(len, stacks)) if UNSTACKED else len(stacks),
+        "representatives": reps,
+        "first_call_s": first_call,
+        "call_s": call,
+        "representatives_per_s": reps / statistics.median(call),
+    }
+
+
 def summary(runs: list[dict]) -> dict:
     """A class over several runs: the median of each figure, and every run."""
     keys = ("matrices_per_s", "minor_faults_per_batch", "small_call_s", "first_call_s")
@@ -169,6 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--before-commit", help="the commit to record for --before if it has no .git")
     args = parser.parse_args(argv)
     rounds, batch, repeats, small_calls = (1, 1 << 10, 1, 5) if args.quick else (9, 1 << 16, 7, 200)
+    orbit_repeats = 1 if args.quick else 7
     trees = {args.label: (ROOT, commit(ROOT))}
     if args.before:
         before = args.before.resolve()
@@ -177,14 +254,16 @@ def main(argv=None) -> int:
     # round by round, the trees in alternating order, so that a slow spell
     # of the host touches every class and both trees alike
     spawn = multiprocessing.get_context("spawn")
-    runs = {(label, cls): [] for label in trees for cls in CLASSES}
+    jobs = [(cls, measure, (*cls[:4], batch, repeats, small_calls)) for cls in CLASSES]
+    jobs += [(cls[0], measure_orbit, (i, orbit_repeats)) for i, cls in enumerate(ORBIT_CLASSES)]
+    runs = {(label, cls): [] for label in trees for cls, _, _ in jobs}
     for r in range(rounds):
-        for cls in CLASSES:
+        for cls, fn, fn_args in jobs:
             for label, (tree, _) in list(trees.items())[:: -1 if r % 2 else 1]:
                 os.environ[TREE_ENV] = str(tree)
                 with spawn.Pool(1) as pool:
                     try:
-                        run = pool.apply(measure, (*cls[:4], batch, repeats, small_calls))
+                        run = pool.apply(fn, fn_args)
                     except RuntimeError as err:
                         raise SystemExit(f"{label}: {err}") from None
                 runs[label, cls].append(run)
@@ -208,6 +287,21 @@ def main(argv=None) -> int:
                 f"{row['minor_faults_per_batch']:.0f} faults per batch, "
                 f"{row['small_call_s'] * 1e6:.0f} us per {SMALL}, first call {row['first_call_s']:.3f} s"
             )
+        orbit_rows = []
+        for name, p, n, _, source in ORBIT_CLASSES:
+            class_runs = runs[label, name]
+            row = {"name": name, "p": p, "n": n, "source": source}
+            row.update({key: class_runs[0][key] for key in ("tensors", "stacks", "calls", "representatives")})
+            for key in ("representatives_per_s", "first_call_s"):
+                row[key] = statistics.median(run[key] for run in class_runs)
+            row["call_s"] = row["representatives"] / row["representatives_per_s"]
+            row["runs"] = class_runs
+            orbit_rows.append(row)
+            print(
+                f"{label}: orbit {name} over Z/{p}^{n} ({source}): {row['tensors']} tensors in "
+                f"{row['calls']} calls, {row['call_s'] * 1e3:.2f} ms per pass, "
+                f"{row['representatives_per_s'] / 1e6:.2f} M representatives/s"
+            )
         report = {
             "label": label,
             "commit": tree_commit,
@@ -217,6 +311,8 @@ def main(argv=None) -> int:
             "repeats": repeats,
             "small_batch": SMALL,
             "classes": rows,
+            "orbit_repeats": orbit_repeats,
+            "orbit_classes": orbit_rows,
         }
         path = args.out / f"BENCH_smith_{label}.json"
         path.write_text(json.dumps(report, indent=1) + "\n")
