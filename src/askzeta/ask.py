@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import bulk
-from .bulk import BudgetExceededError
+from .bulk import DEFAULT_BUDGET, BudgetExceededError
 from .mrep import Dual, MRep
 from .ring import TruncatedRing
 
@@ -44,9 +44,6 @@ __all__ = [
     "unit_orbit_censuses",
     "zeta_coeffs",
 ]
-
-DEFAULT_BUDGET = 10**7
-
 
 @dataclass(frozen=True)
 class AskResult:
@@ -223,9 +220,10 @@ def ask_with_census(
     strategy: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[AskResult, dict[int, int]]:
-    """(ask_m, kernel_census) of rep; on the direct side one census gives both."""
+    """(ask_m, kernel_census) of rep. When "auto" picks the direct side, one census
+    gives both; an explicit strategy takes ask_m's value, so "direct" stays literal."""
     side, tensor = _side(rep, m, strategy)
-    if side != "direct":
+    if strategy != "auto" or side != "direct":
         return ask_m(rep, ring, m, strategy, budget), kernel_census(rep, ring, budget)
     census = kernel_census(rep, ring, budget)
     return _result(rep, side, tensor, census, ring, m), census

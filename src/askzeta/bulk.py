@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "BudgetExceededError",
     "batch_smith_exponents",
     "batch_kernel_exponents",
@@ -33,6 +34,8 @@ _MAX_MODULUS = 1 << 31
 _INT64_LIMIT = 1 << 63
 # Matrix entries evaluated per chunk of a census sweep.
 _CHUNK_ELEMENTS = 1 << 21
+# Nominal parameter vectors an enumeration may cover unless told otherwise.
+DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):

@@ -1,27 +1,23 @@
 """Command-line surface: tensor I/O, computations, checks and the verify suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhaustion. Rationals are printed as exact num/den strings; no floating
-point appears anywhere in the pipeline.
+Exit codes: 0 success (also when the reader closes stdout early), 1
+verification failure, 2 usage error, 3 budget exhaustion. Rationals are
+printed as exact num/den strings; no floating point appears anywhere in the
+pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_m, ask_with_census, zeta_coeffs
 from .corpus import DEFAULT_SEED
-from .groups import (
-    DEFAULT_BUILD_BUDGET,
-    DEFAULT_CLASS_BUDGET,
-    build_group,
-    class_number,
-    lazard_group,
-)
+from .groups import ORBIT_ORDER_LIMIT, build_group, class_number, lazard_group
 from .mrep import (
     HomotopyTriple,
     MRep,
@@ -315,7 +311,7 @@ def cmd_check(args) -> int:
         return 0
     if args.predicate == "constant-rank":
         ring = TruncatedRing(args.p, 1)
-        constant, rank = constant_rank_check(rep, ring)
+        constant, rank = constant_rank_check(rep, ring, budget=args.budget)
         if args.format == "json":
             print(json.dumps({"constant": constant, "rank": rank}))
         else:
@@ -329,19 +325,11 @@ def cmd_group(args) -> int:
     rep = _resolve_rep(args)
     ring = TruncatedRing(args.p, args.n)
     kind = {"galpha": "g_alpha", "htheta": "h_theta"}.get(args.kind, args.kind)
-    if kind == "lazard":
-        spec = lazard_group(rep, ring, budget=args.build_budget)
-    else:
-        spec = build_group(kind, rep, ring, budget=args.build_budget)
-    k_cent = class_number(spec, "centralizer", budget=args.class_budget)
-    # the orbit partition is an oracle that visits every element: it runs only
-    # on groups within the default class budget, whatever --class-budget says
-    k_orbit = None
-    if spec.order <= DEFAULT_CLASS_BUDGET:
-        k_orbit = class_number(spec, "orbit", budget=args.class_budget)
-    checks = verify_class_identities(
-        rep, ring, class_budget=args.class_budget, ask_budget=args.budget, known={kind: k_cent}
-    )
+    spec = lazard_group(rep, ring) if kind == "lazard" else build_group(kind, rep, ring)
+    k_cent = class_number(spec, "centralizer", budget=args.budget)
+    # the orbit partition is an oracle that visits every element
+    k_orbit = class_number(spec, "orbit") if spec.order <= ORBIT_ORDER_LIMIT else None
+    checks = verify_class_identities(rep, ring, budget=args.budget, known={kind: k_cent})
     if args.format == "json":
         print(
             json.dumps(
@@ -359,7 +347,7 @@ def cmd_group(args) -> int:
         print(f"group {spec.kind} of order {spec.order} over Z/{args.p}^{args.n}")
         print(f"  class number (centralizer average) = {k_cent}")
         if k_orbit is None:
-            print(f"  class number (orbit partition)     skipped: order above {DEFAULT_CLASS_BUDGET}")
+            print(f"  class number (orbit partition)     skipped: order above {ORBIT_ORDER_LIMIT}")
         else:
             print(f"  class number (orbit partition)     = {k_orbit}")
         _print_report(checks, args.format)
@@ -526,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--kind", choices=("galpha", "htheta", "lazard"), required=True)
     _add_rep_arguments(p_group)
     p_group.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_group.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET)
-    p_group.add_argument("--build-budget", type=int, default=DEFAULT_BUILD_BUDGET)
     p_group.set_defaults(fn=cmd_group)
 
     p_cat = sub.add_parser("catalog", help="list catalog entries or emit a tensor")
@@ -560,7 +546,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading and nothing failed; point stdout at
+        # devnull so that the interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -11,8 +11,9 @@ formulas (no Cayley table):
 
 The centraliser method never lists the group: gh and hg differ only in W,
 by a bilinear form in the other coordinates (the commutator tensor), so
-k(G) = |W| * ask(commutator tensor), from one unit-orbit census. The orbit
-method, explicit conjugation, is the independent oracle.
+k(G) = |W| * ask(commutator tensor), one ask_m under the census budget. The
+orbit method, explicit conjugation, is the independent oracle; it visits
+every element, so it runs on groups of order up to ORBIT_ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -22,22 +23,20 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bulk
+from .ask import DEFAULT_BUDGET, ask_m
 from .bulk import BudgetExceededError
 from .mrep import MRep
 from .ring import TruncatedRing
 
 __all__ = [
-    "DEFAULT_BUILD_BUDGET",
-    "DEFAULT_CLASS_BUDGET",
+    "ORBIT_ORDER_LIMIT",
     "FiniteGroupSpec",
     "build_group",
     "class_number",
     "lazard_group",
 ]
 
-DEFAULT_BUILD_BUDGET = 3**10
-DEFAULT_CLASS_BUDGET = 10**4
+ORBIT_ORDER_LIMIT = 10**4
 
 
 @dataclass(frozen=True)
@@ -67,47 +66,27 @@ class FiniteGroupSpec:
         """The tensor reduced mod p^n, built once per group."""
         return self.rep.reduced_array(self.ring)
 
-    def _bilinear(self, dom: np.ndarray, par: np.ndarray) -> np.ndarray:
-        """Rows dom times the evaluated matrices A(par), mod p^n.
+    def _twisted(self, S: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """S plus the twist u A(a') in its W block, mod p^n: u is X's domain
+        block (a for g_alpha, x for h_theta) and a' is Y's parameter block.
 
-        Every term is nonnegative, so build_group's bound l d (p^n - 1)^3 < 2^63
-        keeps both matmuls exact.
+        Every term of the twist is nonnegative, so build_group's bound
+        l d (p^n - 1)^3 < 2^63 keeps both matmuls exact.
         """
         l, d, e = self._coeffs.shape
-        evaluated = (par @ self._coeffs.reshape(l, d * e)).reshape(len(par), d, e)
-        return (dom[:, None, :] @ evaluated)[:, 0] % self.ring.size
+        start = 0 if self.kind == "g_alpha" else l
+        evaluated = (Y[:, :l] @ self._coeffs.reshape(l, d * e)).reshape(len(Y), d, e)
+        twist = (X[:, None, start : start + d] @ evaluated)[:, 0] % self.ring.size
+        S[:, S.shape[1] - e :] += twist
+        return S % self.ring.size
 
     def multiply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        pn = self.ring.size
-        l = self.rep.l
-        if self.kind == "g_alpha":
-            twist = self._bilinear(X[:, :l], Y[:, :l])
-            return np.concatenate(
-                ((X[:, :l] + Y[:, :l]) % pn, (X[:, l:] + Y[:, l:] + twist) % pn), axis=1
-            )
-        d = self.rep.d
-        twist = self._bilinear(X[:, l : l + d], Y[:, :l])
-        return np.concatenate(
-            (
-                (X[:, :l] + Y[:, :l]) % pn,
-                (X[:, l : l + d] + Y[:, l : l + d]) % pn,
-                (X[:, l + d :] + Y[:, l + d :] + twist) % pn,
-            ),
-            axis=1,
-        )
+        return self._twisted(X + Y, X, Y)
 
     def inverse(self, X: np.ndarray) -> np.ndarray:
-        pn = self.ring.size
-        l = self.rep.l
-        if self.kind == "g_alpha":
-            # a A(a) = 0 for alternating alpha, so (a, y)^-1 = (-a, -y)
-            return (-X) % pn
-        d = self.rep.d
-        twist = self._bilinear(X[:, l : l + d], X[:, :l])
-        return np.concatenate(
-            ((-X[:, :l]) % pn, (-X[:, l : l + d]) % pn, (twist - X[:, l + d :]) % pn),
-            axis=1,
-        )
+        # -X plus the twist of X with itself: x A(a) for h_theta, and a A(a) = 0
+        # for g_alpha, as alpha is alternating
+        return self._twisted(-X, X, X)
 
     def elements(self) -> np.ndarray:
         pn = self.ring.size
@@ -135,48 +114,39 @@ class FiniteGroupSpec:
         return (diff % self.ring.size).reshape(k, k, e)
 
 
-def build_group(
-    kind: str,
-    rep: MRep,
-    ring: TruncatedRing,
-    budget: int = DEFAULT_BUILD_BUDGET,
-) -> FiniteGroupSpec:
+def build_group(kind: str, rep: MRep, ring: TruncatedRing) -> FiniteGroupSpec:
     if kind not in ("g_alpha", "h_theta"):
         raise ValueError(f"unknown group kind {kind!r}")
     if kind == "g_alpha" and not rep.is_alternating():
         raise ValueError("g_alpha requires an alternating representation")
-    spec = FiniteGroupSpec(kind, rep, ring)
-    if spec.order > budget:
-        raise BudgetExceededError(spec.order, budget)
     if rep.l * rep.d * (ring.size - 1) ** 3 >= 1 << 63:
         raise ValueError(
             f"l d = {rep.l * rep.d} over Z/{ring.size} breaks the int64 bound l d (p^n - 1)^3 < 2^63"
         )
-    return spec
+    return FiniteGroupSpec(kind, rep, ring)
 
 
 def class_number(
     spec: FiniteGroupSpec,
     method: str = "centralizer",
-    budget: int = DEFAULT_CLASS_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact number of conjugacy classes.
 
-    method="centralizer" averages |C(g)| = p^(n e) |ker comm(g)|;
-    method="orbit" partitions the group by explicit conjugation. The
-    budget bounds the group order.
+    method="centralizer" averages |C(g)| = p^(n e) |ker comm(g)|, that is
+    p^(n e) ask_m(commutator tensor), whose census the budget bounds;
+    method="orbit" partitions the group by explicit conjugation, on groups
+    of order up to ORBIT_ORDER_LIMIT whatever the budget.
     """
-    if spec.order > budget:
-        raise BudgetExceededError(spec.order, budget)
     if method == "centralizer":
-        p, n = spec.ring.p, spec.ring.n
         comm = spec.commutator_tensor()
-        census = bulk.orbit_censuses(comm[None], p, n)[0][n]
-        total = sum(count * p**exp for exp, count in census.items())
-        classes, rest = divmod(spec.ring.size**spec.rep.e * total, spec.ring.size ** len(comm))
-        assert rest == 0
-        return classes
+        average = ask_m(MRep(*comm.shape, comm), spec.ring, budget=budget).value
+        classes = spec.ring.size**spec.rep.e * average
+        assert classes.denominator == 1
+        return int(classes)
     if method == "orbit":
+        if spec.order > ORBIT_ORDER_LIMIT:
+            raise BudgetExceededError(spec.order, ORBIT_ORDER_LIMIT)
         E = spec.elements()
         N = len(E)
         inv = spec.inverse(E)
@@ -193,9 +163,7 @@ def class_number(
     raise ValueError(f"unknown method {method!r}")
 
 
-def lazard_group(
-    bracket: MRep, ring: TruncatedRing, budget: int = DEFAULT_BUILD_BUDGET
-) -> FiniteGroupSpec:
+def lazard_group(bracket: MRep, ring: TruncatedRing) -> FiniteGroupSpec:
     """The finite group exp(g) of a class-<=2 Lie ring, as a g_alpha group.
 
     Needs p odd and a basis-aligned splitting g = M + W where W is spanned
@@ -218,4 +186,4 @@ def lazard_group(
     k = len(mod_idx)
     half = np.where(np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None], half, 0)
     alpha = MRep(k, k, len(w_idx), half - half.transpose(1, 0, 2))
-    return build_group("g_alpha", alpha, ring, budget)
+    return build_group("g_alpha", alpha, ring)

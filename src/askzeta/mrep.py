@@ -277,7 +277,7 @@ def _unit_census(censuses: list[dict[int, int]], n: int, d: int) -> dict[int, in
 
 
 def constant_rank_check(
-    rep: MRep, ring: TruncatedRing, budget: int = 10**7
+    rep: MRep, ring: TruncatedRing, budget: int = bulk.DEFAULT_BUDGET
 ) -> tuple[bool, int]:
     """Do all nonzero parameter values give matrices of one common rank over F_p?
 
@@ -300,7 +300,7 @@ def kminimality_check(
     p: int,
     up_to_level: int,
     r: int,
-    budget: int = 10**7,
+    budget: int = bulk.DEFAULT_BUDGET,
 ) -> dict[int, bool]:
     """Per-level necessary conditions for kernel-minimality.
 

@@ -24,7 +24,7 @@ from . import bulk, catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_from_census, ask_m, zeta_coeffs
 from .ask import auto_asks, census_plan, literal_censuses
 from .corpus import DEFAULT_SEED, RING_SPECS, seeded_corpus
-from .groups import DEFAULT_CLASS_BUDGET, build_group, class_number, lazard_group
+from .groups import build_group, class_number, lazard_group
 from .mrep import (
     HomotopyTriple,
     MRep,
@@ -135,31 +135,25 @@ CLASS_LAWS: dict[str, tuple[str, str, Callable[[MRep], MRep], bool]] = {
 }
 
 
-def _asker(budget: int, strategy: str = "auto") -> Callable[[MRep, TruncatedRing], Fraction]:
-    return lambda tensor, ring: ask_m(tensor, ring, strategy=strategy, budget=budget).value
-
-
 def class_law(
     kind: str,
     rep: MRep,
     ring: TruncatedRing,
     k: int,
-    ask: Callable[[MRep, TruncatedRing], Fraction],
+    budget: int = DEFAULT_BUDGET,
+    strategy: str = "auto",
 ) -> tuple[str, Fraction, Fraction]:
-    """(identity, predicted, k) for the class number k of the `kind` group of rep.
-
-    ask(tensor, ring) is the caller's kernel average (see `_asker`), so each
-    caller keeps its own enumeration strategy and budget.
-    """
+    """(identity, predicted, k) for the class number k of the `kind` group of rep,
+    with the kernel average taken by ask_m under the given strategy and budget."""
     _, identity, tensor, scaled = CLASS_LAWS[kind]
-    return identity, (ring.size**rep.e if scaled else 1) * ask(tensor(rep), ring), Fraction(k)
+    ask = ask_m(tensor(rep), ring, strategy=strategy, budget=budget).value
+    return identity, (ring.size**rep.e if scaled else 1) * ask, Fraction(k)
 
 
 def verify_class_identities(
     rep: MRep,
     ring: TruncatedRing,
-    class_budget: int = DEFAULT_CLASS_BUDGET,
-    ask_budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     known: Mapping[str, int] | None = None,
 ) -> list[Check]:
     """Compare brute-force class numbers with the predicted kernel averages.
@@ -167,8 +161,9 @@ def verify_class_identities(
     Runs whichever of the three identities applies to the given tensor:
     the central-extension group of an alternating representation, the
     semidirect-product group of an arbitrary representation, and the
-    exponential group of a class-<=2 Lie bracket. A group that cannot be
-    built, or is over budget, gives a skip whose note is the reason.
+    exponential group of a class-<=2 Lie bracket. The budget bounds every
+    census, of the class number and of the prediction alike. A group that
+    cannot be built, or is over budget, gives a skip whose note is the reason.
     `known` maps a kind to a class number the caller has already computed.
     """
     kinds = ["g_alpha", "h_theta"] if rep.is_alternating() else ["h_theta"]
@@ -184,14 +179,14 @@ def verify_class_identities(
             k = (known or {}).get(kind)
             if k is None:
                 if kind == "lazard":
-                    group = lazard_group(rep, ring, class_budget)
+                    group = lazard_group(rep, ring)
                 else:
-                    group = build_group(kind, rep, ring, class_budget)
-                k = class_number(group, "centralizer", class_budget)
+                    group = build_group(kind, rep, ring)
+                k = class_number(group, "centralizer", budget)
         except (BudgetExceededError, ValueError) as err:
             checks.append(Check.skip(claim, identity, str(err)))
         else:
-            checks.append(Check.of(claim, *class_law(kind, rep, ring, k, _asker(ask_budget))))
+            checks.append(Check.of(claim, *class_law(kind, rep, ring, k, budget)))
     return checks
 
 
@@ -387,7 +382,7 @@ def criterion_8(seed: int, budget: int) -> CriterionResult:
     ring3 = TruncatedRing(3, 1)
 
     g = build_group("g_alpha", type_f, ring3)
-    k_cent = class_number(g, "centralizer")
+    k_cent = class_number(g, "centralizer", budget)
     k_orbit = class_number(g, "orbit")
     res.compare("type_F(2) central extension at p=3", "brute class number", 11, k_cent)
     res.compare("type_F(2) central extension at p=3", "both counting methods agree", k_cent, k_orbit)
@@ -395,15 +390,16 @@ def criterion_8(seed: int, budget: int) -> CriterionResult:
     res.compare("type_F(2) at p=3", "matches the cc-series t-coefficient", Fraction(11), cc_coeff)
 
     h = build_group("h_theta", mat1, ring3)
-    res.compare("scalar family semidirect product at p=3", "brute class number", 11, class_number(h))
+    k_h = class_number(h, budget=budget)
+    res.compare("scalar family semidirect product at p=3", "brute class number", 11, k_h)
 
     for p, n in ((3, 1), (3, 2), (5, 1)):
         ring = TruncatedRing(p, n)
         for kind, rep, name in (("g_alpha", type_f, "type_F(2)"), ("h_theta", mat1, "matdxe(1,1)")):
             group = build_group(kind, rep, ring)
-            k = class_number(group, "centralizer")
+            k = class_number(group, "centralizer", budget)
             claim = f"{name} over Z/{p}^{n}"
-            res.compare(claim, *class_law(kind, rep, ring, k, _asker(budget)))
+            res.compare(claim, *class_law(kind, rep, ring, k, budget))
             res.compare(claim, "both counting methods agree", k, class_number(group, "orbit"))
     return res
 
@@ -411,16 +407,16 @@ def criterion_8(seed: int, budget: int) -> CriterionResult:
 def criterion_9(seed: int, budget: int) -> CriterionResult:
     res = CriterionResult(9, "exponential-group class number equals ask of the adjoint")
     heis = adjoint_rep(catalog.make("lie_heisenberg"))
-    direct = _asker(budget, "direct")
     for p in (3, 5):
         ring = TruncatedRing(p, 1)
-        k = class_number(lazard_group(heis, ring), "centralizer")
-        res.compare(f"Heisenberg bracket at p={p}", *class_law("lazard", heis, ring, k, direct))
+        k = class_number(lazard_group(heis, ring), "centralizer", budget)
+        law = class_law("lazard", heis, ring, k, budget, "direct")
+        res.compare(f"Heisenberg bracket at p={p}", *law)
     res.compare(
         "Heisenberg bracket at p=3",
         "committed class number",
         11,
-        class_number(lazard_group(heis, TruncatedRing(3, 1))),
+        class_number(lazard_group(heis, TruncatedRing(3, 1)), budget=budget),
     )
     return res
 
@@ -556,28 +552,27 @@ def criterion_14(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-CRITERIA: dict[int, tuple[str, Callable[[int, int], CriterionResult]]] = {
-    1: ("duality identities", criterion_1),
-    2: ("involution and braid tensor identities", criterion_2),
-    3: ("matrix family zeta", criterion_3),
-    4: ("band and Hankel zeta", criterion_4),
-    5: ("Westwick family", criterion_5),
-    6: ("moment laws", criterion_6),
-    7: ("alternating hull law", criterion_7),
-    8: ("class numbers", criterion_8),
-    9: ("exponential correspondence", criterion_9),
-    10: ("second-moment matrix zeta", criterion_10),
-    11: ("gamma family", criterion_11),
-    12: ("zeta shifts", criterion_12),
-    13: ("determinantal formula", criterion_13),
-    14: ("kernel-size oracle equivalence", criterion_14),
+CRITERIA: dict[int, Callable[[int, int], CriterionResult]] = {
+    1: criterion_1,
+    2: criterion_2,
+    3: criterion_3,
+    4: criterion_4,
+    5: criterion_5,
+    6: criterion_6,
+    7: criterion_7,
+    8: criterion_8,
+    9: criterion_9,
+    10: criterion_10,
+    11: criterion_11,
+    12: criterion_12,
+    13: criterion_13,
+    14: criterion_14,
 }
 
 
 def run_criterion(index: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    _, fn = CRITERIA[index]
     start = time.perf_counter()
-    result = fn(seed, budget)
+    result = CRITERIA[index](seed, budget)
     result.seconds = time.perf_counter() - start
     return result
 

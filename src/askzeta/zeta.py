@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-__all__ = ["QPolynomial", "RationalFunction", "closed_form", "CLOSED_FORMS"]
+__all__ = ["QPolynomial", "RationalFunction", "closed_form"]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _require(params: dict, *names: str) -> list:
 
 
 def closed_form(name: str, q: Fraction | int, **params) -> RationalFunction:
-    """Named closed-form zeta functions (see CLOSED_FORMS for the catalog)."""
+    """The named closed-form zeta function at q, from the parameters its name requires."""
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
@@ -247,16 +247,3 @@ def closed_form(name: str, q: Fraction | int, **params) -> RationalFunction:
         return main + extra
     raise ValueError(f"unknown closed form {name!r}")
 
-
-CLOSED_FORMS = {
-    "kmin": ("m", "d", "r", "l"),
-    "matdxe": ("d", "e"),
-    "band": ("r",),
-    "hankel": ("r",),
-    "westwick": ("r",),
-    "ask2_matd": ("d",),
-    "gamma_m": ("d", "m"),
-    "cc_H_gamma": ("d",),
-    "type_F_cc": ("d",),
-    "determinantal": ("l", "d", "m", "num_points"),
-}

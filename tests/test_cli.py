@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import askzeta
 from askzeta import bulk, cli, groups, verify
 from askzeta.cli import UsageError, emit_rep, main, parse_rep
 from askzeta.catalog import make
@@ -122,11 +127,28 @@ def test_cmd_ask_census_computes_one_census(monkeypatch):
     assert calls == [(1, 2, 2), (2, 1, 2)]
 
 
+def test_cmd_ask_census_direct_enumerates_literally(monkeypatch, capsys):
+    # an explicit strategy takes its value from the literal census, whatever
+    # census --census prints
+    calls = []
+    census_of_stack = bulk.census_of_stack
+
+    def counting(coeffs, p, n):
+        calls.append(len(coeffs))
+        return census_of_stack(coeffs, p, n)
+
+    monkeypatch.setattr(bulk, "census_of_stack", counting)
+    code, out, _ = run(capsys, "ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
+                       "--n", "2", "--census", "--strategy", "direct")
+    assert code == 0 and "[direct]" in out
+    assert calls == [1]
+
+
 def test_cmd_group_computes_each_class_number_once(monkeypatch, capsys):
     calls = []
     class_number = groups.class_number
 
-    def counting(spec, method="centralizer", budget=groups.DEFAULT_CLASS_BUDGET):
+    def counting(spec, method="centralizer", budget=groups.DEFAULT_BUDGET):
         calls.append((spec.kind, method))
         return class_number(spec, method, budget)
 
@@ -141,8 +163,7 @@ def test_cmd_group_computes_each_class_number_once(monkeypatch, capsys):
 def test_cmd_group_skips_the_orbit_oracle_above_the_default_class_budget(capsys):
     # order 101^3: the centraliser answer is immediate, the orbit partition
     # would visit all 1030301 elements, so it is reported as skipped
-    argv = ("group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "101",
-            "--build-budget", "10000000", "--class-budget", "10000000")
+    argv = ("group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "101")
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -152,6 +173,32 @@ def test_cmd_group_skips_the_orbit_oracle_above_the_default_class_budget(capsys)
     assert code == 0
     assert "class number (centralizer average) = 10301" in out
     assert "class number (orbit partition)     skipped" in out
+
+
+def test_cmd_group_rejects_the_removed_budget_options(capsys):
+    argv = ["group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3"]
+    for option in ("--build-budget", "--class-budget"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, option, "100"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and option in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_cleanly():
+    # the reader stops after one line: criterion 2 prints it, and criterion 6
+    # runs long enough that its line meets a closed pipe
+    paths = (str(Path(askzeta.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "askzeta", "verify", "--criteria", "2,6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"criterion  2 PASS")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_cmd_zeta_compare(capsys):
@@ -189,6 +236,12 @@ def test_cmd_check_constant_rank(capsys):
                        "--p", "3", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"constant": False, "rank": 2}
+
+
+def test_cmd_check_constant_rank_budget(capsys):
+    code, _, err = run(capsys, "check", "constant-rank", "--catalog", "gamma", "--d", "2",
+                       "--p", "3", "--budget", "1")
+    assert code == 3 and err.startswith("budget exhausted")
 
 
 def test_cmd_check_kminimal(capsys):

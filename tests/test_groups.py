@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from askzeta.ask import BudgetExceededError, ask_m
 from askzeta.catalog import make
 from askzeta.cli import main
-from askzeta.groups import FiniteGroupSpec, build_group, class_number, lazard_group
+from askzeta.groups import (
+    ORBIT_ORDER_LIMIT,
+    FiniteGroupSpec,
+    build_group,
+    class_number,
+    lazard_group,
+)
 from askzeta.mrep import MRep, adjoint_rep
 from askzeta.ring import TruncatedRing
 from askzeta.verify import verify_class_identities
@@ -44,8 +50,11 @@ def test_build_group_errors():
         build_group("g_alpha", make("matdxe", d=1, e=1), F3)
     with pytest.raises(ValueError):
         build_group("mystery", MRep.zero(1, 1, 1), F3)
+    # building allocates nothing; the orbit oracle refuses orders above its cap
+    big = build_group("h_theta", make("matdxe", d=2, e=2), F5)
+    assert big.order == 5**8 > ORBIT_ORDER_LIMIT
     with pytest.raises(BudgetExceededError):
-        build_group("h_theta", make("matdxe", d=2, e=2), F3, budget=100)
+        class_number(big, "orbit")
 
 
 def test_group_axioms_sampled():
@@ -113,8 +122,11 @@ def test_class_number_committed_and_methods_agree():
     assert class_number(zero_ring, "centralizer") == class_number(zero_ring, "orbit") == 1
     big = build_group("g_alpha", make("type_F", d=2), Z9)
     assert class_number(big, "centralizer") == class_number(big, "orbit")
+    # the budget bounds the census of the commutator tensor: 9 vectors on its
+    # cheapest side, though the group has order 729
+    assert class_number(big, "centralizer", budget=9) == class_number(big, "orbit")
     with pytest.raises(BudgetExceededError):
-        class_number(big, "centralizer", budget=100)
+        class_number(big, "centralizer", budget=8)
     with pytest.raises(ValueError):
         class_number(tf, "telepathy")
 
@@ -186,14 +198,16 @@ def test_group_reduces_its_tensor_once(monkeypatch):
     original = MRep.reduced_array
 
     def counting(self, ring):
-        calls.append(ring)
+        calls.append((self, ring))
         return original(self, ring)
 
     monkeypatch.setattr(MRep, "reduced_array", counting)
-    spec = build_group("h_theta", make("matdxe", d=1, e=1), F3)
+    rep = make("matdxe", d=1, e=1)
+    spec = build_group("h_theta", rep, F3)
     assert class_number(spec, "centralizer") == 11
     assert class_number(spec, "orbit") == 11
-    assert calls == [F3]
+    # the census reduces the commutator tensor too; the group's own tensor once
+    assert [ring for tensor, ring in calls if tensor is rep] == [F3]
 
 
 # every (p, n) with p^n <= 27 and n >= 1
@@ -267,20 +281,21 @@ def test_centralizer_method_never_lists_the_group(monkeypatch):
     monkeypatch.setattr(FiniteGroupSpec, "multiply", counting)
     monkeypatch.setattr(FiniteGroupSpec, "elements", refuse)
     rep, ring = make("matdxe", d=2, e=2), TruncatedRing(3, 2)
-    spec = build_group("h_theta", rep, ring, budget=10**20)
+    spec = build_group("h_theta", rep, ring)
+    assert spec.order == 9**8 > ORBIT_ORDER_LIMIT
     k = spec.arity - rep.e
     hull = ask_m(rep.alternating_hull(), ring).value
-    assert class_number(spec, "centralizer", budget=10**20) == ring.size**rep.e * hull
+    assert class_number(spec, "centralizer") == ring.size**rep.e * hull
     assert rows and max(rows) <= k * k
 
 
 def test_heisenberg_class_number_at_scale():
     # the Heisenberg group over F_101 has order 101^3 and p^2 + p - 1 classes
     ring = TruncatedRing(101, 1)
-    spec = build_group("h_theta", make("matdxe", d=1, e=1), ring, budget=10**7)
+    spec = build_group("h_theta", make("matdxe", d=1, e=1), ring)
     assert spec.order == 1_030_301
     start = time.perf_counter()
-    assert class_number(spec, budget=spec.order) == 101**2 + 101 - 1
+    assert class_number(spec) == 101**2 + 101 - 1
     assert time.perf_counter() - start < 1.0
 
 
@@ -290,17 +305,16 @@ def test_product_int64_bound(capsys):
     # primes 1321109 and 1321139 straddle it
     heis = adjoint_rep(make("lie_heisenberg"))
     mat11 = make("matdxe", d=1, e=1)
-    huge = 10**30
-    build_group("h_theta", mat11, TruncatedRing(2, 21), budget=huge)
-    build_group("h_theta", mat11, TruncatedRing(2097143, 1), budget=huge)
+    build_group("h_theta", mat11, TruncatedRing(2, 21))
+    build_group("h_theta", mat11, TruncatedRing(2097143, 1))
     with pytest.raises(ValueError, match="int64 bound"):
-        build_group("h_theta", mat11, TruncatedRing(2097169, 1), budget=huge)
+        build_group("h_theta", mat11, TruncatedRing(2097169, 1))
     # the Lazard group of the Heisenberg bracket is g_alpha with l = d = 2
-    lazard_group(heis, TruncatedRing(1321109, 1), budget=huge)
+    lazard_group(heis, TruncatedRing(1321109, 1))
     with pytest.raises(ValueError, match="int64 bound"):
-        lazard_group(heis, TruncatedRing(1321139, 1), budget=huge)
+        lazard_group(heis, TruncatedRing(1321139, 1))
     argv = ["group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1",
-            "--p", "2097169", "--build-budget", str(huge)]
+            "--p", "2097169"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "int64 bound" in err and err.count("\n") == 1

@@ -37,7 +37,7 @@ orbit censuses is checked against bulk.census_of_stack at that level.
 The result goes to BENCH_smith_<label>.json, with the machine and the commit.
 Run it from any directory: it imports askzeta from the src/ beside it. With
 --before, the runs of an earlier tree (a checkout, or a git archive with
---before-commit) alternate with this tree's, class by class, and go to
+--before-commit, whose bulk.orbit_censuses takes a stack of tensors) alternate with this tree's, class by class, and go to
 BENCH_smith_<label>_before.json: a before/after pair from the same host and
 the same spells of load.
 """
@@ -182,22 +182,12 @@ def orbit_stacks(family, p: int, n: int) -> list[np.ndarray]:
     return [np.stack(stack) for stack in stacks.values()]
 
 
-# a tree from before stacked orbit censuses takes one tensor per call
-UNSTACKED = hasattr(bulk, "_orbit_representatives")
-
-
-def orbit_censuses(stack: np.ndarray, p: int, n: int) -> list:
-    if UNSTACKED:
-        return [bulk.orbit_censuses(tensor, p, n) for tensor in stack]
-    return bulk.orbit_censuses(stack, p, n)
-
-
 def measure_orbit(index: int, repeats: int) -> dict:
     name, p, n, family, _ = ORBIT_CLASSES[index]
     stacks = orbit_stacks(family, p, n)
 
     def sweep():
-        return [orbit_censuses(stack, p, n) for stack in stacks]
+        return [bulk.orbit_censuses(stack, p, n) for stack in stacks]
 
     start = time.perf_counter()
     result = sweep()
@@ -216,7 +206,7 @@ def measure_orbit(index: int, repeats: int) -> dict:
     return {
         "tensors": sum(len(stack) for stack in stacks),
         "stacks": len(stacks),
-        "calls": sum(map(len, stacks)) if UNSTACKED else len(stacks),
+        "calls": len(stacks),
         "representatives": reps,
         "first_call_s": first_call,
         "call_s": call,
