@@ -327,7 +327,7 @@ def cmd_group(args) -> int:
     kind = {"galpha": "g_alpha", "htheta": "h_theta"}.get(args.kind, args.kind)
     spec = lazard_group(rep, ring) if kind == "lazard" else build_group(kind, rep, ring)
     k_cent = class_number(spec, "centralizer", budget=args.budget)
-    # the orbit partition is an oracle that visits every element
+    # the orbit partition is an oracle that lists the group (conjugating by the basis vectors)
     k_orbit = class_number(spec, "orbit") if spec.order <= ORBIT_ORDER_LIMIT else None
     checks = verify_class_identities(rep, ring, budget=args.budget, known={kind: k_cent})
     if args.format == "json":

@@ -12,8 +12,8 @@ formulas (no Cayley table):
 The centraliser method never lists the group: gh and hg differ only in W,
 by a bilinear form in the other coordinates (the commutator tensor), so
 k(G) = |W| * ask(commutator tensor), one ask_m under the census budget. The
-orbit method, explicit conjugation, is the independent oracle; it visits
-every element, so it runs on groups of order up to ORBIT_ORDER_LIMIT.
+orbit method, explicit conjugation by the basis vectors, is the independent
+oracle; it lists the group, so it runs up to order ORBIT_ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .ask import DEFAULT_BUDGET, ask_m
-from .bulk import BudgetExceededError
 from .mrep import MRep
 from .ring import TruncatedRing
 
@@ -88,21 +87,16 @@ class FiniteGroupSpec:
         # for g_alpha, as alpha is alternating
         return self._twisted(-X, X, X)
 
+    @property
+    def _place_values(self) -> np.ndarray:
+        return np.array([self.ring.size**i for i in range(self.arity)][::-1], np.int64)
+
     def elements(self) -> np.ndarray:
-        pn = self.ring.size
-        k = self.arity
-        if k == 0:
-            return np.zeros((1, 0), dtype=np.int64)
-        weights = np.array([pn ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
-        return (idx[:, None] // weights[None, :]) % pn
+        return np.arange(self.order, dtype=np.int64)[:, None] // self._place_values % self.ring.size
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         """Mixed-radix index of each element row (inverse of elements())."""
-        pn = self.ring.size
-        k = self.arity
-        weights = np.array([pn ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-        return X @ weights if k else np.zeros(len(X), dtype=np.int64)
+        return X @ self._place_values
 
     def commutator_tensor(self) -> np.ndarray:
         """comm[h, i] = W part of e_h e_i - e_i e_h, shape (k, k, e), k = arity - e."""
@@ -127,16 +121,21 @@ def build_group(kind: str, rep: MRep, ring: TruncatedRing) -> FiniteGroupSpec:
 
 
 def class_number(
-    spec: FiniteGroupSpec,
-    method: str = "centralizer",
-    budget: int = DEFAULT_BUDGET,
+    spec: FiniteGroupSpec, method: str = "centralizer", budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of conjugacy classes.
 
     method="centralizer" averages |C(g)| = p^(n e) |ker comm(g)|, that is
-    p^(n e) ask_m(commutator tensor), whose census the budget bounds;
-    method="orbit" partitions the group by explicit conjugation, on groups
-    of order up to ORBIT_ORDER_LIMIT whatever the budget.
+    p^(n e) ask_m(commutator tensor), whose census the budget bounds.
+    method="orbit" conjugates by the product formula alone, up to order
+    ORBIT_ORDER_LIMIT whatever the budget: g -> s^-1 g s permutes the element
+    indices for each basis vector s, and the classes are the orbits of these
+    permutations, as the basis vectors generate G (they give every (a, x)
+    projection, and W is central and spanned by basis vectors). Each label
+    starts at its own index, takes the least label of its images and
+    preimages, then its label's label, until nothing changes. Labels never
+    leave their orbit, and a fixed point is constant on each orbit, so it has
+    exactly one self-labelled element per orbit.
     """
     if method == "centralizer":
         comm = spec.commutator_tensor()
@@ -146,20 +145,21 @@ def class_number(
         return int(classes)
     if method == "orbit":
         if spec.order > ORBIT_ORDER_LIMIT:
-            raise BudgetExceededError(spec.order, ORBIT_ORDER_LIMIT)
+            raise ValueError(f"group order {spec.order} > ORBIT_ORDER_LIMIT = {ORBIT_ORDER_LIMIT}")
         E = spec.elements()
-        N = len(E)
-        inv = spec.inverse(E)
-        seen = np.zeros(N, dtype=bool)
-        classes = 0
-        for i in range(N):
-            if seen[i]:
-                continue
-            classes += 1
-            G = np.broadcast_to(E[i], E.shape)
-            conj = spec.multiply(spec.multiply(inv, G), E)
-            seen[spec.encode(conj)] = True
-        return classes
+        S = np.eye(spec.arity, dtype=np.int64)[:, None]  # basis vectors as batches of one row
+        pairs = zip(S, spec.inverse(S[:, 0])[:, None])
+        perms = [spec.encode(spec.multiply(spec.multiply(s_inv, E), s)) for s, s_inv in pairs]
+        lab, back = np.arange(len(E)), np.empty(len(E), dtype=np.int64)
+        while True:
+            new = lab.copy()
+            for perm in perms:
+                back[perm] = lab  # back[j] = lab[perm^-1 j]
+                np.minimum(new, np.minimum(lab[perm], back), out=new)
+            new = new[new]
+            if (new == lab).all():
+                return int(np.count_nonzero(lab == np.arange(len(E))))
+            lab = new
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -1,7 +1,13 @@
-"""Pure-python brute-force oracles, independent of the library's engines."""
+"""Brute-force oracles, independent of the library's engines.
+
+All pure Python except class_number_by_classes, which conjugates with numpy
+through a group's own product formula, one class at a time.
+"""
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def brute_kernel_count(entries, ring):
@@ -92,6 +98,28 @@ def smith_exponents(entries, p, n):
             for i in range(k, d):
                 M[i][j] = (M[i][j] - g * M[i][k]) % pn
     return exps
+
+
+def class_number_by_classes(spec):
+    """k(G) by explicit conjugation, one class at a time.
+
+    Each element not yet seen opens a class, and conjugating it by every
+    element of G marks that class seen: one pass over all of G per class,
+    through the group's product formula only.
+    """
+    E = spec.elements()
+    N = len(E)
+    inv = spec.inverse(E)
+    seen = np.zeros(N, dtype=bool)
+    classes = 0
+    for i in range(N):
+        if seen[i]:
+            continue
+        classes += 1
+        G = np.broadcast_to(E[i], E.shape)
+        conj = spec.multiply(spec.multiply(inv, G), E)
+        seen[spec.encode(conj)] = True
+    return classes
 
 
 def rational_matrix_rank(rows):

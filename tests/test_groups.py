@@ -21,6 +21,7 @@ from askzeta.groups import (
 from askzeta.mrep import MRep, adjoint_rep
 from askzeta.ring import TruncatedRing
 from askzeta.verify import verify_class_identities
+from helpers import class_number_by_classes
 
 F3 = TruncatedRing(3, 1)
 F5 = TruncatedRing(5, 1)
@@ -50,11 +51,14 @@ def test_build_group_errors():
         build_group("g_alpha", make("matdxe", d=1, e=1), F3)
     with pytest.raises(ValueError):
         build_group("mystery", MRep.zero(1, 1, 1), F3)
-    # building allocates nothing; the orbit oracle refuses orders above its cap
+    # building allocates nothing; the orbit oracle refuses orders above its
+    # cap, which no budget moves
     big = build_group("h_theta", make("matdxe", d=2, e=2), F5)
     assert big.order == 5**8 > ORBIT_ORDER_LIMIT
-    with pytest.raises(BudgetExceededError):
+    message = f"order 390625 > ORBIT_ORDER_LIMIT = {ORBIT_ORDER_LIMIT}"
+    with pytest.raises(ValueError, match=message) as err:
         class_number(big, "orbit")
+    assert "budget" not in str(err.value) and "evaluations" not in str(err.value)
 
 
 def test_group_axioms_sampled():
@@ -265,6 +269,80 @@ def groups(draw):
 def test_centralizer_method_equals_orbit_partition(spec):
     assert spec.order <= MAX_ORDER
     assert class_number(spec, "centralizer") == class_number(spec, "orbit")
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=groups())
+def test_orbit_method_equals_the_per_class_loop(spec):
+    assert class_number(spec, "orbit") == class_number_by_classes(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_group("h_theta", make("matdxe", d=1, e=1), TruncatedRing(3, 0)),  # the zero ring
+        build_group("h_theta", make("matdxe", d=2, e=2), TruncatedRing(3, 0)),
+        build_group("g_alpha", MRep.zero(0, 0, 0), F3),  # the trivial group
+        build_group("g_alpha", MRep.zero(2, 2, 1), F3),  # abelian
+        build_group("h_theta", MRep.zero(1, 1, 1), Z9),  # abelian
+        build_group("h_theta", make("matdxe", d=1, e=1), TruncatedRing(2, 3)),
+        build_group("g_alpha", make("type_F", d=2), TruncatedRing(2, 2)),
+        build_group("g_alpha", make("type_F", d=2), TruncatedRing(2, 3)),
+        lazard_group(adjoint_rep(make("lie_heisenberg")), TruncatedRing(3, 2)),
+        lazard_group(adjoint_rep(make("lie_heisenberg")), TruncatedRing(7, 1)),
+    ],
+    ids=lambda spec: f"{spec.kind}-{spec.block_sizes}-{spec.ring.p}^{spec.ring.n}",
+)
+def test_orbit_method_pinned_groups(spec):
+    k = class_number(spec, "orbit")
+    assert k == class_number_by_classes(spec) == class_number(spec, "centralizer")
+    if spec.order == 1 or not spec.commutator_tensor().any():
+        assert k == spec.order
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [
+        (build_group("g_alpha", MRep.zero(2, 2, 2), F5), 625),  # abelian: k(G) = |G|
+        (build_group("h_theta", make("matdxe", d=1, e=1), TruncatedRing(13, 1)), 13**2 + 13 - 1),
+        (build_group("h_theta", make("matdxe", d=2, e=2), F3), 801),
+    ],
+    ids=("abelian-625", "heisenberg-2197", "cap-6561"),
+)
+def test_orbit_method_conjugates_by_the_basis_only(monkeypatch, spec, k):
+    rows = {"multiply": [], "inverse": []}
+    multiply, inverse = FiniteGroupSpec.multiply, FiniteGroupSpec.inverse
+
+    def counting_multiply(self, X, Y):
+        rows["multiply"].append(max(len(X), len(Y)))
+        return multiply(self, X, Y)
+
+    def counting_inverse(self, X):
+        rows["inverse"].append(len(X))
+        return inverse(self, X)
+
+    monkeypatch.setattr(FiniteGroupSpec, "multiply", counting_multiply)
+    monkeypatch.setattr(FiniteGroupSpec, "inverse", counting_inverse)
+    assert class_number(spec, "orbit") == k > 2 * spec.arity
+    # at most two products of |G| rows per basis vector, and the basis
+    # vectors' inverses, whatever k(G); the per-class loop makes 2 k(G)
+    assert len(rows["multiply"]) <= 2 * spec.arity and max(rows["multiply"]) <= spec.order
+    assert sum(rows["inverse"]) <= spec.arity
+
+
+def test_orbit_method_at_its_cap():
+    # h_theta of matdxe(2,2) over F_3: order 3^8 = 6561 <= ORBIT_ORDER_LIMIT
+    spec = build_group("h_theta", make("matdxe", d=2, e=2), F3)
+    assert spec.order == 6561 <= ORBIT_ORDER_LIMIT
+    start = time.perf_counter()
+    assert class_number(spec, "orbit") == class_number(spec, "centralizer") == 801
+    assert time.perf_counter() - start < 0.5
 
 
 def test_centralizer_method_never_lists_the_group(monkeypatch):

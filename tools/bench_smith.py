@@ -1,5 +1,6 @@
 """Matrices per second of bulk.batch_smith_exponents, per (p, n, d, e) class,
-and representatives per second of bulk.orbit_censuses, per orbit class.
+representatives per second of bulk.orbit_censuses, per orbit class, and the
+time of the orbit method of groups.class_number, per group class.
 
 Each kernel class reduces fixed seeded batches of uniform int64 matrices
 over Z/p^n, which the kernel reduces mod p^n and narrows itself (the census
@@ -29,6 +30,14 @@ stacked call per shape: matdxe families of perfbench's census queries, and
 the hulls criterion 7 of `askzeta verify` reads at seed 8020 over Z/9 (100
 tensors in 17 shapes). Before the timing, every level of every tensor's
 orbit censuses is checked against bulk.census_of_stack at that level.
+
+A group class times groups.class_number(spec, "orbit") on one group: the
+three constructions at orders 11^3 and 13^3, which perfbench's queries
+workload asks about (there moved by a seeded change of basis, which keeps
+every class number and the work), and h_theta of matdxe(2,2) over F_3, of
+order 6561, below the orbit method's cap. Before the timing, the answer is
+checked against the centraliser method; a mismatch stops the run with a
+non-zero exit.
 
     python tools/bench_smith.py --label unit_pivot              # about a minute
     python tools/bench_smith.py --label ci --quick --out /tmp   # a few seconds
@@ -70,8 +79,9 @@ sys.path.insert(0, str(Path(os.environ.get(TREE_ENV, ROOT)) / "src"))
 # the reference reduction is always this tree's, whichever kernel runs
 sys.path.insert(0, str(ROOT / "tests"))
 
-from askzeta import ask, bulk, catalog  # noqa: E402
+from askzeta import ask, bulk, catalog, groups  # noqa: E402
 from askzeta.corpus import DEFAULT_SEED, seeded_corpus  # noqa: E402
+from askzeta.mrep import adjoint_rep  # noqa: E402
 from askzeta.ring import TruncatedRing  # noqa: E402
 from helpers import smith_exponents  # noqa: E402
 
@@ -105,6 +115,17 @@ ORBIT_CLASSES = [
     ("matdxe(2,2)", 5, 2, ("matdxe", {"d": 2, "e": 2}), "queries census"),
     ("criterion 7 hulls", 3, 2, None, "verify"),
 ]
+# (name, group kind, catalog family, p, where the class comes from); the
+# Lazard group is that of the family's adjoint bracket
+GROUP_CLASSES = [
+    (f"{kind} {short} p={p}", kind, family, p, "queries groups")
+    for p in (11, 13)
+    for kind, short, family in (
+        ("g_alpha", "type_F(2)", ("type_F", {"d": 2})),
+        ("h_theta", "matdxe(1,1)", ("matdxe", {"d": 1, "e": 1})),
+        ("lazard", "heisenberg", ("lie_heisenberg", {})),
+    )
+] + [("h_theta matdxe(2,2) p=3", "h_theta", ("matdxe", {"d": 2, "e": 2}), 3, "orbit cap")]
 SMALL = 64
 SAMPLE = 32
 
@@ -214,6 +235,23 @@ def measure_orbit(index: int, repeats: int) -> dict:
     }
 
 
+def measure_group(index: int, repeats: int) -> dict:
+    name, kind, (family, params), p, _ = GROUP_CLASSES[index]
+    ring, rep = TruncatedRing(p, 1), catalog.make(family, **params)
+    if kind == "lazard":
+        spec = groups.lazard_group(adjoint_rep(rep), ring)
+    else:
+        spec = groups.build_group(kind, rep, ring)
+    start = time.perf_counter()
+    classes = groups.class_number(spec, "orbit")
+    first_call = time.perf_counter() - start
+    want = groups.class_number(spec, "centralizer")
+    if classes != want:
+        raise RuntimeError(f"{name}: the orbit method gave {classes} classes, the centraliser method {want}")
+    call = seconds(lambda: groups.class_number(spec, "orbit"), repeats)
+    return {"order": spec.order, "classes": classes, "first_call_s": first_call, "call_s": call}
+
+
 def summary(runs: list[dict]) -> dict:
     """A class over several runs: the median of each figure, and every run."""
     keys = ("matrices_per_s", "minor_faults_per_batch", "small_call_s", "first_call_s")
@@ -246,6 +284,7 @@ def main(argv=None) -> int:
     spawn = multiprocessing.get_context("spawn")
     jobs = [(cls, measure, (*cls[:4], batch, repeats, small_calls)) for cls in CLASSES]
     jobs += [(cls[0], measure_orbit, (i, orbit_repeats)) for i, cls in enumerate(ORBIT_CLASSES)]
+    jobs += [(cls[0], measure_group, (i, orbit_repeats)) for i, cls in enumerate(GROUP_CLASSES)]
     runs = {(label, cls): [] for label in trees for cls, _, _ in jobs}
     for r in range(rounds):
         for cls, fn, fn_args in jobs:
@@ -292,6 +331,19 @@ def main(argv=None) -> int:
                 f"{row['calls']} calls, {row['call_s'] * 1e3:.2f} ms per pass, "
                 f"{row['representatives_per_s'] / 1e6:.2f} M representatives/s"
             )
+        group_rows = []
+        for name, kind, _, p, source in GROUP_CLASSES:
+            class_runs = runs[label, name]
+            row = {"name": name, "kind": kind, "p": p, "source": source}
+            row.update({key: class_runs[0][key] for key in ("order", "classes")})
+            row["first_call_s"] = statistics.median(run["first_call_s"] for run in class_runs)
+            row["call_s"] = statistics.median(statistics.median(run["call_s"]) for run in class_runs)
+            row["runs"] = class_runs
+            group_rows.append(row)
+            print(
+                f"{label}: class number by orbits, {name} ({source}): order {row['order']}, "
+                f"{row['classes']} classes, {row['call_s'] * 1e3:.2f} ms per call"
+            )
         report = {
             "label": label,
             "commit": tree_commit,
@@ -303,6 +355,7 @@ def main(argv=None) -> int:
             "classes": rows,
             "orbit_repeats": orbit_repeats,
             "orbit_classes": orbit_rows,
+            "group_classes": group_rows,
         }
         path = args.out / f"BENCH_smith_{label}.json"
         path.write_text(json.dumps(report, indent=1) + "\n")
