@@ -5,16 +5,12 @@ parameter vectors; each coefficient of the zeta series is one such average,
 taken at successive levels n. Everything is exact integer/rational
 arithmetic.
 
-For the first moment the enumeration side can be switched: the circ dual
-trades the parameter side for the domain side at the cost of an exact power
-of p, and the bullet dual preserves the average kernel size outright. The
-auto strategy picks whichever side is cheapest (moments m >= 2 stay on the
-parameter side) and reads its census off one vector per unit orbit, split by
-valuation (bulk.orbit_censuses). An explicit strategy ("direct", "circ",
-"bullet") enumerates every parameter vector: the literal definition. Both
-evaluate with one additive sweep, on stacks of tensors: literal_censuses and
-unit_orbit_censuses stack many reps by shape, one sweep per shape. Budgets
-always count the nominal p^(n l) parameter vectors of the side.
+The auto strategy enumerates the smallest tensor two exact laws allow: ask^m(A)
+= ask(A^(m)) on a Knuth side of the collapsed power (_side), and census(A + B) =
+census(A) * census(B) over the connected pieces of the tensor (_orbit_levels),
+each read off one vector per unit orbit (bulk.orbit_censuses). An explicit
+strategy enumerates every parameter vector of its side: the literal definition.
+Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
 """
 
 from __future__ import annotations
@@ -23,11 +19,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import bulk
 from .bulk import DEFAULT_BUDGET, BudgetExceededError
-from .mrep import Dual, MRep
+from .mrep import MRep, collapsed_power
 from .ring import TruncatedRing
 
 __all__ = [
@@ -67,12 +66,6 @@ class ZetaSeries:
         return len(self.coeffs)
 
 
-def _check_budget(rep: MRep, ring: TruncatedRing, budget: int) -> None:
-    cost = ring.size**rep.l
-    if cost > budget:
-        raise BudgetExceededError(cost, budget)
-
-
 # the memo of the active census plan: (shape, reduced bytes, p, n) -> literal census
 _PLAN: ContextVar[dict | None] = ContextVar("census_plan", default=None)
 
@@ -88,19 +81,79 @@ def census_plan() -> Iterator[dict]:
 
 
 def _censuses(reps, ring: TruncatedRing, budget: int, memo: dict, sweep) -> list[dict[int, int]]:
-    """memo's census of each rep, budgets checked first; the misses are stacked by
-    shape, one sweep per shape."""
+    """memo's census of each rep, budgets checked first; sweep takes the misses, each once."""
     for rep in reps:
-        _check_budget(rep, ring, budget)
+        if ring.size**rep.l > budget:
+            raise BudgetExceededError(ring.size**rep.l, budget)
     arrays = [rep.reduced_array(ring) for rep in reps]
     keys = [(array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
-    misses: dict[tuple, dict] = {}  # shape -> {key: reduced array}, each key once
-    for key, array in zip(keys, arrays):
-        if key not in memo:
-            misses.setdefault(array.shape, {})[key] = array
-    for stack in misses.values():
-        memo.update(zip(stack, sweep([*stack.values()])))
+    misses = {key: array for key, array in zip(keys, arrays) if key not in memo}
+    memo.update(zip(misses, sweep([*misses.values()])))
     return [memo[key] for key in keys]
+
+
+def _by_shape(arrays: Sequence[np.ndarray], sweep, *args) -> list:
+    """sweep(stack, *args) of the arrays stacked by shape, one call per shape, in input order."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, array in enumerate(arrays):
+        shapes.setdefault(array.shape, []).append(i)
+    out = {}
+    for idx in shapes.values():
+        out.update(zip(idx, sweep(np.array([arrays[i] for i in idx]), *args)))
+    return [out[i] for i in range(len(arrays))]
+
+
+def _split(stack: np.ndarray) -> list[tuple[list[np.ndarray], int, int]]:
+    """(pieces, free parameters, free rows) of each reduced tensor of a (T, l, d, e) stack.
+
+    A nonzero entry (h, i, j) links parameter h, row i and column j; the pieces, the
+    subtensors on the components, make A(a) block diagonal up to order, each block in
+    its own parameters, so its kernel is theirs multiplied. Zero slices are free."""
+    T, l, d, _ = stack.shape
+    support = stack != 0
+    incidence = np.concatenate([support.any(axis=3), support.any(axis=2)], axis=2)
+    reach = incidence @ incidence.transpose(0, 2, 1)  # parameters that share a row or a column
+    for _ in range(max(l - 2, 0).bit_length()):  # closed under paths of up to l - 1 steps
+        reach = reach @ reach
+    touched, params = incidence.any(axis=1), reach.diagonal(axis1=1, axis2=2)
+    roots = params & ~(reach & np.tri(l, k=-1, dtype=bool)).any(axis=2)  # first of each component
+    whole = (reach.all(axis=(1, 2)) & touched.all(axis=1)).tolist()
+    free_params = (l - params.sum(axis=1)).tolist()
+    free_rows = (d - touched[:, :d].sum(axis=1)).tolist()
+
+    def pieces(t):
+        for h in np.flatnonzero(roots[t]):
+            sides = incidence[t, reach[t, h]].any(axis=0)
+            yield stack[t][reach[t, h]][:, sides[:d]][:, :, sides[d:]]
+
+    return [([stack[t]] if whole[t] else [*pieces(t)], free_params[t], free_rows[t]) for t in range(T)]
+
+
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for (i, x), (j, y) in product(a.items(), b.items()):
+        out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _orbit_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
+    """The census at every level 0..n of each reduced tensor, held whole to the int64 bound
+    first: at level k the convolution of its pieces' (_split, one bulk.orbit_censuses sweep
+    per shape), times p^k per free parameter and with k more per free row."""
+    for array in arrays:
+        bulk.check_evaluation_bound(array.shape[0], p**n)
+    splits = _by_shape(arrays, _split)
+    swept = iter(_by_shape([piece for split in splits for piece in split[0]], bulk.orbit_censuses, p, n))
+    result = []
+    for split, free_params, free_rows in splits:
+        if len(split) == 1 and not free_params + free_rows:  # the tensor is its one piece
+            result.append(next(swept))
+            continue
+        levels = [{k * free_rows: p ** (k * free_params)} for k in range(n + 1)]
+        for _ in split:
+            levels = [*map(_convolve, levels, next(swept))]
+        result.append(levels)
+    return result
 
 
 def literal_censuses(
@@ -111,20 +164,15 @@ def literal_censuses(
     Misses of the plan's memo (a fresh dict outside a plan) are stacked by shape, one
     bulk.census_of_stack sweep per shape; the histograms returned are the memo's."""
     memo = {} if _PLAN.get() is None else _PLAN.get()
-    return _censuses(reps, ring, budget, memo, lambda s: bulk.census_of_stack(s, ring.p, ring.n))
+    return _censuses(reps, ring, budget, memo, lambda a: _by_shape(a, bulk.census_of_stack, ring.p, ring.n))
 
 
 def unit_orbit_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
-    """The census of each rep read off its unit-orbit representatives, budgets checked first.
-
-    The reps are stacked by shape, one bulk.orbit_censuses sweep per shape. A plan's
-    memo holds literal censuses only, so these never enter it."""
-    def sweep(stack):
-        return [levels[ring.n] for levels in bulk.orbit_censuses(stack, ring.p, ring.n)]
-
-    return _censuses(reps, ring, budget, {}, sweep)
+    """The census of each rep by convolution of its pieces' unit-orbit censuses, budgets
+    checked first (_orbit_levels); a plan's memo holds literal censuses only."""
+    return _censuses(reps, ring, budget, {}, lambda a: [c[ring.n] for c in _orbit_levels(a, ring.p, ring.n)])
 
 
 def kernel_census(
@@ -135,7 +183,7 @@ def kernel_census(
     All moments are recoverable from it:
     ask^m = sum_k census[k] p^(k m) / p^(n l).
     The budget bounds the nominal p^(n l) vectors; the census itself is
-    read off the unit-orbit representatives (bulk.orbit_censuses).
+    read off the unit-orbit representatives of its pieces (_orbit_levels).
     """
     return unit_orbit_censuses([rep], ring, budget)[0]
 
@@ -151,35 +199,29 @@ _SIDES = ("direct", "circ", "bullet")
 
 
 def _side(rep: MRep, m: int, strategy: str) -> tuple[str, MRep]:
-    """The enumeration side for a strategy, and the tensor enumerated there."""
+    """The side for a strategy and the tensor enumerated there: rep (l parameters) or that
+    dual of its collapsed m-th power (circ m d, bullet m e); "auto" takes the fewest, ties direct."""
     if m < 1:
         raise ValueError("moment must be >= 1")
-    if strategy != "auto" and strategy not in _SIDES:
+    if strategy not in ("auto", *_SIDES):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if m > 1 and strategy in ("circ", "bullet"):
-        raise ValueError(f"strategy {strategy!r} only computes the first moment")
     if strategy == "auto":
-        if m > 1:
-            strategy = "direct"
-        else:
-            costs = {"direct": rep.l, "circ": rep.d, "bullet": rep.e}
-            strategy = min(_SIDES, key=lambda s: costs[s])
+        costs = {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e}
+        strategy = min(_SIDES, key=costs.get)
     if strategy == "direct":
         return strategy, rep
-    return strategy, rep.dual(Dual.CIRC if strategy == "circ" else Dual.BULLET)
-
-
-_LABELS = {"direct": "direct", "circ": "circ-side", "bullet": "bullet-side"}
+    return strategy, (collapsed_power(rep, m, "mod") if m > 1 else rep).dual(strategy)
 
 
 def _result(
     rep: MRep, side: str, tensor: MRep, census: dict[int, int], ring: TruncatedRing, m: int
 ) -> AskResult:
-    """ask^m from the census of the tensor enumerated on the given side."""
-    value = ask_from_census(census, ring, tensor.l, m)
-    if side == "circ":  # averaging over the domain rescales by q^(n(d-l))
-        value *= Fraction(ring.p) ** (ring.n * (rep.d - rep.l))
-    return AskResult(value, ring.n, m, _LABELS[side])
+    """ask^m from the census of the tensor enumerated on the given side: its m-th moment
+    on the direct side, else the first, as ask^m(A) = ask(A^(m))."""
+    value = ask_from_census(census, ring, tensor.l, m if side == "direct" else 1)
+    if side == "circ":  # averaging over the domain rescales by q^(n(m d - l))
+        value *= Fraction(ring.p) ** (ring.n * (m * rep.d - rep.l))
+    return AskResult(value, ring.n, m, side if side == "direct" else f"{side}-side")
 
 
 def ask_m(
@@ -191,8 +233,8 @@ def ask_m(
 ) -> AskResult:
     """Average m-th power of the kernel size, as an exact rational.
 
-    "auto" reads the census of the cheapest side off its unit-orbit
-    representatives; an explicit side enumerates every parameter vector.
+    "auto" convolves the census of the side with the fewest parameters from its
+    pieces' unit orbits; an explicit side enumerates every parameter vector.
     """
     if strategy == "auto":
         return auto_asks([rep], ring, m, budget)[0]
@@ -204,13 +246,10 @@ def auto_asks(
     reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[AskResult]:
     """ask_m(rep, ring, m, "auto") for each rep: the cheapest side of each, and
-    one unit-orbit sweep per shape of the tensors enumerated there."""
+    one unit-orbit sweep per shape of the pieces of the tensors enumerated there."""
     sides = [_side(rep, m, "auto") for rep in reps]
     censuses = unit_orbit_censuses([tensor for _, tensor in sides], ring, budget)
-    return [
-        _result(rep, side, tensor, census, ring, m)
-        for rep, (side, tensor), census in zip(reps, sides, censuses)
-    ]
+    return [_result(rep, *side, census, ring, m) for rep, side, census in zip(reps, sides, censuses)]
 
 
 def ask_with_census(
@@ -220,13 +259,13 @@ def ask_with_census(
     strategy: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[AskResult, dict[int, int]]:
-    """(ask_m, kernel_census) of rep. When "auto" picks the direct side, one census
-    gives both; an explicit strategy takes ask_m's value, so "direct" stays literal."""
-    side, tensor = _side(rep, m, strategy)
-    if strategy != "auto" or side != "direct":
+    """(ask_m, kernel_census) of rep. Under "auto" the one census gives both, on the
+    direct side; an explicit strategy takes ask_m's literal value."""
+    if strategy != "auto":
         return ask_m(rep, ring, m, strategy, budget), kernel_census(rep, ring, budget)
+    side = _side(rep, m, "direct")
     census = kernel_census(rep, ring, budget)
-    return _result(rep, side, tensor, census, ring, m), census
+    return _result(rep, *side, census, ring, m), census
 
 
 def zeta_coeffs(
@@ -254,18 +293,15 @@ def zeta_coeffs(
             raise BudgetExceededError(1, budget, 0)
         censuses = []
         if top >= 0:
-            array = tensor.reduced_array(TruncatedRing(p, top))
-            censuses = bulk.orbit_censuses(array[None], p, top)[0]
-        for n, census in enumerate(censuses):
-            coeffs.append(_result(rep, side, tensor, census, TruncatedRing(p, n), m).value)
+            censuses = _orbit_levels([tensor.reduced_array(TruncatedRing(p, top))], p, top)[0]
+        coeffs = [_result(rep, side, tensor, c, TruncatedRing(p, n), m).value for n, c in enumerate(censuses)]
         return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)
     for n in range(levels + 1):
         ring = TruncatedRing(p, n)
         try:
             coeffs.append(ask_m(rep, ring, m, strategy, budget).value)
         except BudgetExceededError as err:
-            raise_level = BudgetExceededError(err.required, err.budget, n)
             if coeffs:
                 return ZetaSeries(tuple(coeffs), failed_level=n)
-            raise raise_level from err
+            raise BudgetExceededError(err.required, err.budget, n) from err
     return ZetaSeries(tuple(coeffs), failed_level=None)

@@ -292,7 +292,7 @@ def _sweep(
 
 
 def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
-    """Kernel-size exponent histograms for a stack of tensors, one shared sweep.
+    """Kernel-size exponent histograms for a stack of tensors, one sweep per group of them.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n. For every tensor t
     the full parameter space (Z/p^n)^l is enumerated; the returned histogram
@@ -311,10 +311,14 @@ def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
         return []
     width = n * d + 1
     counts = np.zeros(T * width, dtype=np.int64)
-    for batch in _sweep(coeffs, p, n, [[(0, 1, pn)] * l], T * max(1, d * e)):
-        ks = batch_kernel_exponents(batch, p, n).reshape(T, -1)
-        ks += np.arange(T)[:, None] * width
-        counts += np.bincount(ks.ravel(), minlength=T * width)
+    # a group shares a sweep's fixed cost; past a quarter chunk it only grows the chunk
+    group = max(1, _CHUNK_ELEMENTS // 4 // (pn**l * max(1, d * e)))
+    for g in range(0, T, group):
+        size = min(group, T - g)
+        for batch in _sweep(coeffs[g : g + size], p, n, [[(0, 1, pn)] * l], size * max(1, d * e)):
+            ks = batch_kernel_exponents(batch, p, n).reshape(size, -1)
+            ks += np.arange(g, g + size)[:, None] * width
+            counts += np.bincount(ks.ravel(), minlength=T * width)
     return [{int(k): int(row[k]) for k in np.flatnonzero(row)} for row in counts.reshape(T, width)]
 
 

@@ -219,15 +219,15 @@ def _dual_laws_over(
     tag: str,
 ) -> None:
     """Compare the dual laws for every rep over ring; tag formats each claim
-    from the rep's index i and shape, and the ring's p and n."""
-    base = direct_asks(reps, ring, budget=budget)
-    duals = [
-        direct_asks([r.dual(which) for r in reps], ring, budget=budget) for which, _, _ in DUAL_LAWS
-    ]
+    from the rep's index i and shape, and the ring's p and n. The reps and
+    their duals share one literal census per shape."""
+    k = len(reps)
+    duals = [rep.dual(which) for which, _, _ in DUAL_LAWS for rep in reps]
+    asks = direct_asks([*reps, *duals], ring, budget=budget)  # rep i, then dual j of it at (j + 1) k + i
     qn = Fraction(ring.size)
     for i, rep in enumerate(reps):
         claim = tag.format(i=i, shape=rep.shape, p=ring.p, n=ring.n)
-        for _, identity, expected, computed in dual_laws(rep, qn, base[i], [a[i] for a in duals]):
+        for _, identity, expected, computed in dual_laws(rep, qn, asks[i], asks[k + i :: k]):
             res.compare(claim, identity, expected, computed)
 
 

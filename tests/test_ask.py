@@ -46,17 +46,20 @@ def test_auto_picks_smallest_side():
     tall = MRep.zero(1, 3, 4)
     assert ask_m(tall, F3, strategy="auto").strategy == "direct"
     assert ask_m(MRep.zero(4, 1, 2), F3, strategy="auto").strategy == "circ-side"
-    assert ask_m(wide, F3, m=2, strategy="auto").strategy == "direct"
+    # the collapsed square has 4, 4 and 2 parameters on its three sides
+    assert ask_m(wide, F3, m=2, strategy="auto").strategy == "bullet-side"
 
 
 def test_moment_restrictions():
     rep = make("matdxe", d=1, e=1)
-    with pytest.raises(ValueError):
-        ask_m(rep, F2, m=2, strategy="circ")
-    with pytest.raises(ValueError):
-        ask_m(rep, F2, m=2, strategy="bullet")
-    with pytest.raises(ValueError):
-        ask_m(rep, F2, m=0)
+    # every side answers higher moments, through the collapsed power's duals
+    direct = ask_m(rep, F2, m=2, strategy="direct").value
+    assert direct == Fraction(5, 2)
+    assert ask_m(rep, F2, m=2, strategy="circ").value == direct
+    assert ask_m(rep, F2, m=2, strategy="bullet").value == direct
+    for strategy in ("auto", "direct", "circ", "bullet"):
+        with pytest.raises(ValueError):
+            ask_m(rep, F2, m=0, strategy=strategy)
     with pytest.raises(ValueError):
         ask_m(rep, F2, strategy="sideways")
 

@@ -121,10 +121,11 @@ def test_cmd_ask_census_computes_one_census(monkeypatch):
             assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
                          "--n", "2", "--census", "--strategy", strategy, "--moment", moment]) == 0
             assert calls == [(1, 1, 1)]
-    # matdxe(1,2) is enumerated on the circ side: two different tensors
+    # ask alone would take matdxe(1,2)'s circ side; with --census, auto reads
+    # ask off the one census of the direct side
     calls.clear()
     assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3", "--census"]) == 0
-    assert calls == [(1, 2, 2), (2, 1, 2)]
+    assert calls == [(2, 1, 2)]
 
 
 def test_cmd_ask_census_direct_enumerates_literally(monkeypatch, capsys):

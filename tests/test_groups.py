@@ -220,17 +220,17 @@ RINGS += [(p, 1) for p in (7, 11, 13, 17, 19, 23)]
 MAX_ORDER = 5000
 
 
-def _shape(rnd, pn, ranks, rich):
-    """A block shape within the rank caps with |G| <= MAX_ORDER; three times
+def _shape(rnd, pn, ranks, rich, max_order):
+    """A block shape within the rank caps with |G| <= max_order; three times
     in four one that rich() accepts (a group that can be non-abelian), if any."""
-    shapes = [s for s in product(*(range(r + 1) for r in ranks)) if pn ** sum(s) <= MAX_ORDER]
+    shapes = [s for s in product(*(range(r + 1) for r in ranks)) if pn ** sum(s) <= max_order]
     rich_shapes = [s for s in shapes if rich(*s)]
     return rnd.choice(rich_shapes if rich_shapes and rnd.random() < 0.75 else shapes)
 
 
 @st.composite
-def groups(draw):
-    """A random g_alpha, h_theta or Lazard group of order at most MAX_ORDER.
+def groups(draw, max_order=MAX_ORDER):
+    """A random g_alpha, h_theta or Lazard group of order at most max_order.
 
     Shapes and coefficients come from a seeded `random.Random`: hypothesis's
     own integer draws favour zero, which leaves most groups abelian.
@@ -240,10 +240,10 @@ def groups(draw):
     ring = TruncatedRing(p, n)
     rnd = draw(st.randoms(use_true_random=True))
     if kind == "h_theta":
-        l, d, e = _shape(rnd, ring.size, (2, 2, 2), lambda l, d, e: min(l, d, e) > 0)
+        l, d, e = _shape(rnd, ring.size, (2, 2, 2), lambda l, d, e: min(l, d, e) > 0, max_order)
         coeffs = [[[rnd.randint(-9, 9) for _ in range(e)] for _ in range(d)] for _ in range(l)]
         return build_group(kind, MRep(l, d, e, coeffs), ring)
-    k, e = _shape(rnd, ring.size, (3, 2), lambda k, e: k > 1 and e > 0)
+    k, e = _shape(rnd, ring.size, (3, 2), lambda k, e: k > 1 and e > 0, max_order)
     # alternating: alpha[b][a] = -alpha[a][b], zero diagonal
     alpha = [[[0] * e for _ in range(k)] for _ in range(k)]
     for a, b in combinations(range(k), 2):
@@ -278,8 +278,10 @@ def test_centralizer_method_equals_orbit_partition(spec):
     max_examples=300,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(spec=groups())
+# the loop costs k(G) |G| products: a lower cap keeps every kind, p = 2 and n >= 2
+@given(spec=groups(max_order=2048))
 def test_orbit_method_equals_the_per_class_loop(spec):
+    assert spec.order <= 2048
     assert class_number(spec, "orbit") == class_number_by_classes(spec)
 
 

@@ -1,0 +1,107 @@
+"""The auto planner: collapsed powers on the Knuth sides, direct summands by convolution."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from askzeta import bulk, catalog
+from askzeta.ask import ask_from_census, ask_m, kernel_census, unit_orbit_censuses, zeta_coeffs
+from askzeta.mrep import MRep
+from askzeta.ring import TruncatedRing
+
+from helpers import brute_ask, brute_census
+from test_orbit import PROPERTY, literal_census, reps
+
+
+@st.composite
+def interleaved_sums(draw):
+    """A direct sum of two reps, padded with up to one zero slice on each side,
+    with all three index sets shuffled so that the blocks interleave."""
+    a, b = draw(reps(max_rank=2)), draw(reps(max_rank=2))
+    pad = [draw(st.integers(0, 1)) for _ in range(3)]
+    array = np.pad(a.direct_sum(b).array, [(0, k) for k in pad])
+    for axis, size in enumerate(array.shape):
+        array = np.take(array, draw(st.permutations(range(size))), axis=axis)
+    return MRep(*array.shape, array), a, b
+
+
+# every (p, n) with p^n <= 9, n = 0 included
+SMALL_RINGS = [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@PROPERTY
+@given(case=interleaved_sums(), ring=st.sampled_from(SMALL_RINGS), m=st.integers(1, 2))
+def test_direct_summands_equal_the_literal_census(case, ring, m):
+    rep, a, b = case
+    p, n = ring
+    top = TruncatedRing(p, n)
+    literal = [literal_census(rep, TruncatedRing(p, k)) for k in range(n + 1)]
+    assert kernel_census(rep, top) == literal[n]
+    assert unit_orbit_censuses([a, rep, b], top) == [
+        literal_census(a, top), literal[n], literal_census(b, top)
+    ]
+    auto = zeta_coeffs(rep, p, m=m, levels=n, strategy="auto")
+    assert auto.coeffs == tuple(
+        ask_from_census(census, TruncatedRing(p, k), rep.l, m) for k, census in enumerate(literal)
+    )
+    if top.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
+        assert literal[n] == brute_census(rep, top)
+
+
+@PROPERTY
+@given(rep=reps(max_rank=2), ring=st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]), m=st.integers(2, 3))
+def test_every_side_answers_higher_moments(rep, ring, m):
+    ring = TruncatedRing(*ring)
+    values = {s: ask_m(rep, ring, m=m, strategy=s).value for s in ("auto", "direct", "circ", "bullet")}
+    assert len(set(values.values())) == 1, values
+    if ring.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
+        assert values["direct"] == brute_ask(rep, ring, m)
+
+
+def _interleaved(rep, seed):
+    rng = np.random.default_rng(seed)
+    array = rep.array
+    for axis, size in enumerate(array.shape):
+        array = np.take(array, rng.permutation(size), axis=axis)
+    return MRep(*array.shape, array)
+
+
+m33, m23 = catalog.make("matdxe", d=3, e=3), catalog.make("matdxe", d=2, e=3)
+m22_m12 = _interleaved(catalog.make("matdxe", d=2, e=2).direct_sum(catalog.make("matdxe", d=1, e=2)), 1)
+Z4, Z9 = TruncatedRing(2, 2), TruncatedRing(3, 2)
+
+# the census queries of perfbench's queries workload whose planner changed, each as a
+# function of the strategy; "direct" is the literal definition
+QUERIES = {
+    "ask m33 Z/4 m=2": lambda s: ask_m(m33, Z4, m=2, strategy=s).value,
+    "ask m23 Z/9 m=2": lambda s: ask_m(m23, Z9, m=2, strategy=s).value,
+    "zeta m23 p=2 m=2": lambda s: zeta_coeffs(m23, 2, m=2, levels=2, strategy=s),
+    "census m22+m12 Z/9": lambda s: (kernel_census if s == "auto" else literal_census)(m22_m12, Z9),
+}
+
+
+@pytest.mark.parametrize(
+    "name,reduced,shapes",
+    [
+        # the circ side of the collapsed square: 6 parameters in place of 9 (130 816 at the direct side)
+        ("ask m33 Z/4 m=2", 2016, {(9, 6)}),
+        ("ask m23 Z/9 m=2", 1080, {(6, 6)}),  # 4 in place of 6 (88 452)
+        ("zeta m23 p=2 m=2", 120, {(6, 6)}),  # (2016)
+        # two pieces, each swept on its own: 1080 representatives of 2 x 2, 12 of 1 x 2 (88 452 of 3 x 4)
+        ("census m22+m12 Z/9", 1092, {(2, 2), (1, 2)}),
+    ],
+)
+def test_matrices_reduced_by_the_planner(monkeypatch, name, reduced, shapes):
+    direct = QUERIES[name]("direct")
+    seen = []
+    batch_smith_exponents = bulk.batch_smith_exponents
+
+    def counting(mats, p, n):
+        seen.append(mats.shape)
+        return batch_smith_exponents(mats, p, n)
+
+    monkeypatch.setattr(bulk, "batch_smith_exponents", counting)
+    assert QUERIES[name]("auto") == direct
+    assert sum(shape[0] for shape in seen) == reduced
+    assert {shape[1:] for shape in seen} == shapes

@@ -1,6 +1,7 @@
 """Matrices per second of bulk.batch_smith_exponents, per (p, n, d, e) class,
-representatives per second of bulk.orbit_censuses, per orbit class, and the
-time of the orbit method of groups.class_number, per group class.
+representatives per second of bulk.orbit_censuses, per orbit class, the
+time of the orbit method of groups.class_number, per group class, and the
+matrices reduced and time of a census query, per query class.
 
 Each kernel class reduces fixed seeded batches of uniform int64 matrices
 over Z/p^n, which the kernel reduces mod p^n and narrows itself (the census
@@ -30,6 +31,14 @@ stacked call per shape: matdxe families of perfbench's census queries, and
 the hulls criterion 7 of `askzeta verify` reads at seed 8020 over Z/9 (100
 tensors in 17 shapes). Before the timing, every level of every tensor's
 orbit censuses is checked against bulk.census_of_stack at that level.
+
+A query class times one census query of perfbench's queries workload under
+the default strategy, on the workload's seeded inputs (seed 8020): the four
+whose planner enumerates a smaller tensor than the direct side, through the
+collapsed power's Knuth duals or the direct summands of the tensor. It
+records the matrices the query reduces (every bulk.batch_smith_exponents
+row), and checks the answer against the explicit "direct" strategy, or
+the literal census; a mismatch stops the run with a non-zero exit.
 
 A group class times groups.class_number(spec, "orbit") on one group: the
 three constructions at orders 11^3 and 13^3, which perfbench's queries
@@ -78,12 +87,16 @@ TREE_ENV = "BENCH_SMITH_TREE"
 sys.path.insert(0, str(Path(os.environ.get(TREE_ENV, ROOT)) / "src"))
 # the reference reduction is always this tree's, whichever kernel runs
 sys.path.insert(0, str(ROOT / "tests"))
+# the queries workload's seeded inputs
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import askzeta  # noqa: E402
 from askzeta import ask, bulk, catalog, groups  # noqa: E402
 from askzeta.corpus import DEFAULT_SEED, seeded_corpus  # noqa: E402
 from askzeta.mrep import adjoint_rep  # noqa: E402
 from askzeta.ring import TruncatedRing  # noqa: E402
 from helpers import smith_exponents  # noqa: E402
+from workloads import Census  # noqa: E402
 
 # (p, n, d, e, where the class comes from)
 CLASSES = [
@@ -126,6 +139,18 @@ GROUP_CLASSES = [
         ("lazard", "heisenberg", ("lie_heisenberg", {})),
     )
 ] + [("h_theta matdxe(2,2) p=3", "h_theta", ("matdxe", {"d": 2, "e": 2}), 3, "orbit cap")]
+# (name, the query as a function of the workload's reps and a strategy); "direct"
+# is the literal definition the default strategy must agree with
+QUERY_CLASSES = [
+    ("ask m33 Z/4 m=2", lambda r, s: ask.ask_m(r["m33"], TruncatedRing(2, 2), m=2, strategy=s).value),
+    ("ask m23 Z/9 m=2", lambda r, s: ask.ask_m(r["m23"], TruncatedRing(3, 2), m=2, strategy=s).value),
+    ("zeta m23 p=2 m=2", lambda r, s: ask.zeta_coeffs(r["m23"], 2, m=2, levels=2, strategy=s).coeffs),
+    (
+        "census m22+m12 Z/9",
+        lambda r, s: ask.kernel_census(r["sum"], TruncatedRing(3, 2)) if s == "auto"
+        else ask.literal_censuses([r["sum"]], TruncatedRing(3, 2))[0],
+    ),
+]
 SMALL = 64
 SAMPLE = 32
 
@@ -235,6 +260,29 @@ def measure_orbit(index: int, repeats: int) -> dict:
     }
 
 
+def measure_query(index: int, repeats: int) -> dict:
+    name, query = QUERY_CLASSES[index]
+    reps = Census().setup(askzeta, DEFAULT_SEED)["reps"]
+    reduced = [0]
+    batch_smith_exponents = bulk.batch_smith_exponents
+
+    def counting(mats, p, n):
+        reduced[0] += len(mats)
+        return batch_smith_exponents(mats, p, n)
+
+    bulk.batch_smith_exponents = counting
+    start = time.perf_counter()
+    answer = query(reps, "auto")
+    first_call = time.perf_counter() - start
+    matrices = reduced[0]
+    bulk.batch_smith_exponents = batch_smith_exponents
+    want = query(reps, "direct")
+    if answer != want:
+        raise RuntimeError(f"{name}: the default strategy gave {answer}, the direct one {want}")
+    call = seconds(lambda: query(reps, "auto"), repeats)
+    return {"matrices_reduced": matrices, "first_call_s": first_call, "call_s": call}
+
+
 def measure_group(index: int, repeats: int) -> dict:
     name, kind, (family, params), p, _ = GROUP_CLASSES[index]
     ring, rep = TruncatedRing(p, 1), catalog.make(family, **params)
@@ -285,6 +333,7 @@ def main(argv=None) -> int:
     jobs = [(cls, measure, (*cls[:4], batch, repeats, small_calls)) for cls in CLASSES]
     jobs += [(cls[0], measure_orbit, (i, orbit_repeats)) for i, cls in enumerate(ORBIT_CLASSES)]
     jobs += [(cls[0], measure_group, (i, orbit_repeats)) for i, cls in enumerate(GROUP_CLASSES)]
+    jobs += [(cls[0], measure_query, (i, orbit_repeats)) for i, cls in enumerate(QUERY_CLASSES)]
     runs = {(label, cls): [] for label in trees for cls, _, _ in jobs}
     for r in range(rounds):
         for cls, fn, fn_args in jobs:
@@ -344,6 +393,18 @@ def main(argv=None) -> int:
                 f"{label}: class number by orbits, {name} ({source}): order {row['order']}, "
                 f"{row['classes']} classes, {row['call_s'] * 1e3:.2f} ms per call"
             )
+        query_rows = []
+        for name, _ in QUERY_CLASSES:
+            class_runs = runs[label, name]
+            row = {"name": name, "source": "queries census", "matrices_reduced": class_runs[0]["matrices_reduced"]}
+            row["first_call_s"] = statistics.median(run["first_call_s"] for run in class_runs)
+            row["call_s"] = statistics.median(statistics.median(run["call_s"]) for run in class_runs)
+            row["runs"] = class_runs
+            query_rows.append(row)
+            print(
+                f"{label}: query {name}: {row['matrices_reduced']} matrices reduced, "
+                f"{row['call_s'] * 1e3:.2f} ms per call"
+            )
         report = {
             "label": label,
             "commit": tree_commit,
@@ -356,6 +417,7 @@ def main(argv=None) -> int:
             "orbit_repeats": orbit_repeats,
             "orbit_classes": orbit_rows,
             "group_classes": group_rows,
+            "query_classes": query_rows,
         }
         path = args.out / f"BENCH_smith_{label}.json"
         path.write_text(json.dumps(report, indent=1) + "\n")
