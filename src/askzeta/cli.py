@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_m, ask_with_census, zeta_coeffs
+from .ask import DEFAULT_BUDGET, BudgetExceededError, ZetaSeries, ask_m, ask_with_census, zeta_coeffs
 from .corpus import DEFAULT_SEED
 from .groups import ORBIT_ORDER_LIMIT, build_group, class_number, lazard_group
 from .mrep import (
@@ -29,10 +29,11 @@ from .polynom import count_hypersurface_points, det_linear_matrix, generic_rank
 from .ring import TruncatedRing
 from .verify import (
     CRITERIA,
-    DUAL_LAWS,
     Check,
     determinantal_checks,
+    direct_asks,
     dual_laws,
+    dual_tensors,
     run_all,
     verify_class_identities,
 )
@@ -114,6 +115,10 @@ def _frac(x) -> str:
     return str(Fraction(x))
 
 
+def _catalog_params(args) -> dict[str, int]:
+    return {key: getattr(args, key) for key in ("d", "e", "r") if getattr(args, key) is not None}
+
+
 def _resolve_rep(args) -> MRep:
     if getattr(args, "input", None) and getattr(args, "catalog", None):
         raise UsageError("give either --input or --catalog, not both")
@@ -124,15 +129,7 @@ def _resolve_rep(args) -> MRep:
         except OSError as err:
             raise UsageError(f"cannot read {args.input}: {err}") from None
     if getattr(args, "catalog", None):
-        params = {}
-        for key in ("d", "e", "r"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
-        try:
-            return catalog.make(args.catalog, **params)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+        return catalog.make(args.catalog, **_catalog_params(args))
     raise UsageError("no tensor given; use --input FILE or --catalog NAME")
 
 
@@ -146,6 +143,11 @@ def _print_report(checks: list[Check], fmt: str) -> None:
         tail = f" expected={check.expected} computed={check.computed}" if shown else ""
         note = f" ({check.note})" if check.note else ""
         print(f"  {mark} {check.claim}: {check.identity}{tail}{note}")
+
+
+def _print_truncation(series: ZetaSeries) -> None:
+    if series.failed_level is not None:
+        print(f"  level {series.failed_level}: enumeration budget exceeded, series truncated")
 
 
 def _add_rep_arguments(sub, with_ring=True):
@@ -203,7 +205,7 @@ def cmd_zeta(args) -> int:
     if args.compare:
         if not args.catalog:
             raise UsageError("--compare needs a --catalog entry with a registered closed form")
-        params = {k: getattr(args, k) for k in ("d", "e", "r") if getattr(args, k) is not None}
+        params = _catalog_params(args)
         expected = catalog.expected_zeta(args.catalog, params, args.moment, args.p)
         if expected is None:
             raise UsageError(
@@ -241,8 +243,7 @@ def cmd_zeta(args) -> int:
             if "match" in row:
                 line += f"  (closed form {row['expected']}: {'match' if row['match'] else 'MISMATCH'})"
             print(line)
-        if series.failed_level is not None:
-            print(f"  level {series.failed_level}: enumeration budget exceeded, series truncated")
+        _print_truncation(series)
     if series.failed_level is not None:
         return 3
     return 0 if ok else 1
@@ -289,11 +290,7 @@ def cmd_check(args) -> int:
     rep = _resolve_rep(args)
     if args.predicate == "duality":
         ring = TruncatedRing(args.p, args.n)
-        base = ask_m(rep, ring, strategy="direct", budget=args.budget).value
-        asks = [
-            ask_m(rep.dual(which), ring, strategy="direct", budget=args.budget).value
-            for which, _, _ in DUAL_LAWS
-        ]
+        base, *asks = direct_asks([rep, *dual_tensors([rep])], ring, args.budget)
         checks = [
             Check.of(f"{which} dual", identity, expected, computed)
             for which, identity, expected, computed in dual_laws(rep, Fraction(ring.size), base, asks)
@@ -379,12 +376,7 @@ def cmd_catalog(args) -> int:
     if args.action == "emit":
         if not args.name:
             raise UsageError("catalog emit needs --name")
-        params = {k: getattr(args, k) for k in ("d", "e", "r") if getattr(args, k) is not None}
-        try:
-            rep = catalog.make(args.name, **params)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
-        print(json.dumps(emit_rep(rep)))
+        print(json.dumps(emit_rep(catalog.make(args.name, **_catalog_params(args)))))
         return 0
     raise UsageError(f"unknown catalog action {args.action!r}")
 
@@ -402,25 +394,26 @@ def cmd_det_example(args) -> int:
     form, checks = determinantal_checks(rep, args.p, args.moment, points, series.coeffs)
     ok = smooth and all(c.match for c in checks)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "determinant": repr(F),
-                    "degree": F.total_degree(),
-                    "smooth": smooth,
-                    "projective_points": points,
-                    "closed_form": form.to_json(),
-                    "levels": [check.to_dict() for check in checks],
-                },
-                indent=2,
-            )
-        )
+        out = {
+            "determinant": repr(F),
+            "degree": F.total_degree(),
+            "smooth": smooth,
+            "projective_points": points,
+            "closed_form": form.to_json(),
+            "levels": [check.to_dict() for check in checks],
+        }
+        if series.failed_level is not None:
+            out["failed_level"] = series.failed_level
+        print(json.dumps(out, indent=2))
     else:
         print(f"F = {F!r} (degree {F.total_degree()})")
         print(f"  smooth over F_{args.p}: {smooth}; projective points: {points}")
         if not smooth:
             print("  warning: the closed form assumes smoothness; comparison may fail")
         _print_report(checks, args.format)
+        _print_truncation(series)
+    if series.failed_level is not None:
+        return 3
     return 0 if ok else 1
 
 
@@ -450,12 +443,7 @@ def cmd_verify(args) -> int:
             print(f"    ... {len(result.failures) - 10} more failures")
         sys.stdout.flush()
 
-    results = run_all(
-        seed=args.seed,
-        budget=args.budget,
-        indices=indices,
-        report=None if args.format == "json" else report,
-    )
+    results = run_all(seed=args.seed, indices=indices, report=None if args.format == "json" else report)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
@@ -534,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full acceptance suite")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_verify.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
     p_verify.set_defaults(fn=cmd_verify)
@@ -556,13 +543,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

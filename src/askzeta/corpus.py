@@ -21,27 +21,12 @@ RING_SPECS = ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1))
 _FIXED_SHAPES = ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 1, 1))
 
 
-def seeded_corpus(
-    count: int = 100,
-    seed: int = DEFAULT_SEED,
-    max_rank: int = 3,
-    coeff_bound: int = 9,
-) -> tuple[MRep, ...]:
+def seeded_corpus(seed: int = DEFAULT_SEED) -> tuple[MRep, ...]:
+    """100 tensors: the fixed shapes, then shapes drawn from [1, 3]^3; coefficients in [-9, 9]."""
     rng = random.Random(seed)
     reps: list[MRep] = []
-    for l, d, e in _FIXED_SHAPES[: min(len(_FIXED_SHAPES), count)]:
-        coeffs = [
-            [[rng.randint(-coeff_bound, coeff_bound) for _ in range(e)] for _ in range(d)]
-            for _ in range(l)
-        ]
-        reps.append(MRep(l, d, e, coeffs))
-    while len(reps) < count:
-        l = rng.randint(1, max_rank)
-        d = rng.randint(1, max_rank)
-        e = rng.randint(1, max_rank)
-        coeffs = [
-            [[rng.randint(-coeff_bound, coeff_bound) for _ in range(e)] for _ in range(d)]
-            for _ in range(l)
-        ]
+    for i in range(100):
+        l, d, e = _FIXED_SHAPES[i] if i < len(_FIXED_SHAPES) else [rng.randint(1, 3) for _ in range(3)]
+        coeffs = [[[rng.randint(-9, 9) for _ in range(e)] for _ in range(d)] for _ in range(l)]
         reps.append(MRep(l, d, e, coeffs))
     return tuple(reps)

@@ -203,27 +203,24 @@ def determinantal_checks(
     ]
 
 
-def direct_asks(
-    reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
-) -> list[Fraction]:
-    """Direct-enumeration ask^m for many representations, from their literal censuses."""
+def direct_asks(reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+    """Direct-enumeration ask for many representations, from their literal censuses."""
     censuses = literal_censuses(reps, ring, budget)
-    return [ask_from_census(census, ring, rep.l, m) for rep, census in zip(reps, censuses)]
+    return [ask_from_census(census, ring, rep.l) for rep, census in zip(reps, censuses)]
+
+
+def dual_tensors(reps: Sequence[MRep]) -> list[MRep]:
+    """Every dual of DUAL_LAWS of the reps: dual j of rep i at j k + i, for k reps."""
+    return [rep.dual(which) for which, _, _ in DUAL_LAWS for rep in reps]
 
 
 def _dual_laws_over(
-    res: CriterionResult,
-    reps: Sequence[MRep],
-    ring: TruncatedRing,
-    budget: int,
-    tag: str,
+    res: CriterionResult, reps: Sequence[MRep], ring: TruncatedRing, asks: Sequence[Fraction], tag: str
 ) -> None:
-    """Compare the dual laws for every rep over ring; tag formats each claim
-    from the rep's index i and shape, and the ring's p and n. The reps and
-    their duals share one literal census per shape."""
+    """Compare the dual laws for every rep over ring, from the asks of the reps followed
+    by those of their dual_tensors; tag formats each claim from the rep's index i and shape,
+    and the ring's p and n."""
     k = len(reps)
-    duals = [rep.dual(which) for which, _, _ in DUAL_LAWS for rep in reps]
-    asks = direct_asks([*reps, *duals], ring, budget=budget)  # rep i, then dual j of it at (j + 1) k + i
     qn = Fraction(ring.size)
     for i, rep in enumerate(reps):
         claim = tag.format(i=i, shape=rep.shape, p=ring.p, n=ring.n)
@@ -231,16 +228,19 @@ def _dual_laws_over(
             res.compare(claim, identity, expected, computed)
 
 
-def criterion_1(seed: int, budget: int) -> CriterionResult:
+def criterion_1(seed: int) -> CriterionResult:
     res = CriterionResult(1, "kernel-average duality under the three duals")
     reps = seeded_corpus(seed=seed)
+    duals = dual_tensors(reps)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
-        _dual_laws_over(res, reps, ring, budget, "rep {i} shape {shape} over Z/{p}^{n}")
+        # the reps and their duals share one literal census per shape
+        asks = direct_asks([*reps, *duals], ring)
+        _dual_laws_over(res, reps, ring, asks, "rep {i} shape {shape} over Z/{p}^{n}")
     return res
 
 
-def criterion_2(seed: int, budget: int) -> CriterionResult:
+def criterion_2(seed: int) -> CriterionResult:
     res = CriterionResult(2, "duals: involutions and the braid identity")
     for i, rep in enumerate(seeded_corpus(seed=seed)):
         tag = f"rep {i} shape {rep.shape}"
@@ -262,36 +262,31 @@ def _zeta_matches(
     m: int,
     form: RationalFunction,
     tag: str,
-    budget: int,
-    levels: int = 2,
     strategy: str = "direct",
 ) -> None:
-    brute = zeta_coeffs(rep, p, m=m, levels=levels, strategy=strategy, budget=budget)
-    expected = form.expand(levels)
-    for nn in range(levels + 1):
-        res.compare(f"{tag} level {nn}", "series coefficient", expected[nn], brute.coeffs[nn])
+    brute = zeta_coeffs(rep, p, m=m, levels=2, strategy=strategy)
+    for nn, (want, got) in enumerate(zip(form.expand(2), brute.coeffs, strict=True)):
+        res.compare(f"{tag} level {nn}", "series coefficient", want, got)
 
 
-def criterion_3(seed: int, budget: int) -> CriterionResult:
+def criterion_3(seed: int) -> CriterionResult:
     res = CriterionResult(3, "zeta of the full matrix family")
     for d, e in ((1, 1), (2, 1), (2, 2), (3, 2)):
         rep = catalog.make("matdxe", d=d, e=e)
         for p in (2, 3):
             form = closed_form("matdxe", p, d=d, e=e)
-            _zeta_matches(res, rep, p, 1, form, f"matdxe({d},{e}) p={p}", budget)
+            _zeta_matches(res, rep, p, 1, form, f"matdxe({d},{e}) p={p}")
     return res
 
 
-def criterion_4(seed: int, budget: int) -> CriterionResult:
+def criterion_4(seed: int) -> CriterionResult:
     res = CriterionResult(4, "band and Hankel families, plus their circ relation")
     for r in (2, 3):
         band = catalog.make("band", r=r)
         hankel = catalog.make("hankel", r=r)
         for p in (2, 3):
-            _zeta_matches(res, band, p, 1, closed_form("band", p, r=r), f"band({r}) p={p}", budget)
-            _zeta_matches(
-                res, hankel, p, 1, closed_form("hankel", p, r=r), f"hankel({r}) p={p}", budget
-            )
+            _zeta_matches(res, band, p, 1, closed_form("band", p, r=r), f"band({r}) p={p}")
+            _zeta_matches(res, hankel, p, 1, closed_form("hankel", p, r=r), f"hankel({r}) p={p}")
         circ = band.dual("circ")
         res.compare(f"hankel({r})", "hankel = circ dual of band", hankel, circ)
         triple = HomotopyTriple.identity(hankel)
@@ -304,7 +299,7 @@ def criterion_4(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-def criterion_5(seed: int, budget: int) -> CriterionResult:
+def criterion_5(seed: int) -> CriterionResult:
     res = CriterionResult(5, "Westwick family: constant rank and zeta")
     rep = catalog.make("westwick_a", r=2)
     res.compare(
@@ -315,11 +310,11 @@ def criterion_5(seed: int, budget: int) -> CriterionResult:
     )
     form = closed_form("westwick", 5, r=2)
     # level 2 is only tractable on the codomain side, so let the strategy pick
-    _zeta_matches(res, rep, 5, 1, form, "westwick_a(2) p=5", budget, strategy="auto")
+    _zeta_matches(res, rep, 5, 1, form, "westwick_a(2) p=5", strategy="auto")
     return res
 
 
-def criterion_6(seed: int, budget: int) -> CriterionResult:
+def criterion_6(seed: int) -> CriterionResult:
     res = CriterionResult(6, "moment laws: products and collapsed powers")
     reps = seeded_corpus(seed=seed)
     k = len(reps)
@@ -330,7 +325,7 @@ def criterion_6(seed: int, budget: int) -> CriterionResult:
         powers = [collapsed_power(rep, m, "mod") for rep in reps for m in (1, 2, 3)]
         # one literal census of each tensor gives all of its moments
         tensors = [*reps, *powers, *sums]  # rep i, its powers at k + 3i + m - 1, sums from 4k
-        censuses = literal_censuses(tensors, ring, budget)
+        censuses = literal_censuses(tensors, ring)
 
         def ask(t: int, m: int = 1) -> Fraction:
             return ask_from_census(censuses[t], ring, tensors[t].l, m)
@@ -346,17 +341,17 @@ def criterion_6(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-def criterion_7(seed: int, budget: int) -> CriterionResult:
+def criterion_7(seed: int) -> CriterionResult:
     res = CriterionResult(7, "hull law: ask of the alternating hull")
     reps = seeded_corpus(seed=seed)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         qn = Fraction(p) ** n
         # every hull's auto side at once: one unit-orbit sweep per shape
-        hull_asks = auto_asks([rep.alternating_hull() for rep in reps], ring, budget=budget)
+        hull_asks = auto_asks([rep.alternating_hull() for rep in reps], ring)
         for i, rep in enumerate(reps):
             hull_ask = hull_asks[i].value
-            second = ask_m(rep.dual("bullet"), ring, m=2, strategy="direct", budget=budget).value
+            second = ask_m(rep.dual("bullet"), ring, m=2, strategy="direct").value
             res.compare(
                 f"rep {i} over Z/{p}^{n}",
                 "ask(hull) = q^(n(l-d)) ask2(bullet)",
@@ -365,7 +360,7 @@ def criterion_7(seed: int, budget: int) -> CriterionResult:
             )
     micro = catalog.make("matdxe", d=1, e=1).alternating_hull()
     for q in (2, 3, 5):
-        value = ask_m(micro, TruncatedRing(q, 1), strategy="direct", budget=budget).value
+        value = ask_m(micro, TruncatedRing(q, 1), strategy="direct").value
         res.compare(
             f"hull of the scalar family, q={q}",
             "ask = q + 1 - 1/q",
@@ -375,14 +370,14 @@ def criterion_7(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-def criterion_8(seed: int, budget: int) -> CriterionResult:
+def criterion_8(seed: int) -> CriterionResult:
     res = CriterionResult(8, "class numbers of the two group constructions")
     type_f = catalog.make("type_F", d=2)
     mat1 = catalog.make("matdxe", d=1, e=1)
     ring3 = TruncatedRing(3, 1)
 
     g = build_group("g_alpha", type_f, ring3)
-    k_cent = class_number(g, "centralizer", budget)
+    k_cent = class_number(g, "centralizer")
     k_orbit = class_number(g, "orbit")
     res.compare("type_F(2) central extension at p=3", "brute class number", 11, k_cent)
     res.compare("type_F(2) central extension at p=3", "both counting methods agree", k_cent, k_orbit)
@@ -390,56 +385,52 @@ def criterion_8(seed: int, budget: int) -> CriterionResult:
     res.compare("type_F(2) at p=3", "matches the cc-series t-coefficient", Fraction(11), cc_coeff)
 
     h = build_group("h_theta", mat1, ring3)
-    k_h = class_number(h, budget=budget)
+    k_h = class_number(h)
     res.compare("scalar family semidirect product at p=3", "brute class number", 11, k_h)
 
     for p, n in ((3, 1), (3, 2), (5, 1)):
         ring = TruncatedRing(p, n)
         for kind, rep, name in (("g_alpha", type_f, "type_F(2)"), ("h_theta", mat1, "matdxe(1,1)")):
             group = build_group(kind, rep, ring)
-            k = class_number(group, "centralizer", budget)
+            k = class_number(group, "centralizer")
             claim = f"{name} over Z/{p}^{n}"
-            res.compare(claim, *class_law(kind, rep, ring, k, budget))
+            res.compare(claim, *class_law(kind, rep, ring, k))
             res.compare(claim, "both counting methods agree", k, class_number(group, "orbit"))
     return res
 
 
-def criterion_9(seed: int, budget: int) -> CriterionResult:
+def criterion_9(seed: int) -> CriterionResult:
     res = CriterionResult(9, "exponential-group class number equals ask of the adjoint")
     heis = adjoint_rep(catalog.make("lie_heisenberg"))
     for p in (3, 5):
         ring = TruncatedRing(p, 1)
-        k = class_number(lazard_group(heis, ring), "centralizer", budget)
-        law = class_law("lazard", heis, ring, k, budget, "direct")
+        k = class_number(lazard_group(heis, ring), "centralizer")
+        law = class_law("lazard", heis, ring, k, strategy="direct")
         res.compare(f"Heisenberg bracket at p={p}", *law)
     res.compare(
         "Heisenberg bracket at p=3",
         "committed class number",
         11,
-        class_number(lazard_group(heis, TruncatedRing(3, 1)), budget=budget),
+        class_number(lazard_group(heis, TruncatedRing(3, 1))),
     )
     return res
 
 
-def criterion_10(seed: int, budget: int) -> CriterionResult:
+def criterion_10(seed: int) -> CriterionResult:
     res = CriterionResult(10, "second-moment zeta of the square matrix family")
     for d in (1, 2):
         rep = catalog.make("matdxe", d=d, e=d)
         for p in (2, 3):
             form = closed_form("ask2_matd", p, d=d)
-            _zeta_matches(res, rep, p, 2, form, f"ask2 matdxe({d},{d}) p={p}", budget)
-    micro = ask_m(catalog.make("matdxe", d=1, e=1), TruncatedRing(2, 1), m=2, budget=budget).value
+            _zeta_matches(res, rep, p, 2, form, f"ask2 matdxe({d},{d}) p={p}")
+    micro = ask_m(catalog.make("matdxe", d=1, e=1), TruncatedRing(2, 1), m=2).value
     res.compare("square scalar family over F_2", "second moment", Fraction(5, 2), micro)
     for p in (2, 3):
         for n in (1, 2):
             ring = TruncatedRing(p, n)
-            via_dual = ask_m(
-                catalog.make("type_G", d=2).dual("bullet"), ring, m=2, budget=budget
-            ).value
+            via_dual = ask_m(catalog.make("type_G", d=2).dual("bullet"), ring, m=2).value
             # one side enumerates literally, so the law also checks the orbit census
-            direct = ask_m(
-                catalog.make("matdxe", d=2, e=2), ring, m=2, budget=budget, strategy="direct"
-            ).value
+            direct = ask_m(catalog.make("matdxe", d=2, e=2), ring, m=2, strategy="direct").value
             res.compare(
                 f"type_G(2) bullet dual over Z/{p}^{n}",
                 "second moment agrees with the matrix family",
@@ -449,14 +440,14 @@ def criterion_10(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-def criterion_11(seed: int, budget: int) -> CriterionResult:
+def criterion_11(seed: int) -> CriterionResult:
     res = CriterionResult(11, "recursive gamma family: product formula and shifts")
     for d in (2, 3):
         rep = catalog.make("gamma", d=d)
         for m in (1, 2):
             for p in (2, 3):
                 form = closed_form("gamma_m", p, d=d, m=m)
-                _zeta_matches(res, rep, p, m, form, f"gamma({d}) m={m} p={p}", budget)
+                _zeta_matches(res, rep, p, m, form, f"gamma({d}) m={m} p={p}")
     from math import comb
 
     for d in (1, 2, 3, 4):
@@ -478,20 +469,22 @@ def criterion_11(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-def criterion_12(seed: int, budget: int) -> CriterionResult:
+def criterion_12(seed: int) -> CriterionResult:
     res = CriterionResult(12, "zeta coefficients shift correctly under duals")
     reps = seeded_corpus(seed=seed)
+    duals = dual_tensors(reps)
     for p in sorted({p for p, _ in RING_SPECS}):
         for n in (1, 2):
-            # the n-th zeta coefficient is ask over Z/p^n, so the dual laws shift it
-            _dual_laws_over(res, reps, TruncatedRing(p, n), budget, "rep {i} level {n} p={p}")
+            # the n-th zeta coefficient is ask over Z/p^n, so the dual laws shift it:
+            # the reps' literal asks against the planner's asks of their duals
+            ring = TruncatedRing(p, n)
+            asks = [*direct_asks(reps, ring), *(result.value for result in auto_asks(duals, ring))]
+            _dual_laws_over(res, reps, ring, asks, "rep {i} level {n} p={p}")
     return res
 
 
-def seeded_determinantal_instance(
-    seed: int = DEFAULT_SEED, primes: tuple[int, ...] = (3, 5)
-):
-    """A deterministic 2 x 2 pencil whose determinant is smooth at the given primes."""
+def seeded_determinantal_instance(seed: int = DEFAULT_SEED):
+    """A deterministic 2 x 2 pencil whose determinant is smooth at 3 and 5."""
     rng = random.Random(seed)
     for _ in range(1000):
         mats = [
@@ -501,12 +494,12 @@ def seeded_determinantal_instance(
         F = det_linear_matrix(rep)
         if F.is_zero() or F.total_degree() != 2 or not F.is_homogeneous():
             continue
-        if all(count_hypersurface_points(F, TruncatedRing(p, 1))[1] for p in primes):
+        if all(count_hypersurface_points(F, TruncatedRing(p, 1))[1] for p in (3, 5)):
             return rep, F
     raise RuntimeError("no smooth pencil found; try another seed")
 
 
-def criterion_13(seed: int, budget: int) -> CriterionResult:
+def criterion_13(seed: int) -> CriterionResult:
     res = CriterionResult(13, "determinantal hypersurface formula")
     for q in (2, 3, 5):
         res.compare(
@@ -520,13 +513,13 @@ def criterion_13(seed: int, budget: int) -> CriterionResult:
         points, smooth = count_hypersurface_points(F, TruncatedRing(p, 1))
         res.compare(f"pencil determinant at p={p}", "smooth hypersurface", True, smooth)
         for m in (1, 2):
-            series = zeta_coeffs(rep, p, m=m, levels=2, strategy="direct", budget=budget)
+            series = zeta_coeffs(rep, p, m=m, levels=2, strategy="direct")
             tag = f"pencil m={m} p={p} "
             res.record(determinantal_checks(rep, p, m, points, series.coeffs, tag)[1])
     return res
 
 
-def criterion_14(seed: int, budget: int) -> CriterionResult:
+def criterion_14(seed: int) -> CriterionResult:
     res = CriterionResult(14, "diagonal-reduction kernel size equals literal counting")
     reps = seeded_corpus(seed=seed)
     rng = random.Random(seed + 1)
@@ -552,7 +545,7 @@ def criterion_14(seed: int, budget: int) -> CriterionResult:
     return res
 
 
-CRITERIA: dict[int, Callable[[int, int], CriterionResult]] = {
+CRITERIA: dict[int, Callable[[int], CriterionResult]] = {
     1: criterion_1,
     2: criterion_2,
     3: criterion_3,
@@ -570,23 +563,22 @@ CRITERIA: dict[int, Callable[[int, int], CriterionResult]] = {
 }
 
 
-def run_criterion(index: int, seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET) -> CriterionResult:
+def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
     start = time.perf_counter()
-    result = CRITERIA[index](seed, budget)
+    result = CRITERIA[index](seed)
     result.seconds = time.perf_counter() - start
     return result
 
 
 def run_all(
     seed: int = DEFAULT_SEED,
-    budget: int = DEFAULT_BUDGET,
     indices: Sequence[int] | None = None,
     report: Callable[[CriterionResult], None] | None = None,
 ) -> list[CriterionResult]:
     results = []
     with census_plan():  # every criterion shares the run's literal censuses
         for index in indices or sorted(CRITERIA):
-            result = run_criterion(index, seed, budget)
+            result = run_criterion(index, seed)
             results.append(result)
             if report is not None:
                 report(result)

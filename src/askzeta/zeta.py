@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 __all__ = ["QPolynomial", "RationalFunction", "closed_form"]
 
@@ -30,18 +29,11 @@ class QPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Fraction | int]) -> "QPolynomial":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
     def one(cls) -> "QPolynomial":
         return cls((Fraction(1),))
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -62,9 +54,6 @@ class QPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return QPolynomial(tuple(out))
-
-    def scale(self, c: Fraction) -> "QPolynomial":
-        return QPolynomial(tuple(x * c for x in self.coeffs))
 
 
 def _one_minus(c: Fraction) -> QPolynomial:
@@ -127,23 +116,6 @@ class RationalFunction:
             "den": [str(c) for c in self.den.coeffs],
             "q": str(self.q),
         }
-
-    def normalized(self) -> "RationalFunction":
-        """Clear rational contents so num and den have coprime integer coefficients."""
-        parts = list(self.num.coeffs) + list(self.den.coeffs)
-        if not parts:
-            return self
-        from math import gcd
-
-        denom_lcm = 1
-        for c in parts:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        nums = [int(c * denom_lcm) for c in parts]
-        content = 0
-        for v in nums:
-            content = gcd(content, v)
-        scale = Fraction(denom_lcm, content or 1)
-        return RationalFunction(self.num.scale(scale), self.den.scale(scale), self.q)
 
 
 def _require(params: dict, *names: str) -> list:

@@ -5,8 +5,13 @@ Run with -s to see the per-criterion lines; `askzeta verify` prints the
 same report from the command line.
 """
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from askzeta import ask
+from askzeta.corpus import seeded_corpus
 from askzeta.verify import CRITERIA, run_criterion
 
 
@@ -22,3 +27,33 @@ def _run(index):
 @pytest.mark.parametrize("index", sorted(CRITERIA))
 def test_criterion(index):
     _run(index)
+
+
+def test_criterion_12_checks_the_planner(monkeypatch):
+    # a planner that scales circ-side asks by p at level 2: criterion 1 compares
+    # literal censuses only, criterion 12 the planner's asks of the duals
+    result = ask._result
+
+    def circ_times_p_at_level_2(rep, side, tensor, census, ring, m):
+        out = result(rep, side, tensor, census, ring, m)
+        return replace(out, value=out.value * ring.p) if side == "circ" and ring.n == 2 else out
+
+    monkeypatch.setattr(ask, "_result", circ_times_p_at_level_2)
+    assert run_criterion(1).passed
+    failures = run_criterion(12).failures
+    assert failures and all(" level 2 " in f.claim for f in failures)
+
+
+# sha256 of repr([(l, d, e, coefficients), ...]) of the corpus at each seed
+CORPUS_DIGESTS = {
+    8020: "78cc954f1e0aa897a5db3e6851379882ac36b23f1f35e17d7adce4191aded3d2",
+    1807: "3948cd3ec312b592ffe658ac7601b2bf741626778b5b6360495589a5330314ff",
+    5150: "117f8c2c51d82d849b7aff94a2f01d47da35ca3351622ed85a658761805bd7a4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_seeded_corpus_is_pinned(seed):
+    reps = seeded_corpus(seed=seed)
+    text = repr([(rep.l, rep.d, rep.e, rep.array.tolist()) for rep in reps])
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seed]

@@ -60,8 +60,10 @@ def test_perturbed_shape_still_fails_the_laws(monkeypatch):
     assert {f.identity for f in results[6].failures} == {
         "ask(sum) = ask * ask", "ask^m = ask of collapsed power"
     }
-    # criterion 12 reads criterion 1's censuses from the memo at every level but Z/5^2
-    assert any(not f.claim.endswith("level 2 p=5") for f in results[12].failures)
+    # criterion 12 holds the reps' literal asks, from the memo at every ring but
+    # Z/5^2, against the planner's asks of their duals, so it fails at all six
+    rings = {f.claim.split(" level ")[1] for f in results[12].failures}
+    assert rings == {f"{n} p={p}" for p in (2, 3, 5) for n in (1, 2)}
 
 
 def test_plan_scope(censused):

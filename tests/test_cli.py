@@ -336,6 +336,25 @@ def test_cmd_det_example(capsys):
     assert all(row["match"] for row in payload["levels"])
 
 
+def test_cmd_det_example_truncated_series_exits_3(capsys):
+    argv = ["det-example", "--catalog", "so", "--d", "2", "--p", "3", "--budget", "5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.endswith("  level 2: enumeration budget exceeded, series truncated\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and payload["failed_level"] == 2 and len(payload["levels"]) == 2
+
+
+def test_cmd_verify_rejects_a_budget(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--budget", "5000"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments: --budget 5000" in err
+    assert "Traceback" not in err
+
+
 def test_cmd_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "--criteria", "2,4")
     assert code == 0

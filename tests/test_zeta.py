@@ -79,14 +79,6 @@ def test_type_f_cc_coefficient():
     assert closed_form("type_F_cc", 3, d=2).expand(1)[1] == 11
 
 
-def test_normalized_preserves_expansion():
-    f = closed_form("ask2_matd", 3, d=2)
-    g = f.normalized()
-    assert f.expand(4) == g.expand(4)
-    assert all(c.denominator == 1 for c in g.num.coeffs)
-    assert all(c.denominator == 1 for c in g.den.coeffs)
-
-
 def test_addition_and_equality_by_cross_multiplication():
     a = closed_form("matdxe", 2, d=2, e=1)
     b = closed_form("band", 2, r=2)
