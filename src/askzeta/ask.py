@@ -8,8 +8,8 @@ arithmetic.
 The auto strategy enumerates the smallest tensor two exact laws allow: ask^m(A)
 = ask(A^(m)) on a Knuth side of the collapsed power (_side), and census(A + B) =
 census(A) * census(B) over the connected pieces of the tensor (_orbit_levels),
-each read off one vector per unit orbit (bulk.orbit_censuses). An explicit
-strategy enumerates every parameter vector of its side: the literal definition.
+each read off one vector per unit orbit (bulk.orbit_censuses). The direct
+strategy enumerates every parameter vector of rep: the literal definition.
 Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
 """
 
@@ -195,22 +195,23 @@ def ask_from_census(
     return Fraction(total, ring.size**side_rank)
 
 
-_SIDES = ("direct", "circ", "bullet")
+# how each strategy takes a census: from unit orbits, or literally
+_CENSUSES = {"auto": unit_orbit_censuses, "direct": literal_censuses}
 
 
 def _side(rep: MRep, m: int, strategy: str) -> tuple[str, MRep]:
-    """The side for a strategy and the tensor enumerated there: rep (l parameters) or that
-    dual of its collapsed m-th power (circ m d, bullet m e); "auto" takes the fewest, ties direct."""
+    """The side for a strategy and the tensor enumerated there: rep (l parameters) under
+    "direct"; under "auto" the fewest of rep and the circ (m d) and bullet (m e) duals of
+    its collapsed m-th power, ties direct."""
     if m < 1:
         raise ValueError("moment must be >= 1")
-    if strategy not in ("auto", *_SIDES):
+    if strategy not in _CENSUSES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        costs = {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e}
-        strategy = min(_SIDES, key=costs.get)
-    if strategy == "direct":
-        return strategy, rep
-    return strategy, (collapsed_power(rep, m, "mod") if m > 1 else rep).dual(strategy)
+    costs = {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e}
+    side = min(costs, key=costs.get) if strategy == "auto" else "direct"
+    if side == "direct":
+        return side, rep
+    return side, (collapsed_power(rep, m, "mod") if m > 1 else rep).dual(side)
 
 
 def _result(
@@ -234,12 +235,10 @@ def ask_m(
     """Average m-th power of the kernel size, as an exact rational.
 
     "auto" convolves the census of the side with the fewest parameters from its
-    pieces' unit orbits; an explicit side enumerates every parameter vector.
+    pieces' unit orbits; "direct" enumerates every parameter vector of rep.
     """
-    if strategy == "auto":
-        return auto_asks([rep], ring, m, budget)[0]
     side, tensor = _side(rep, m, strategy)
-    return _result(rep, side, tensor, literal_censuses([tensor], ring, budget)[0], ring, m)
+    return _result(rep, side, tensor, _CENSUSES[strategy]([tensor], ring, budget)[0], ring, m)
 
 
 def auto_asks(
@@ -259,12 +258,10 @@ def ask_with_census(
     strategy: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[AskResult, dict[int, int]]:
-    """(ask_m, kernel_census) of rep. Under "auto" the one census gives both, on the
-    direct side; an explicit strategy takes ask_m's literal value."""
-    if strategy != "auto":
-        return ask_m(rep, ring, m, strategy, budget), kernel_census(rep, ring, budget)
-    side = _side(rep, m, "direct")
-    census = kernel_census(rep, ring, budget)
+    """(ask_m, kernel_census) of rep, both read off one census of the direct side,
+    taken as the strategy takes it: from unit orbits or literally."""
+    side = _side(rep, m, "direct" if strategy == "auto" else strategy)  # an unknown one raises
+    census = _CENSUSES[strategy]([rep], ring, budget)[0]
     return _result(rep, *side, census, ring, m), census
 
 
@@ -281,27 +278,18 @@ def zeta_coeffs(
     On budget exhaustion the partial coefficient list is returned with the
     failing level flagged; a budget too small for level 0 raises. "auto"
     makes one orbit pass at the highest level within budget and reads every
-    lower level from it; an explicit strategy enumerates each level.
+    lower level from it; "direct" takes one literal census per level.
     """
-    coeffs: list[Fraction] = []
-    if strategy == "auto":
-        side, tensor = _side(rep, m, strategy)
-        top = levels  # the highest level whose nominal cost is within budget
-        while top >= 0 and p ** (top * tensor.l) > budget:
-            top -= 1
-        if top < 0 <= levels:
-            raise BudgetExceededError(1, budget, 0)
-        censuses = []
-        if top >= 0:
-            censuses = _orbit_levels([tensor.reduced_array(TruncatedRing(p, top))], p, top)[0]
-        coeffs = [_result(rep, side, tensor, c, TruncatedRing(p, n), m).value for n, c in enumerate(censuses)]
-        return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)
-    for n in range(levels + 1):
-        ring = TruncatedRing(p, n)
-        try:
-            coeffs.append(ask_m(rep, ring, m, strategy, budget).value)
-        except BudgetExceededError as err:
-            if coeffs:
-                return ZetaSeries(tuple(coeffs), failed_level=n)
-            raise BudgetExceededError(err.required, err.budget, n) from err
-    return ZetaSeries(tuple(coeffs), failed_level=None)
+    side, tensor = _side(rep, m, strategy)
+    top = levels  # the highest level whose nominal cost is within budget
+    while top >= 0 and p ** (top * tensor.l) > budget:
+        top -= 1
+    if top < 0 <= levels:
+        raise BudgetExceededError(1, budget, 0)
+    rings = [TruncatedRing(p, n) for n in range(top + 1)]
+    if strategy == "direct":
+        censuses = [literal_censuses([tensor], ring, budget)[0] for ring in rings]
+    else:  # one orbit pass at the top level gives every level below it
+        censuses = _orbit_levels([tensor.reduced_array(rings[-1])], p, top)[0] if rings else []
+    coeffs = [_result(rep, side, tensor, c, ring, m).value for ring, c in zip(rings, censuses)]
+    return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

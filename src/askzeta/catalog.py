@@ -185,7 +185,8 @@ def _matrix_zeta(m: int, q: Fraction | int, d: int, e: int) -> RationalFunction 
 
 
 def _westwick_zeta(m: int, q: Fraction | int, r: int) -> RationalFunction | None:
-    return closed_form("westwick", q, r=r) if m == 1 else None
+    """The kernel-minimal form of 3 parameters, 2r+1 rows and constant rank 2r."""
+    return closed_form("kmin", q, m=1, d=2 * r + 1, r=2 * r, l=3) if m == 1 else None
 
 
 @dataclass(frozen=True)
@@ -232,16 +233,16 @@ _EXAMPLES = (
         lambda m, q, r: closed_form("kmin", q, m=m, d=2 * r - 1, r=r, l=r),
     ),
     ExampleDescriptor(
-        "hankel", ("r",), "r x r Hankel matrices", "hankel", "", _hankel,
-        lambda m, q, r: closed_form("hankel", q, r=r) if m == 1 else None,
+        "hankel", ("r",), "r x r Hankel matrices", "matdxe", "", _hankel,
+        lambda m, q, r: closed_form("matdxe", q, d=r, e=r) if m == 1 else None,
     ),
     ExampleDescriptor(
-        "westwick_H", ("r",), "Westwick constant-rank family", "westwick",
+        "westwick_H", ("r",), "Westwick constant-rank family", "kmin",
         "residue characteristic large enough for constant rank 2r",
         _westwick_H, _westwick_zeta, lambda rep: rep,
     ),
     ExampleDescriptor(
-        "westwick_a", ("r",), "companion of the Westwick family", "westwick",
+        "westwick_a", ("r",), "companion of the Westwick family", "kmin",
         "bullet dual must have constant rank 2r over F_p",
         _westwick_a, _westwick_zeta, lambda rep: rep.dual("bullet"),
     ),

@@ -419,7 +419,7 @@ def cmd_det_example(args) -> int:
 
 def cmd_verify(args) -> int:
     indices = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             indices = sorted({int(x) for x in args.criteria.split(",")})
         except ValueError:
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask = sub.add_parser("ask", help="average kernel size at one level")
     _add_rep_arguments(p_ask)
     p_ask.add_argument("--moment", type=int, default=1)
-    p_ask.add_argument("--strategy", choices=("auto", "direct", "circ", "bullet"), default="auto")
+    p_ask.add_argument("--strategy", choices=("auto", "direct"), default="auto")
     p_ask.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ask.add_argument("--census", action="store_true", help="also print the kernel-size histogram")
     p_ask.set_defaults(fn=cmd_ask)
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--p", type=int, required=True)
     p_zeta.add_argument("--levels", type=int, default=2)
     p_zeta.add_argument("--moment", type=int, default=1)
-    p_zeta.add_argument("--strategy", choices=("auto", "direct", "circ", "bullet"), default="auto")
+    p_zeta.add_argument("--strategy", choices=("auto", "direct"), default="auto")
     p_zeta.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_zeta.add_argument(
         "--compare", action="store_true", help="compare against the registered closed form"

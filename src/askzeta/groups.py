@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bulk
 from .ask import DEFAULT_BUDGET, ask_m
 from .mrep import MRep
 from .ring import TruncatedRing
@@ -69,8 +70,9 @@ class FiniteGroupSpec:
         """S plus the twist u A(a') in its W block, mod p^n: u is X's domain
         block (a for g_alpha, x for h_theta) and a' is Y's parameter block.
 
-        Every term of the twist is nonnegative, so build_group's bound
-        l d (p^n - 1)^3 < 2^63 keeps both matmuls exact.
+        Every term of the twist is nonnegative and at most (p^n - 1)^3 for whole
+        elements, so _check_products's bound l d (p^n - 1)^3 < 2^63 keeps both
+        matmuls exact; for basis vectors a term is at most p^n - 1.
         """
         l, d, e = self._coeffs.shape
         start = 0 if self.kind == "g_alpha" else l
@@ -79,12 +81,21 @@ class FiniteGroupSpec:
         S[:, S.shape[1] - e :] += twist
         return S % self.ring.size
 
+    def _check_products(self) -> None:
+        l, d = self.rep.l, self.rep.d
+        if l * d * (self.ring.size - 1) ** 3 >= 1 << 63:
+            raise ValueError(
+                f"l d = {l * d} over Z/{self.ring.size} breaks the int64 bound l d (p^n - 1)^3 < 2^63"
+            )
+
     def multiply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        self._check_products()
         return self._twisted(X + Y, X, Y)
 
     def inverse(self, X: np.ndarray) -> np.ndarray:
         # -X plus the twist of X with itself: x A(a) for h_theta, and a A(a) = 0
         # for g_alpha, as alpha is alternating
+        self._check_products()
         return self._twisted(-X, X, X)
 
     @property
@@ -102,9 +113,11 @@ class FiniteGroupSpec:
         """comm[h, i] = W part of e_h e_i - e_i e_h, shape (k, k, e), k = arity - e."""
         e = self.rep.e
         k = self.arity - e
+        # the bound ask_m of this k x k x e tensor enforces; it keeps basis-vector products exact
+        bulk.check_evaluation_bound(k, self.ring.size)
         basis = np.eye(k, self.arity, dtype=np.int64)
         X, Y = np.repeat(basis, k, axis=0), np.tile(basis, (k, 1))
-        diff = self.multiply(X, Y)[:, k:] - self.multiply(Y, X)[:, k:]
+        diff = self._twisted(X + Y, X, Y)[:, k:] - self._twisted(Y + X, Y, X)[:, k:]
         return (diff % self.ring.size).reshape(k, k, e)
 
 
@@ -113,10 +126,6 @@ def build_group(kind: str, rep: MRep, ring: TruncatedRing) -> FiniteGroupSpec:
         raise ValueError(f"unknown group kind {kind!r}")
     if kind == "g_alpha" and not rep.is_alternating():
         raise ValueError("g_alpha requires an alternating representation")
-    if rep.l * rep.d * (ring.size - 1) ** 3 >= 1 << 63:
-        raise ValueError(
-            f"l d = {rep.l * rep.d} over Z/{ring.size} breaks the int64 bound l d (p^n - 1)^3 < 2^63"
-        )
     return FiniteGroupSpec(kind, rep, ring)
 
 

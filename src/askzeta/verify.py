@@ -256,15 +256,11 @@ def criterion_2(seed: int) -> CriterionResult:
 
 
 def _zeta_matches(
-    res: CriterionResult,
-    rep: MRep,
-    p: int,
-    m: int,
-    form: RationalFunction,
-    tag: str,
-    strategy: str = "direct",
+    res: CriterionResult, name: str, params: dict, p: int, m: int, tag: str, strategy: str = "direct"
 ) -> None:
-    brute = zeta_coeffs(rep, p, m=m, levels=2, strategy=strategy)
+    """Compare the catalog family's registered m-th moment form with its zeta coefficients."""
+    form = catalog.expected_zeta(name, params, m, p)
+    brute = zeta_coeffs(catalog.make(name, **params), p, m=m, levels=2, strategy=strategy)
     for nn, (want, got) in enumerate(zip(form.expand(2), brute.coeffs, strict=True)):
         res.compare(f"{tag} level {nn}", "series coefficient", want, got)
 
@@ -272,10 +268,8 @@ def _zeta_matches(
 def criterion_3(seed: int) -> CriterionResult:
     res = CriterionResult(3, "zeta of the full matrix family")
     for d, e in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        rep = catalog.make("matdxe", d=d, e=e)
         for p in (2, 3):
-            form = closed_form("matdxe", p, d=d, e=e)
-            _zeta_matches(res, rep, p, 1, form, f"matdxe({d},{e}) p={p}")
+            _zeta_matches(res, "matdxe", {"d": d, "e": e}, p, 1, f"matdxe({d},{e}) p={p}")
     return res
 
 
@@ -285,8 +279,8 @@ def criterion_4(seed: int) -> CriterionResult:
         band = catalog.make("band", r=r)
         hankel = catalog.make("hankel", r=r)
         for p in (2, 3):
-            _zeta_matches(res, band, p, 1, closed_form("band", p, r=r), f"band({r}) p={p}")
-            _zeta_matches(res, hankel, p, 1, closed_form("hankel", p, r=r), f"hankel({r}) p={p}")
+            _zeta_matches(res, "band", {"r": r}, p, 1, f"band({r}) p={p}")
+            _zeta_matches(res, "hankel", {"r": r}, p, 1, f"hankel({r}) p={p}")
         circ = band.dual("circ")
         res.compare(f"hankel({r})", "hankel = circ dual of band", hankel, circ)
         triple = HomotopyTriple.identity(hankel)
@@ -308,9 +302,8 @@ def criterion_5(seed: int) -> CriterionResult:
         (True, 4),
         constant_rank_check(rep.dual("bullet"), TruncatedRing(5, 1)),
     )
-    form = closed_form("westwick", 5, r=2)
     # level 2 is only tractable on the codomain side, so let the strategy pick
-    _zeta_matches(res, rep, 5, 1, form, "westwick_a(2) p=5", strategy="auto")
+    _zeta_matches(res, "westwick_a", {"r": 2}, 5, 1, "westwick_a(2) p=5", strategy="auto")
     return res
 
 
@@ -419,10 +412,8 @@ def criterion_9(seed: int) -> CriterionResult:
 def criterion_10(seed: int) -> CriterionResult:
     res = CriterionResult(10, "second-moment zeta of the square matrix family")
     for d in (1, 2):
-        rep = catalog.make("matdxe", d=d, e=d)
         for p in (2, 3):
-            form = closed_form("ask2_matd", p, d=d)
-            _zeta_matches(res, rep, p, 2, form, f"ask2 matdxe({d},{d}) p={p}")
+            _zeta_matches(res, "matdxe", {"d": d, "e": d}, p, 2, f"ask2 matdxe({d},{d}) p={p}")
     micro = ask_m(catalog.make("matdxe", d=1, e=1), TruncatedRing(2, 1), m=2).value
     res.compare("square scalar family over F_2", "second moment", Fraction(5, 2), micro)
     for p in (2, 3):
@@ -443,16 +434,14 @@ def criterion_10(seed: int) -> CriterionResult:
 def criterion_11(seed: int) -> CriterionResult:
     res = CriterionResult(11, "recursive gamma family: product formula and shifts")
     for d in (2, 3):
-        rep = catalog.make("gamma", d=d)
         for m in (1, 2):
             for p in (2, 3):
-                form = closed_form("gamma_m", p, d=d, m=m)
-                _zeta_matches(res, rep, p, m, form, f"gamma({d}) m={m} p={p}")
+                _zeta_matches(res, "gamma", {"d": d}, p, m, f"gamma({d}) m={m} p={p}")
     from math import comb
 
     for d in (1, 2, 3, 4):
         for q in (2, 3, 5, 7):
-            shifted = closed_form("gamma_m", q, d=d, m=2).shift(d - comb(d, 2))
+            shifted = catalog.expected_zeta("gamma", {"d": d}, 2, q).shift(d - comb(d, 2))
             res.compare(
                 f"gamma({d}) q={q}",
                 "cc series = shifted second-moment series",
@@ -463,7 +452,7 @@ def criterion_11(seed: int) -> CriterionResult:
             res.compare(
                 f"gamma({d}) q={q}",
                 "doubly shifted cc series = rectangular matrix series",
-                closed_form("matdxe", q, d=d, e=d + 1),
+                catalog.expected_zeta("matdxe", {"d": d, "e": d + 1}, 1, q),
                 again,
             )
     return res

@@ -146,27 +146,6 @@ def closed_form(name: str, q: Fraction | int, **params) -> RationalFunction:
         num = _one_minus(q**-e)
         den = _one_minus(Fraction(1)) * _one_minus(q ** (d - e))
         return RationalFunction(num, den, q)
-    if name == "band":
-        (r,) = _require(params, "r")
-        if r < 1:
-            raise ValueError("need r >= 1")
-        num = _one_minus(q**-1)
-        den = _one_minus(q ** (r - 1)) * _one_minus(q ** (r - 1))
-        return RationalFunction(num, den, q)
-    if name == "hankel":
-        (r,) = _require(params, "r")
-        if r < 1:
-            raise ValueError("need r >= 1")
-        num = _one_minus(q**-r)
-        den = _one_minus(Fraction(1)) * _one_minus(Fraction(1))
-        return RationalFunction(num, den, q)
-    if name == "westwick":
-        (r,) = _require(params, "r")
-        if r < 1:
-            raise ValueError("need r >= 1")
-        num = _one_minus(q**-2)
-        den = _one_minus(q ** (2 * (r - 1))) * _one_minus(q)
-        return RationalFunction(num, den, q)
     if name == "ask2_matd":
         (d,) = _require(params, "d")
         if d < 1:

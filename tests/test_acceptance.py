@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import pytest
 
-from askzeta import ask
+from askzeta import ask, catalog
 from askzeta.corpus import seeded_corpus
 from askzeta.verify import CRITERIA, run_criterion
+from askzeta.zeta import closed_form
 
 
 def _run(index):
@@ -42,6 +43,16 @@ def test_criterion_12_checks_the_planner(monkeypatch):
     assert run_criterion(1).passed
     failures = run_criterion(12).failures
     assert failures and all(" level 2 " in f.claim for f in failures)
+
+
+def test_criterion_4_checks_the_registered_hankel_form(monkeypatch):
+    # verify reads each family's form from the catalog, so a wrong registration fails it
+    def wrong(m, q, r):
+        return closed_form("matdxe", q, d=r, e=r + 1) if m == 1 else None
+
+    monkeypatch.setitem(catalog._BY_NAME, "hankel", replace(catalog._BY_NAME["hankel"], zeta=wrong))
+    failures = run_criterion(4).failures
+    assert failures and all(f.claim.startswith("hankel(") for f in failures)
 
 
 # sha256 of repr([(l, d, e, coefficients), ...]) of the corpus at each seed

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from askzeta.ask import BudgetExceededError, ask_m, kernel_census, zeta_coeffs
+from askzeta.ask import BudgetExceededError, ask_m, ask_with_census, kernel_census, zeta_coeffs
 from askzeta.catalog import make
 from askzeta.mrep import MRep
 from askzeta.ring import TruncatedRing
 
 from helpers import brute_ask
+from test_orbit import side_ask
 
 F2 = TruncatedRing(2, 1)
 F3 = TruncatedRing(3, 1)
@@ -34,10 +35,8 @@ def test_strategies_agree():
         ))
         for ring in (F2, Z9):
             direct = ask_m(rep, ring, strategy="direct")
-            circ = ask_m(rep, ring, strategy="circ")
-            bullet = ask_m(rep, ring, strategy="bullet")
-            assert direct.value == circ.value == bullet.value
-            assert circ.strategy == "circ-side" and bullet.strategy == "bullet-side"
+            circ, bullet = (side_ask(rep, ring, 1, side) for side in ("circ", "bullet"))
+            assert direct.value == circ == bullet == ask_m(rep, ring).value
 
 
 def test_auto_picks_smallest_side():
@@ -55,13 +54,25 @@ def test_moment_restrictions():
     # every side answers higher moments, through the collapsed power's duals
     direct = ask_m(rep, F2, m=2, strategy="direct").value
     assert direct == Fraction(5, 2)
-    assert ask_m(rep, F2, m=2, strategy="circ").value == direct
-    assert ask_m(rep, F2, m=2, strategy="bullet").value == direct
-    for strategy in ("auto", "direct", "circ", "bullet"):
+    assert side_ask(rep, F2, 2, "circ") == side_ask(rep, F2, 2, "bullet") == direct
+    for strategy in ("auto", "direct"):
         with pytest.raises(ValueError):
             ask_m(rep, F2, m=0, strategy=strategy)
     with pytest.raises(ValueError):
         ask_m(rep, F2, strategy="sideways")
+
+
+def test_strategy_is_auto_or_direct():
+    # the planner picks the Knuth side; no strategy names one
+    rep = make("matdxe", d=1, e=2)
+    for strategy in ("circ", "bullet"):
+        for call in (
+            lambda: ask_m(rep, F3, strategy=strategy),
+            lambda: ask_with_census(rep, F3, strategy=strategy),
+            lambda: zeta_coeffs(rep, 3, strategy=strategy),
+        ):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                call()
 
 
 def test_census_committed():
@@ -149,7 +160,7 @@ def test_closed_forms_hold_beyond_committed_levels():
     from askzeta.zeta import closed_form
 
     cases = [
-        (make("band", r=2), 2, 1, closed_form("band", 2, r=2)),
+        (make("band", r=2), 2, 1, closed_form("kmin", 2, m=1, d=3, r=2, l=2)),
         (make("matdxe", d=2, e=1), 2, 1, closed_form("matdxe", 2, d=2, e=1)),
         (make("gamma", d=2), 2, 2, closed_form("gamma_m", 2, d=2, m=2)),
         (make("type_F", d=2), 3, 1, closed_form("matdxe", 3, d=2, e=1)),

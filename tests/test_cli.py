@@ -107,30 +107,42 @@ def test_cmd_ask_census_json_and_text(capsys):
 
 def test_cmd_ask_census_computes_one_census(monkeypatch):
     calls = []
-    orbit_censuses = bulk.orbit_censuses
+    for name in ("orbit_censuses", "census_of_stack"):
 
-    def counting(coeffs, p, n):
-        calls.extend(tensor.shape for tensor in coeffs)
-        return orbit_censuses(coeffs, p, n)
+        def counting(coeffs, p, n, name=name, census=getattr(bulk, name)):
+            calls.extend((name, tensor.shape) for tensor in coeffs)
+            return census(coeffs, p, n)
 
-    monkeypatch.setattr(bulk, "orbit_censuses", counting)
-    # matdxe(1,1) is enumerated on the direct side: its census gives ask^m too
-    for strategy in ("auto", "direct"):
+        monkeypatch.setattr(bulk, name, counting)
+    # matdxe(1,1) is enumerated on the direct side: its census gives ask^m too,
+    # read off the unit orbits under auto and literally under direct
+    for strategy, census in (("auto", "orbit_censuses"), ("direct", "census_of_stack")):
         for moment in ("1", "2"):
             calls.clear()
             assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
                          "--n", "2", "--census", "--strategy", strategy, "--moment", moment]) == 0
-            assert calls == [(1, 1, 1)]
+            assert calls == [(census, (1, 1, 1))]
     # ask alone would take matdxe(1,2)'s circ side; with --census, auto reads
     # ask off the one census of the direct side
     calls.clear()
     assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3", "--census"]) == 0
-    assert calls == [(2, 1, 2)]
+    assert calls == [("orbit_censuses", (2, 1, 2))]
+
+
+@pytest.mark.parametrize("command", ["ask", "zeta"])
+@pytest.mark.parametrize("strategy", ["circ", "bullet"])
+def test_cmd_side_strategies_are_usage_errors(capsys, command, strategy):
+    argv = [command, "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3", "--strategy", strategy]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"invalid choice: '{strategy}'" in err
+    assert "Traceback" not in err
 
 
 def test_cmd_ask_census_direct_enumerates_literally(monkeypatch, capsys):
-    # an explicit strategy takes its value from the literal census, whatever
-    # census --census prints
+    # the direct strategy takes the value and the census from one literal census
     calls = []
     census_of_stack = bulk.census_of_stack
 
@@ -353,6 +365,12 @@ def test_cmd_verify_rejects_a_budget(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "unrecognized arguments: --budget 5000" in err
     assert "Traceback" not in err
+
+
+def test_cmd_verify_rejects_an_empty_criteria_list(capsys):
+    code, out, err = run(capsys, "verify", "--criteria", "")
+    assert code == 2 and out == ""
+    assert err == "error: --criteria takes a comma-separated list of criterion numbers\n"
 
 
 def test_cmd_verify_subset(capsys):

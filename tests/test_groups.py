@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import combinations, product
@@ -349,16 +350,16 @@ def test_orbit_method_at_its_cap():
 
 def test_centralizer_method_never_lists_the_group(monkeypatch):
     rows = []
-    multiply = FiniteGroupSpec.multiply
+    twisted = FiniteGroupSpec._twisted
 
-    def counting(self, X, Y):
+    def counting(self, S, X, Y):
         rows.append(len(X))
-        return multiply(self, X, Y)
+        return twisted(self, S, X, Y)
 
     def refuse(self):
         raise AssertionError("the centraliser method listed the group")
 
-    monkeypatch.setattr(FiniteGroupSpec, "multiply", counting)
+    monkeypatch.setattr(FiniteGroupSpec, "_twisted", counting)
     monkeypatch.setattr(FiniteGroupSpec, "elements", refuse)
     rep, ring = make("matdxe", d=2, e=2), TruncatedRing(3, 2)
     spec = build_group("h_theta", rep, ring)
@@ -380,21 +381,29 @@ def test_heisenberg_class_number_at_scale():
 
 
 def test_product_int64_bound(capsys):
-    # l d (p^n - 1)^3 < 2^63: for l = d = 1, 2^21 - 1 and 2097143 - 1 are
-    # inside it and the next prime 2097169 is past it; for l = d = 2 the
-    # primes 1321109 and 1321139 straddle it
+    # products of whole elements need l d (p^n - 1)^3 < 2^63: for l = d = 1,
+    # 2^21 - 1 and 2097143 - 1 are inside it and the next prime 2097169 is past
+    # it; for l = d = 2 the primes 1321109 and 1321139 straddle it. Groups past
+    # it are built, and their class numbers come from basis-vector products.
     heis = adjoint_rep(make("lie_heisenberg"))
     mat11 = make("matdxe", d=1, e=1)
-    build_group("h_theta", mat11, TruncatedRing(2, 21))
-    build_group("h_theta", mat11, TruncatedRing(2097143, 1))
-    with pytest.raises(ValueError, match="int64 bound"):
-        build_group("h_theta", mat11, TruncatedRing(2097169, 1))
+    whole = np.ones((1, 3), dtype=np.int64)
+    for ring in (TruncatedRing(2, 21), TruncatedRing(2097143, 1)):
+        top = ring.size - 1  # (t, t, t)(1, 1, 1) = (0, 0, t + 1 + t), as x A(a') = t
+        assert build_group("h_theta", mat11, ring).multiply(whole * top, whole).tolist() == [[0, 0, top]]
+    past = build_group("h_theta", mat11, TruncatedRing(2097169, 1))
+    for product in (lambda: past.multiply(whole, whole), lambda: past.inverse(whole)):
+        with pytest.raises(ValueError, match="int64 bound"):
+            product()
     # the Lazard group of the Heisenberg bracket is g_alpha with l = d = 2
-    lazard_group(heis, TruncatedRing(1321109, 1))
+    lazard_group(heis, TruncatedRing(1321109, 1)).multiply(whole, whole)
+    lazard = lazard_group(heis, TruncatedRing(1321139, 1))
     with pytest.raises(ValueError, match="int64 bound"):
-        lazard_group(heis, TruncatedRing(1321139, 1))
+        lazard.multiply(whole, whole)
     argv = ["group", "--kind", "htheta", "--catalog", "matdxe", "--d", "1", "--e", "1",
-            "--p", "2097169"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "int64 bound" in err and err.count("\n") == 1
+            "--p", "2097169", "--budget", str(10**13), "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["class_number"] == 2097169**2 + 2097169 - 1 == 4398119911729
+    assert report["class_number_by_orbits"] is None
+    assert [check["match"] for check in report["identities"]] == [True]

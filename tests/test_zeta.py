@@ -47,20 +47,6 @@ def test_closed_form_gamma_first_coeff():
         assert f.expand(1)[1] == 3 * q - 2
 
 
-def test_closed_form_band_is_kmin_instance():
-    for q in (2, 3):
-        for r in (2, 3):
-            band = closed_form("band", q, r=r)
-            kmin = closed_form("kmin", q, m=1, d=2 * r - 1, r=r, l=r)
-            assert band == kmin
-
-
-def test_closed_form_hankel_matches_square_matrix_form():
-    for q in (2, 3, 5):
-        for r in (2, 3):
-            assert closed_form("hankel", q, r=r) == closed_form("matdxe", q, d=r, e=r)
-
-
 def test_determinantal_reduces_to_matrix_form():
     for q in (2, 3, 5):
         det = closed_form("determinantal", q, l=1, d=1, m=1, num_points=0)
@@ -81,17 +67,19 @@ def test_type_f_cc_coefficient():
 
 def test_addition_and_equality_by_cross_multiplication():
     a = closed_form("matdxe", 2, d=2, e=1)
-    b = closed_form("band", 2, r=2)
+    b = closed_form("kmin", 2, m=1, d=3, r=2, l=2)
     total = a + b
     for k, c in enumerate(total.expand(3)):
         assert c == a.expand(3)[k] + b.expand(3)[k]
     with pytest.raises(ValueError):
-        a + closed_form("band", 3, r=2)
+        a + closed_form("kmin", 3, m=1, d=3, r=2, l=2)
 
 
 def test_unknown_form_and_bad_params():
-    with pytest.raises(ValueError):
-        closed_form("mystery", 2)
+    # band, hankel and westwick are instances of kmin and matdxe, registered in the catalog
+    for name in ("mystery", "band", "hankel", "westwick"):
+        with pytest.raises(ValueError, match="unknown closed form"):
+            closed_form(name, 2, r=2)
     with pytest.raises(ValueError):
         closed_form("matdxe", 2, d=0, e=1)
     with pytest.raises(ValueError):
