@@ -11,6 +11,13 @@ census(A) * census(B) over the connected pieces of the tensor (_orbit_levels),
 each read off one vector per unit orbit (bulk.orbit_censuses). The direct
 strategy enumerates every parameter vector of rep: the literal definition.
 Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
+
+The auto strategy's censuses are a process-wide cache of a pure function: each
+enumerated tensor's censuses at every level 0..n are kept, keyed by (shape,
+reduced array, p, n), so a census at Z/p^n, any moment read off it and a zeta
+series to level n of the same tensor share one orbit pass. The cache holds at
+most ORBIT_MEMO_ENTRIES tensors, oldest out first, and never a literal census;
+literal censuses are shared only within a census_plan.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -80,11 +87,19 @@ def census_plan() -> Iterator[dict]:
         _PLAN.reset(token)
 
 
-def _censuses(reps, ring: TruncatedRing, budget: int, memo: dict, sweep) -> list[dict[int, int]]:
-    """memo's census of each rep, budgets checked first; sweep takes the misses, each once."""
+# the auto strategy's censuses for the life of the process: (shape, reduced bytes, p, n)
+# -> the census at each level 0..n as (k, count) pairs, oldest out first past the bound
+ORBIT_MEMO_ENTRIES = 4096
+_ORBIT_MEMO: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
+def _censuses(reps, ring: TruncatedRing, budget: int, memo: dict, sweep) -> list:
+    """memo's entry for each rep, budgets and the int64 bound checked first; sweep takes
+    the misses, each once."""
     for rep in reps:
         if ring.size**rep.l > budget:
             raise BudgetExceededError(ring.size**rep.l, budget)
+        bulk.check_evaluation_bound(rep.l, ring.size)
     arrays = [rep.reduced_array(ring) for rep in reps]
     keys = [(array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
     misses = {key: array for key, array in zip(keys, arrays) if key not in memo}
@@ -137,11 +152,9 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _orbit_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
-    """The census at every level 0..n of each reduced tensor, held whole to the int64 bound
-    first: at level k the convolution of its pieces' (_split, one bulk.orbit_censuses sweep
-    per shape), times p^k per free parameter and with k more per free row."""
-    for array in arrays:
-        bulk.check_evaluation_bound(array.shape[0], p**n)
+    """The census at every level 0..n of each reduced tensor: at level k the convolution of
+    its pieces' (_split, one bulk.orbit_censuses sweep per shape), times p^k per free
+    parameter and with k more per free row."""
     splits = _by_shape(arrays, _split)
     swept = iter(_by_shape([piece for split in splits for piece in split[0]], bulk.orbit_censuses, p, n))
     result = []
@@ -167,12 +180,26 @@ def literal_censuses(
     return _censuses(reps, ring, budget, memo, lambda a: _by_shape(a, bulk.census_of_stack, ring.p, ring.n))
 
 
+def _planned_levels(reps: Sequence[MRep], ring: TruncatedRing, budget: int) -> list[tuple]:
+    """The orbit memo's censuses at every level 0..n of each rep, budgets checked first;
+    the misses of the call go to one _orbit_levels pass."""
+    entries = _censuses(
+        reps, ring, budget, _ORBIT_MEMO,
+        lambda arrays: [tuple(tuple(c.items()) for c in levels) for levels in _orbit_levels(arrays, ring.p, ring.n)],
+    )
+    for key in [*islice(_ORBIT_MEMO, max(len(_ORBIT_MEMO) - ORBIT_MEMO_ENTRIES, 0))]:
+        del _ORBIT_MEMO[key]
+    return entries
+
+
 def unit_orbit_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
     """The census of each rep by convolution of its pieces' unit-orbit censuses, budgets
-    checked first (_orbit_levels); a plan's memo holds literal censuses only."""
-    return _censuses(reps, ring, budget, {}, lambda a: [c[ring.n] for c in _orbit_levels(a, ring.p, ring.n)])
+    checked first (_orbit_levels). Each is read from the orbit memo, which a census or a
+    series of the same tensor and ring filled, else computed once and kept; the dicts
+    returned are new."""
+    return [dict(levels[ring.n]) for levels in _planned_levels(reps, ring, budget)]
 
 
 def kernel_census(
@@ -182,8 +209,10 @@ def kernel_census(
 
     All moments are recoverable from it:
     ask^m = sum_k census[k] p^(k m) / p^(n l).
-    The budget bounds the nominal p^(n l) vectors; the census itself is
-    read off the unit-orbit representatives of its pieces (_orbit_levels).
+    The budget bounds the nominal p^(n l) vectors, also when the census is
+    in the orbit memo; the census itself is read off the unit-orbit
+    representatives of its pieces (_orbit_levels), one pass per tensor and
+    ring in a process (unit_orbit_censuses).
     """
     return unit_orbit_censuses([rep], ring, budget)[0]
 
@@ -277,8 +306,10 @@ def zeta_coeffs(
 
     On budget exhaustion the partial coefficient list is returned with the
     failing level flagged; a budget too small for level 0 raises. "auto"
-    makes one orbit pass at the highest level within budget and reads every
-    lower level from it; "direct" takes one literal census per level.
+    reads every level from the orbit memo's entry at the highest level within
+    budget, the entry a census of the same tensor over Z/p^top shares (one
+    orbit pass, unless it is there); "direct" takes one literal census per
+    level.
     """
     side, tensor = _side(rep, m, strategy)
     top = levels  # the highest level whose nominal cost is within budget
@@ -289,7 +320,7 @@ def zeta_coeffs(
     rings = [TruncatedRing(p, n) for n in range(top + 1)]
     if strategy == "direct":
         censuses = [literal_censuses([tensor], ring, budget)[0] for ring in rings]
-    else:  # one orbit pass at the top level gives every level below it
-        censuses = _orbit_levels([tensor.reduced_array(rings[-1])], p, top)[0] if rings else []
+    else:  # the census at the top level comes with every level below it
+        censuses = [*map(dict, _planned_levels([tensor], rings[-1], budget)[0])] if rings else []
     coeffs = [_result(rep, side, tensor, c, ring, m).value for ring, c in zip(rings, censuses)]
     return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

@@ -258,8 +258,12 @@ def criterion_2(seed: int) -> CriterionResult:
 def _zeta_matches(
     res: CriterionResult, name: str, params: dict, p: int, m: int, tag: str, strategy: str = "direct"
 ) -> None:
-    """Compare the catalog family's registered m-th moment form with its zeta coefficients."""
+    """Compare the catalog family's registered m-th moment form with its zeta coefficients;
+    a family with no registered form fails one check."""
     form = catalog.expected_zeta(name, params, m, p)
+    if form is None:
+        res.compare(tag, "closed form registered in the catalog", "a registered form", None)
+        return
     brute = zeta_coeffs(catalog.make(name, **params), p, m=m, levels=2, strategy=strategy)
     for nn, (want, got) in enumerate(zip(form.expand(2), brute.coeffs, strict=True)):
         res.compare(f"{tag} level {nn}", "series coefficient", want, got)

@@ -1,0 +1,14 @@
+"""Fixtures shared by every test module."""
+
+import pytest
+
+from askzeta import ask
+
+
+@pytest.fixture(autouse=True)
+def cold_orbit_memo():
+    """Each test starts with an empty orbit memo, so what it counts or perturbs is
+    computed in the test, whatever ran before it."""
+    ask._ORBIT_MEMO.clear()
+    yield
+    ask._ORBIT_MEMO.clear()

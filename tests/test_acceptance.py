@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from askzeta import ask, catalog
+from askzeta.cli import main
 from askzeta.corpus import seeded_corpus
 from askzeta.verify import CRITERIA, run_criterion
 from askzeta.zeta import closed_form
@@ -53,6 +54,18 @@ def test_criterion_4_checks_the_registered_hankel_form(monkeypatch):
     monkeypatch.setitem(catalog._BY_NAME, "hankel", replace(catalog._BY_NAME["hankel"], zeta=wrong))
     failures = run_criterion(4).failures
     assert failures and all(f.claim.startswith("hankel(") for f in failures)
+
+
+def test_missing_registered_form_fails_criterion_4(monkeypatch, capsys):
+    # a family with no form for the moment it is checked at is one failed check, not a crash
+    monkeypatch.setitem(catalog._BY_NAME, "hankel", replace(catalog._BY_NAME["hankel"], zeta=lambda m, q, r: None))
+    failures = run_criterion(4).failures
+    assert [(f.claim, f.expected, f.computed) for f in failures] == [
+        (f"hankel({r}) p={p}", "a registered form", "None") for r in (2, 3) for p in (2, 3)
+    ]
+    assert main(["verify", "--criteria", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 # sha256 of repr([(l, d, e, coefficients), ...]) of the corpus at each seed

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from askzeta import bulk
+from askzeta import ask, bulk
 from askzeta.ask import BudgetExceededError, ZetaSeries, ask_m, kernel_census, zeta_coeffs
 from askzeta.cli import emit_rep, main
 from askzeta.mrep import MRep, collapsed_power, constant_rank_check, kminimality_check
@@ -72,7 +72,11 @@ def test_orbit_census_equals_literal_census(rep, ring):
         assert census == literal_census(rep, level)
         if level.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
             assert census == brute_census(rep, level)
-    assert kernel_census(rep, TruncatedRing(p, n)) == censuses[n]
+    # every level through the orbit memo, cold then kept, equals the sweep and the oracles
+    ask._ORBIT_MEMO.clear()
+    cold = [kernel_census(rep, TruncatedRing(p, k)) for k in range(n + 1)]
+    assert len(ask._ORBIT_MEMO) == n + 1
+    assert [kernel_census(rep, TruncatedRing(p, k)) for k in range(n + 1)] == cold == censuses
 
 
 # chunk sizes: the default, one vector per chunk (every coordinate a prefix),

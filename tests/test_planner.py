@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askzeta import bulk, catalog
-from askzeta.ask import ask_from_census, ask_m, kernel_census, unit_orbit_censuses, zeta_coeffs
+from askzeta import ask, bulk, catalog
+from askzeta.ask import (
+    BudgetExceededError,
+    ask_from_census,
+    ask_m,
+    ask_with_census,
+    census_plan,
+    kernel_census,
+    literal_censuses,
+    unit_orbit_censuses,
+    zeta_coeffs,
+)
 from askzeta.mrep import MRep
 from askzeta.ring import TruncatedRing
 
@@ -106,3 +116,93 @@ def test_matrices_reduced_by_the_planner(monkeypatch, name, reduced, shapes):
     assert QUERIES[name]("auto") == direct
     assert sum(shape[0] for shape in seen) == reduced
     assert {shape[1:] for shape in seen} == shapes
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """The number of matrices bulk.batch_smith_exponents has reduced, as a one-item list."""
+    count = [0]
+    batch_smith_exponents = bulk.batch_smith_exponents
+
+    def counting(mats, p, n):
+        count[0] += len(mats)
+        return batch_smith_exponents(mats, p, n)
+
+    monkeypatch.setattr(bulk, "batch_smith_exponents", counting)
+    return count
+
+
+# matdxe(2,2) ties on every side at m = 2 and 3, so those moments and their series
+# enumerate the direct side, the tensor whose census kernel_census takes
+m22 = catalog.make("matdxe", d=2, e=2)
+
+
+def test_a_census_and_its_moments_share_one_orbit_pass(reduced):
+    census = kernel_census(m22, Z9)
+    assert reduced[0] == 1080
+    assert ask_m(m22, Z9, m=3).value == ask_from_census(census, Z9, m22.l, 3)
+    assert reduced[0] == 1080  # the third moment is read off the kept census
+    series = zeta_coeffs(m22, 3, m=2, levels=2)
+    assert reduced[0] == 1080  # and so is the series to level 2 over Z/9
+    assert series.coeffs == tuple(
+        ask_from_census(literal_census(m22, TruncatedRing(3, k)), TruncatedRing(3, k), m22.l, 2) for k in range(3)
+    )
+    assert len(ask._ORBIT_MEMO) == 1
+
+
+def test_a_kept_census_over_budget_still_raises():
+    kernel_census(m22, Z9)
+    assert len(ask._ORBIT_MEMO) == 1
+    nominal = Z9.size**m22.l
+    for call in (
+        lambda budget: kernel_census(m22, Z9, budget=budget),
+        lambda budget: ask_m(m22, Z9, m=2, budget=budget),
+        lambda budget: ask_with_census(m22, Z9, budget=budget),
+    ):
+        call(nominal)  # the budget bounds the nominal p^(n l) vectors, kept or not
+        with pytest.raises(BudgetExceededError):
+            call(nominal - 1)
+
+
+def test_mutating_a_returned_census_changes_no_later_answer(reduced):
+    census = kernel_census(m22, Z9)
+    want = dict(census)
+    census.clear()
+    _, other = ask_with_census(m22, Z9)
+    other[0] += 1
+    unit_orbit_censuses([m22], Z9)[0][1] = 0
+    assert kernel_census(m22, Z9) == want
+    assert ask_m(m22, Z9, m=2).value == ask_from_census(want, Z9, m22.l, 2)
+    assert reduced[0] == 1080  # every answer after the first was kept
+    assert want == literal_census(m22, Z9)
+
+
+def test_literal_censuses_never_touch_the_orbit_memo(monkeypatch):
+    calls = []
+    for name in ("census_of_stack", "orbit_censuses"):
+
+        def counting(stack, p, n, name=name, sweep=getattr(bulk, name)):
+            calls.append(name)
+            return sweep(stack, p, n)
+
+        monkeypatch.setattr(bulk, name, counting)
+    orbit = kernel_census(m22, Z9)
+    with census_plan() as plan:
+        assert literal_censuses([m22], Z9) == [orbit]  # enumerated, not read from the orbit memo
+    ask._ORBIT_MEMO.clear()
+    with census_plan():
+        literal_censuses([m22], Z9)
+        assert kernel_census(m22, Z9) == orbit  # swept, not read from the plan
+    assert calls == ["orbit_censuses", "census_of_stack", "census_of_stack", "orbit_censuses"]
+    assert len(plan) == len(ask._ORBIT_MEMO) == 1  # each memo holds its own kind of census
+
+
+def test_the_orbit_memo_is_bounded(monkeypatch):
+    assert ask.ORBIT_MEMO_ENTRIES >= 1608  # the tensors of one askzeta verify run at seed 8020
+    monkeypatch.setattr(ask, "ORBIT_MEMO_ENTRIES", 3)
+    tensors = [catalog.make("matdxe", d=1, e=e) for e in range(1, 6)]
+    # one call with more misses than the bound answers every one of them
+    assert unit_orbit_censuses(tensors, Z9) == [literal_census(t, Z9) for t in tensors]
+    assert len(ask._ORBIT_MEMO) == 3
+    kernel_census(tensors[0], Z9)  # evicted, so computed again: the oldest goes
+    assert [key[0] for key in ask._ORBIT_MEMO] == [(4, 1, 4), (5, 1, 5), (1, 1, 1)]
