@@ -12,22 +12,22 @@ each read off one vector per unit orbit (bulk.orbit_censuses). The direct
 strategy enumerates every parameter vector of rep: the literal definition.
 Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
 
-The auto strategy's censuses are a process-wide cache of a pure function: each
-enumerated tensor's censuses at every level 0..n are kept, keyed by (shape,
-reduced array, p, n), so a census at Z/p^n, any moment read off it and a zeta
-series to level n of the same tensor share one orbit pass. The cache holds at
-most ORBIT_MEMO_ENTRIES tensors, oldest out first, and never a literal census;
-literal censuses are shared only within a census_plan.
+Every census is a process-wide cache of a pure function: each enumerated
+tensor's census is kept, keyed by (strategy, shape, reduced array, p, n), so a
+census at Z/p^n, any moment read off it and a zeta series to level n of the
+same tensor share one pass. An auto entry holds the census at every level
+0..n, a direct one at level n; the strategy in the key keeps a literal census
+from ever being served by the planner, or the other way round. The cache holds
+at most MEMO_ENTRIES tensors, oldest out first, and every call returns new
+dicts.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "ask_m",
     "ask_with_census",
     "auto_asks",
-    "census_plan",
     "kernel_census",
     "literal_censuses",
     "unit_orbit_censuses",
@@ -71,40 +70,6 @@ class ZetaSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-# the memo of the active census plan: (shape, reduced bytes, p, n) -> literal census
-_PLAN: ContextVar[dict | None] = ContextVar("census_plan", default=None)
-
-
-@contextmanager
-def census_plan() -> Iterator[dict]:
-    """Share literal censuses within a block; a nested plan reuses the outer memo."""
-    token = _PLAN.set(_PLAN.get() if _PLAN.get() is not None else {})
-    try:
-        yield _PLAN.get()
-    finally:
-        _PLAN.reset(token)
-
-
-# the auto strategy's censuses for the life of the process: (shape, reduced bytes, p, n)
-# -> the census at each level 0..n as (k, count) pairs, oldest out first past the bound
-ORBIT_MEMO_ENTRIES = 4096
-_ORBIT_MEMO: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
-
-
-def _censuses(reps, ring: TruncatedRing, budget: int, memo: dict, sweep) -> list:
-    """memo's entry for each rep, budgets and the int64 bound checked first; sweep takes
-    the misses, each once."""
-    for rep in reps:
-        if ring.size**rep.l > budget:
-            raise BudgetExceededError(ring.size**rep.l, budget)
-        bulk.check_evaluation_bound(rep.l, ring.size)
-    arrays = [rep.reduced_array(ring) for rep in reps]
-    keys = [(array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
-    misses = {key: array for key, array in zip(keys, arrays) if key not in memo}
-    memo.update(zip(misses, sweep([*misses.values()])))
-    return [memo[key] for key in keys]
 
 
 def _by_shape(arrays: Sequence[np.ndarray], sweep, *args) -> list:
@@ -169,37 +134,60 @@ def _orbit_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dic
     return result
 
 
+def _literal_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
+    """The census at level n alone of each reduced tensor, by evaluating every parameter
+    vector: one bulk.census_of_stack sweep per shape."""
+    return [[census] for census in _by_shape(arrays, bulk.census_of_stack, p, n)]
+
+
+# how each strategy sweeps the misses of a call: every level from unit orbits, or level n literally
+_SWEEPS = {"auto": _orbit_levels, "direct": _literal_levels}
+
+# every census of the process: (strategy, shape, reduced bytes, p, n) -> the sweep's
+# levels as (k, count) pairs, oldest out first past the bound, which is above the
+# 4778-4897 censuses of one askzeta verify run, so no criterion loses one an earlier took
+MEMO_ENTRIES = 8192
+_MEMO: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
+def _levels(reps: Sequence[MRep], ring: TruncatedRing, budget: int, strategy: str) -> list[tuple]:
+    """The memo's entry of each rep under the strategy, its last level the census over
+    ring; budgets and the int64 bound are checked first, and the misses of the call go to
+    the strategy's sweep, each once."""
+    for rep in reps:
+        if ring.size**rep.l > budget:
+            raise BudgetExceededError(ring.size**rep.l, budget)
+        bulk.check_evaluation_bound(rep.l, ring.size)
+    arrays = [rep.reduced_array(ring) for rep in reps]
+    keys = [(strategy, array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
+    misses = {key: array for key, array in zip(keys, arrays) if key not in _MEMO}
+    if misses:
+        swept = _SWEEPS[strategy]([*misses.values()], ring.p, ring.n)
+        _MEMO.update(zip(misses, (tuple(tuple(c.items()) for c in levels) for levels in swept)))
+    entries = [_MEMO[key] for key in keys]
+    if len(_MEMO) > MEMO_ENTRIES:
+        for key in [*islice(_MEMO, len(_MEMO) - MEMO_ENTRIES)]:
+            del _MEMO[key]
+    return entries
+
+
 def literal_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
-    """The census of each rep by evaluating every parameter vector, budgets checked first.
-
-    Misses of the plan's memo (a fresh dict outside a plan) are stacked by shape, one
-    bulk.census_of_stack sweep per shape; the histograms returned are the memo's."""
-    memo = {} if _PLAN.get() is None else _PLAN.get()
-    return _censuses(reps, ring, budget, memo, lambda a: _by_shape(a, bulk.census_of_stack, ring.p, ring.n))
-
-
-def _planned_levels(reps: Sequence[MRep], ring: TruncatedRing, budget: int) -> list[tuple]:
-    """The orbit memo's censuses at every level 0..n of each rep, budgets checked first;
-    the misses of the call go to one _orbit_levels pass."""
-    entries = _censuses(
-        reps, ring, budget, _ORBIT_MEMO,
-        lambda arrays: [tuple(tuple(c.items()) for c in levels) for levels in _orbit_levels(arrays, ring.p, ring.n)],
-    )
-    for key in [*islice(_ORBIT_MEMO, max(len(_ORBIT_MEMO) - ORBIT_MEMO_ENTRIES, 0))]:
-        del _ORBIT_MEMO[key]
-    return entries
+    """The census of each rep by evaluating every parameter vector, budgets checked first;
+    each is read from the memo, else swept once (_literal_levels) and kept, and the dicts
+    returned are new."""
+    return [dict(levels[-1]) for levels in _levels(reps, ring, budget, "direct")]
 
 
 def unit_orbit_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
     """The census of each rep by convolution of its pieces' unit-orbit censuses, budgets
-    checked first (_orbit_levels). Each is read from the orbit memo, which a census or a
+    checked first (_orbit_levels). Each is read from the memo, which a census or a
     series of the same tensor and ring filled, else computed once and kept; the dicts
     returned are new."""
-    return [dict(levels[ring.n]) for levels in _planned_levels(reps, ring, budget)]
+    return [dict(levels[-1]) for levels in _levels(reps, ring, budget, "auto")]
 
 
 def kernel_census(
@@ -210,7 +198,7 @@ def kernel_census(
     All moments are recoverable from it:
     ask^m = sum_k census[k] p^(k m) / p^(n l).
     The budget bounds the nominal p^(n l) vectors, also when the census is
-    in the orbit memo; the census itself is read off the unit-orbit
+    in the memo; the census itself is read off the unit-orbit
     representatives of its pieces (_orbit_levels), one pass per tensor and
     ring in a process (unit_orbit_censuses).
     """
@@ -224,17 +212,13 @@ def ask_from_census(
     return Fraction(total, ring.size**side_rank)
 
 
-# how each strategy takes a census: from unit orbits, or literally
-_CENSUSES = {"auto": unit_orbit_censuses, "direct": literal_censuses}
-
-
 def _side(rep: MRep, m: int, strategy: str) -> tuple[str, MRep]:
     """The side for a strategy and the tensor enumerated there: rep (l parameters) under
     "direct"; under "auto" the fewest of rep and the circ (m d) and bullet (m e) duals of
     its collapsed m-th power, ties direct."""
     if m < 1:
         raise ValueError("moment must be >= 1")
-    if strategy not in _CENSUSES:
+    if strategy not in _SWEEPS:
         raise ValueError(f"unknown strategy {strategy!r}")
     costs = {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e}
     side = min(costs, key=costs.get) if strategy == "auto" else "direct"
@@ -267,7 +251,7 @@ def ask_m(
     pieces' unit orbits; "direct" enumerates every parameter vector of rep.
     """
     side, tensor = _side(rep, m, strategy)
-    return _result(rep, side, tensor, _CENSUSES[strategy]([tensor], ring, budget)[0], ring, m)
+    return _result(rep, side, tensor, dict(_levels([tensor], ring, budget, strategy)[0][-1]), ring, m)
 
 
 def auto_asks(
@@ -290,7 +274,7 @@ def ask_with_census(
     """(ask_m, kernel_census) of rep, both read off one census of the direct side,
     taken as the strategy takes it: from unit orbits or literally."""
     side = _side(rep, m, "direct" if strategy == "auto" else strategy)  # an unknown one raises
-    census = _CENSUSES[strategy]([rep], ring, budget)[0]
+    census = dict(_levels([rep], ring, budget, strategy)[0][-1])
     return _result(rep, *side, census, ring, m), census
 
 
@@ -306,7 +290,7 @@ def zeta_coeffs(
 
     On budget exhaustion the partial coefficient list is returned with the
     failing level flagged; a budget too small for level 0 raises. "auto"
-    reads every level from the orbit memo's entry at the highest level within
+    reads every level from the memo's auto entry at the highest level within
     budget, the entry a census of the same tensor over Z/p^top shares (one
     orbit pass, unless it is there); "direct" takes one literal census per
     level.
@@ -321,6 +305,6 @@ def zeta_coeffs(
     if strategy == "direct":
         censuses = [literal_censuses([tensor], ring, budget)[0] for ring in rings]
     else:  # the census at the top level comes with every level below it
-        censuses = [*map(dict, _planned_levels([tensor], rings[-1], budget)[0])] if rings else []
+        censuses = [*map(dict, _levels([tensor], rings[-1], budget, strategy)[0])] if rings else []
     coeffs = [_result(rep, side, tensor, c, ring, m).value for ring, c in zip(rings, censuses)]
     return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bulk, catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ask_from_census, ask_m, zeta_coeffs
-from .ask import auto_asks, census_plan, literal_censuses
+from .ask import auto_asks, literal_censuses
 from .corpus import DEFAULT_SEED, RING_SPECS, seeded_corpus
 from .groups import build_group, class_number, lazard_group
 from .mrep import (
@@ -569,10 +569,9 @@ def run_all(
     report: Callable[[CriterionResult], None] | None = None,
 ) -> list[CriterionResult]:
     results = []
-    with census_plan():  # every criterion shares the run's literal censuses
-        for index in indices or sorted(CRITERIA):
-            result = run_criterion(index, seed)
-            results.append(result)
-            if report is not None:
-                report(result)
+    for index in sorted(CRITERIA) if indices is None else indices:
+        result = run_criterion(index, seed)
+        results.append(result)
+        if report is not None:
+            report(result)
     return results

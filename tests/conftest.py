@@ -6,9 +6,9 @@ from askzeta import ask
 
 
 @pytest.fixture(autouse=True)
-def cold_orbit_memo():
-    """Each test starts with an empty orbit memo, so what it counts or perturbs is
+def cold_memo():
+    """Each test starts with an empty census memo, so what it counts or perturbs is
     computed in the test, whatever ran before it."""
-    ask._ORBIT_MEMO.clear()
+    ask._MEMO.clear()
     yield
-    ask._ORBIT_MEMO.clear()
+    ask._MEMO.clear()

@@ -1,11 +1,11 @@
-"""The run-scoped literal census plan of `verify.run_all`."""
+"""The census memo across `verify.run_all`: each census computed once per process."""
 
 from collections import Counter
 
 import pytest
 
-from askzeta import bulk
-from askzeta.ask import census_plan, literal_censuses
+from askzeta import ask, bulk
+from askzeta.ask import literal_censuses
 from askzeta.corpus import seeded_corpus
 from askzeta.ring import TruncatedRing
 from askzeta.verify import CRITERIA, run_all, run_criterion
@@ -17,15 +17,15 @@ def outcome(result):
 
 @pytest.fixture
 def censused(monkeypatch):
-    """Every (tensor, ring) key census_of_stack computes, in order."""
+    """Every (strategy, tensor, ring) key the memo's sweeps compute, in order."""
     keys = []
-    census_of_stack = bulk.census_of_stack
+    for strategy, sweep in [*ask._SWEEPS.items()]:
 
-    def counting(coeffs, p, n):
-        keys.extend((t.shape, t.tobytes(), p, n) for t in coeffs)
-        return census_of_stack(coeffs, p, n)
+        def counting(arrays, p, n, strategy=strategy, sweep=sweep):
+            keys.extend((strategy, a.shape, a.tobytes(), p, n) for a in arrays)
+            return sweep(arrays, p, n)
 
-    monkeypatch.setattr(bulk, "census_of_stack", counting)
+        monkeypatch.setitem(ask._SWEEPS, strategy, counting)
     return keys
 
 
@@ -34,7 +34,12 @@ def test_plan_changes_no_result(seed, censused):
     shared = run_all(seed)
     computed = Counter(censused)
     assert computed and max(computed.values()) == 1  # no key computed twice in one run
-    alone = [run_criterion(index, seed) for index in sorted(CRITERIA)]
+    assert {key[0] for key in computed} == {"auto", "direct"}
+    assert len(ask._MEMO) == len(computed) < ask.MEMO_ENTRIES  # and none evicted
+    alone = []
+    for index in sorted(CRITERIA):  # each criterion on an emptied memo
+        ask._MEMO.clear()
+        alone.append(run_criterion(index, seed))
     assert [outcome(r) for r in shared] == [outcome(r) for r in alone]
     assert all(r.passed for r in shared)
     assert len(censused) > 2 * len(computed)  # criteria run alone compute the shared censuses again
@@ -43,7 +48,7 @@ def test_plan_changes_no_result(seed, censused):
 def test_perturbed_shape_still_fails_the_laws(monkeypatch):
     # one census per tensor of one shape is off by one vector; every law
     # still compares two literal enumerations, so the laws that cross
-    # shapes must fail, even where a census came from the plan's memo
+    # shapes must fail, even where a census came from the memo
     shapes = Counter(rep.shape for rep in seeded_corpus() if rep.l != rep.d)
     target = shapes.most_common(1)[0][0]
     census_of_stack = bulk.census_of_stack
@@ -66,24 +71,18 @@ def test_perturbed_shape_still_fails_the_laws(monkeypatch):
     assert rings == {f"{n} p={p}" for p in (2, 3, 5) for n in (1, 2)}
 
 
-def test_plan_scope(censused):
-    run_all(indices=(1, 7))
-    first = list(censused)
-    with census_plan() as memo:
-        assert memo == {}  # no plan outlives run_all
-    run_all(indices=(1, 7))
-    # the second run recomputes every census, each once
-    assert censused[len(first):] == first == list(dict.fromkeys(first))
-    rep = next(rep for rep in seeded_corpus() if rep.l and rep.e != rep.l)  # bullet: (e, d, l)
-    ring = TruncatedRing(3, 1)
-    with census_plan() as outer:
-        census = literal_censuses([rep], ring)[0]
-        with census_plan() as inner:
-            assert inner is outer
-            assert literal_censuses([rep, rep.dual("bullet")], ring)[0] is census
-        assert len(outer) == 2
-    with census_plan() as memo:
-        assert memo == {}
+def test_a_second_run_computes_no_census(censused):
+    first = run_all()
+    computed = len(censused)
+    # the memo outlives the run: a second run reads every census from it
+    assert [outcome(r) for r in run_all()] == [outcome(r) for r in first]
+    assert computed and len(censused) == computed
+
+
+def test_an_empty_selection_runs_no_criterion(censused):
+    assert run_all(indices=()) == []
+    assert censused == []
+    assert [r.index for r in run_all(indices=(3,))] == [3]
 
 
 def test_literal_censuses_share_within_a_call(censused):

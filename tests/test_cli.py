@@ -115,16 +115,14 @@ def test_cmd_ask_census_computes_one_census(monkeypatch):
 
         monkeypatch.setattr(bulk, name, counting)
     # matdxe(1,1) is enumerated on the direct side: its census gives ask^m too,
-    # read off the unit orbits under auto and literally under direct. The orbit
-    # memo keeps the auto census, so the second moment computes none; a literal
-    # census is taken afresh outside a census plan
+    # read off the unit orbits under auto and literally under direct. The memo
+    # keeps each census under its strategy, so the second moment computes none
     for strategy, census in (("auto", "orbit_censuses"), ("direct", "census_of_stack")):
         for moment in ("1", "2"):
             calls.clear()
             assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
                          "--n", "2", "--census", "--strategy", strategy, "--moment", moment]) == 0
-            first = moment == "1" or strategy == "direct"
-            assert calls == ([(census, (1, 1, 1))] if first else [])
+            assert calls == ([(census, (1, 1, 1))] if moment == "1" else [])
     # ask alone would take matdxe(1,2)'s circ side; with --census, auto reads
     # ask off the one census of the direct side
     calls.clear()

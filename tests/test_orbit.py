@@ -72,10 +72,10 @@ def test_orbit_census_equals_literal_census(rep, ring):
         assert census == literal_census(rep, level)
         if level.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
             assert census == brute_census(rep, level)
-    # every level through the orbit memo, cold then kept, equals the sweep and the oracles
-    ask._ORBIT_MEMO.clear()
+    # every level through the census memo, cold then kept, equals the sweep and the oracles
+    ask._MEMO.clear()
     cold = [kernel_census(rep, TruncatedRing(p, k)) for k in range(n + 1)]
-    assert len(ask._ORBIT_MEMO) == n + 1
+    assert len(ask._MEMO) == n + 1
     assert [kernel_census(rep, TruncatedRing(p, k)) for k in range(n + 1)] == cold == censuses
 
 

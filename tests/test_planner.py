@@ -1,5 +1,7 @@
 """The auto planner: collapsed powers on the Knuth sides, direct summands by convolution."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +13,6 @@ from askzeta.ask import (
     ask_from_census,
     ask_m,
     ask_with_census,
-    census_plan,
     kernel_census,
     literal_censuses,
     unit_orbit_censuses,
@@ -147,17 +148,20 @@ def test_a_census_and_its_moments_share_one_orbit_pass(reduced):
     assert series.coeffs == tuple(
         ask_from_census(literal_census(m22, TruncatedRing(3, k)), TruncatedRing(3, k), m22.l, 2) for k in range(3)
     )
-    assert len(ask._ORBIT_MEMO) == 1
+    assert len(ask._MEMO) == 1
 
 
 def test_a_kept_census_over_budget_still_raises():
     kernel_census(m22, Z9)
-    assert len(ask._ORBIT_MEMO) == 1
+    literal_censuses([m22], Z9)
+    assert len(ask._MEMO) == 2
     nominal = Z9.size**m22.l
     for call in (
         lambda budget: kernel_census(m22, Z9, budget=budget),
         lambda budget: ask_m(m22, Z9, m=2, budget=budget),
         lambda budget: ask_with_census(m22, Z9, budget=budget),
+        lambda budget: literal_censuses([m22], Z9, budget=budget),
+        lambda budget: ask_m(m22, Z9, m=2, strategy="direct", budget=budget),
     ):
         call(nominal)  # the budget bounds the nominal p^(n l) vectors, kept or not
         with pytest.raises(BudgetExceededError):
@@ -177,7 +181,24 @@ def test_mutating_a_returned_census_changes_no_later_answer(reduced):
     assert want == literal_census(m22, Z9)
 
 
-def test_literal_censuses_never_touch_the_orbit_memo(monkeypatch):
+def test_a_cleared_literal_census_changes_no_later_answer(monkeypatch):
+    sweeps = []
+    census_of_stack = bulk.census_of_stack
+
+    def counting(stack, p, n):
+        sweeps.append(len(stack))
+        return census_of_stack(stack, p, n)
+
+    monkeypatch.setattr(bulk, "census_of_stack", counting)
+    first = literal_censuses([m22], Z9)[0]
+    want = dict(first)
+    first.clear()
+    assert literal_censuses([m22], Z9) == [want]
+    assert ask_m(m22, Z9, m=1, strategy="direct").value == Fraction(25, 9)
+    assert sweeps == [1]  # one sweep, then the kept census
+
+
+def test_literal_and_auto_censuses_are_kept_apart(monkeypatch):
     calls = []
     for name in ("census_of_stack", "orbit_censuses"):
 
@@ -187,22 +208,22 @@ def test_literal_censuses_never_touch_the_orbit_memo(monkeypatch):
 
         monkeypatch.setattr(bulk, name, counting)
     orbit = kernel_census(m22, Z9)
-    with census_plan() as plan:
-        assert literal_censuses([m22], Z9) == [orbit]  # enumerated, not read from the orbit memo
-    ask._ORBIT_MEMO.clear()
-    with census_plan():
-        literal_censuses([m22], Z9)
-        assert kernel_census(m22, Z9) == orbit  # swept, not read from the plan
-    assert calls == ["orbit_censuses", "census_of_stack", "census_of_stack", "orbit_censuses"]
-    assert len(plan) == len(ask._ORBIT_MEMO) == 1  # each memo holds its own kind of census
+    assert literal_censuses([m22], Z9) == [orbit]  # enumerated, not read from the auto entry
+    assert kernel_census(m22, Z9) == orbit and literal_censuses([m22], Z9) == [orbit]  # both kept
+    assert calls == ["orbit_censuses", "census_of_stack"]
+    assert sorted(key[0] for key in ask._MEMO) == ["auto", "direct"]  # one tensor, two keys
+    del ask._MEMO[next(key for key in ask._MEMO if key[0] == "auto")]
+    assert kernel_census(m22, Z9) == orbit  # swept, not read from the literal entry
+    assert calls == ["orbit_censuses", "census_of_stack", "orbit_censuses"]
 
 
-def test_the_orbit_memo_is_bounded(monkeypatch):
-    assert ask.ORBIT_MEMO_ENTRIES >= 1608  # the tensors of one askzeta verify run at seed 8020
-    monkeypatch.setattr(ask, "ORBIT_MEMO_ENTRIES", 3)
+def test_the_memo_is_bounded(monkeypatch):
+    assert ask.MEMO_ENTRIES >= 4897  # the censuses of one askzeta verify run at seed 1807
+    monkeypatch.setattr(ask, "MEMO_ENTRIES", 3)
     tensors = [catalog.make("matdxe", d=1, e=e) for e in range(1, 6)]
-    # one call with more misses than the bound answers every one of them
+    # one call with more misses than the bound answers every one of them, of either kind
     assert unit_orbit_censuses(tensors, Z9) == [literal_census(t, Z9) for t in tensors]
-    assert len(ask._ORBIT_MEMO) == 3
+    assert literal_censuses(tensors, Z9) == [literal_census(t, Z9) for t in tensors]
+    assert [key[:2] for key in ask._MEMO] == [("direct", (3, 1, 3)), ("direct", (4, 1, 4)), ("direct", (5, 1, 5))]
     kernel_census(tensors[0], Z9)  # evicted, so computed again: the oldest goes
-    assert [key[0] for key in ask._ORBIT_MEMO] == [(4, 1, 4), (5, 1, 5), (1, 1, 1)]
+    assert [key[:2] for key in ask._MEMO] == [("direct", (4, 1, 4)), ("direct", (5, 1, 5)), ("auto", (1, 1, 1))]

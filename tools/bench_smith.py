@@ -37,12 +37,12 @@ the default strategy, on the workload's seeded inputs (seed 8020): the four
 whose planner enumerates a smaller tensor than the direct side, through the
 collapsed power's Knuth duals or the direct summands of the tensor, and the
 pair `census m33 Z/4` then `ask m33 Z/4 m=3` in one process, which a tree
-with the planner's orbit memo answers from one census. It records the
-matrices the query reduces (every bulk.batch_smith_exponents row), and
-checks the answer against the explicit "direct" strategy, or the literal
-census; a mismatch stops the run with a non-zero exit. Each timed call
-starts with the orbit memo empty, in a tree that has one, so it times the
-census work and not a lookup.
+with a census memo answers from one census. It records the matrices the
+query reduces (every bulk.batch_smith_exponents row), and checks the answer
+against the explicit "direct" strategy, or the literal census; a mismatch
+stops the run with a non-zero exit. Each timed call starts with the tree's
+census memo empty (ask._MEMO, or ask._ORBIT_MEMO in an older tree that keeps
+only the planner's censuses), so it times the census work and not a lookup.
 
 A group class times groups.class_number(spec, "orbit") on one group: the
 three constructions at orders 11^3 and 13^3, which perfbench's queries
@@ -295,7 +295,7 @@ def measure_query(index: int, repeats: int) -> dict:
     want = query(reps, "direct")
     if answer != want:
         raise RuntimeError(f"{name}: the default strategy gave {answer}, the direct one {want}")
-    memo = getattr(ask, "_ORBIT_MEMO", None)  # the planner's censuses, kept for the process
+    memo = getattr(ask, "_MEMO", getattr(ask, "_ORBIT_MEMO", None))  # the censuses kept for the process
 
     def cold():
         if memo is not None:
