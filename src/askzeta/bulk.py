@@ -7,7 +7,10 @@ rationals. One additive sweep (_sweep) evaluates a stack of tensors for
 both censuses: every parameter vector for census_of_stack, one vector per
 unit orbit for orbit_censuses. Chunked enumeration keeps memory flat and
 makes results independent of the partitioning, so partial histograms can
-be combined in any order.
+be combined in any order. The Smith kernel (batch_smith_exponents) works
+through each batch in slices of _SLICE_ELEMENTS entries, in one workspace
+per call, so its memory beyond a uint8 exponent per pivot is bounded by
+one slice, whatever the batch.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ _MAX_MODULUS = 1 << 31
 _INT64_LIMIT = 1 << 63
 # Matrix entries evaluated per chunk of a census sweep.
 _CHUNK_ELEMENTS = 1 << 21
+# Matrix entries batch_smith_exponents reduces at a time; its workspace holds one slice.
+_SLICE_ELEMENTS = 1 << 16
 # Nominal parameter vectors an enumeration may cover unless told otherwise.
 DEFAULT_BUDGET = 10**7
 
@@ -84,11 +89,19 @@ def _pivot_orders(r: int, c: int) -> np.ndarray:
     return np.ascontiguousarray(orders.reshape(r * c, r * c).T)
 
 
+@lru_cache(maxsize=None)
+def _step_constants(p: int, n: int, d: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers p^v in the narrow dtype, and the flat positions of a d x e
+    block as a column, in the dtype of a step's keys (n + 1) (d e) - 1 at most."""
+    key = np.min_scalar_type((n + 1) * d * e - 1)
+    return (p ** np.arange(n + 1)).astype(_narrow_dtype(p**n)), np.arange(d * e, dtype=key)[:, None]
+
+
 def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     """Elementary divisor exponents for a batch of matrices over Z/p^n.
 
     mats has shape (N, d, e) and any integer entries; the result has shape
-    (N, min(d, e)), each row ascending in [0, n]. Step k works on the
+    (N, min(d, e)), uint8, each row ascending in [0, n]. Step k works on the
     trailing (d-k) x (e-k) block only: it pivots on the entry of minimal
     valuation (first in row-major order, as the pure-Python oracle
     smith_exponents in tests/helpers.py does), swaps it to the corner,
@@ -103,75 +116,117 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     operations form a lower triangular matrix with unit diagonal (1, u,
     ..., u), invertible over Z/p^n, so they keep the Smith form.
 
-    Reduce, then narrow: entries are reduced mod p^n once, in int64 (or in
-    the narrow dtype if mats has it: x - x // p^n * p^n is exact in any
-    signed dtype, wrapping included), then narrowed to int16 when
-    (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64. Narrowing
-    first would wrap unreduced input, such as the entries of kernel_size's
-    integer matrices (the census sweeps pass reduced, narrow batches). A step's u row_i - g_i row_0 has all four factors
-    in [0, p^n), so it stays within (p^n - 1)^2 in that dtype. The block is
+    The batch is reduced a slice at a time, at most _SLICE_ELEMENTS entries
+    (or one matrix), and every slice and step writes into one workspace the
+    call allocates once, for one slice: the kernel's memory beyond its
+    output is bounded by the slice, not by N. A slice is reduced mod p^n,
+    in the narrow dtype if mats has it (x - x // p^n * p^n is exact in any
+    signed dtype, wrapping included) and otherwise in int64, then narrowed
+    to int16 when (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64.
+    Narrowing first would wrap unreduced input, such as the entries of
+    kernel_size's integer matrices (the census sweeps pass reduced, narrow
+    batches). A step's u row_i - g_i row_0 has all four factors in
+    [0, p^n), so it stays within (p^n - 1)^2 in that dtype. The block is
     kept batch-last, so a step is a few passes over contiguous rows: one
     flat-index gather of the swapped block, the two products and one
     reduction x - x // p^n * p^n. Valuations come from a uint8 table of
     p^n entries (n <= 31 below the 2^31 modulus bound), the only table
-    sized by p^n.
+    sized by p^n; the exponents are uint8 for the same reason.
     """
     mats = np.asarray(mats)
     N, d, e = mats.shape
     m = min(d, e)
-    out = np.full((m, N), n, dtype=np.int64)
+    out = np.empty((N, m), dtype=np.uint8, order="F")  # a step fills one column
+    out.fill(n)
     if N == 0 or m == 0 or n == 0:
-        return out.T
+        return out
     pn = p**n
     if pn > _MAX_MODULUS:
         raise ValueError(f"modulus {p}^{n} too large for vectorised arithmetic")
-    dtype = _narrow_dtype(pn)
     val = _valuation_table(p, n)
-    power = (p ** np.arange(n + 1)).astype(dtype)
+    power, positions = _step_constants(p, n, d, e)
+    dtype = power.dtype
+    # the workspace for one slice of matrices: one allocation, cut widest
+    # dtype first so that every part is aligned. One block, not several, so
+    # that the allocator keeps it mapped from call to call instead of
+    # faulting it in afresh. A step over nw matrices of an r x c block uses
+    # the leading r c nw entries of each part.
+    size = min(N, max(1, _SLICE_ELEMENTS // (d * e)))
+    space = size * d * e
+    wide, narrow = 8 * space, 4 * dtype.itemsize * space
+    raw = np.empty(wide + narrow + (positions.itemsize + 1) * space, np.uint8)
+    index = raw[:wide].view(np.intp)  # valuation lookups, then the gather
+    entries = raw[wide : wide + narrow].view(dtype)
+    held, temp = entries[:space], entries[space : 2 * space]
+    vals = raw[-space:]
+    if m > 1:  # what a pivot step adds
+        spare, units = entries[2 * space : 3 * space], entries[3 * space :]
+        keys = raw[wide + narrow : -space].view(positions.dtype)
+        columns = np.arange(size)
 
-    if mats.dtype != dtype:
-        mats = mats.astype(np.int64, copy=False)
-    reduced = mats // pn
-    reduced *= pn
-    np.subtract(mats, reduced, out=reduced)
-    # batch-last and narrow; no copy when mats is already laid out that way
-    work = reduced.reshape(N, d * e).T.astype(dtype, order="C", copy=False)
-    r, c = d, e
-    # alive: the columns of out that work fills, all of them until some drop out
-    alive, columns = slice(None), np.arange(N)
-    for k in range(m):
-        vals = val.take(work)
-        if k == m - 1:
-            out[k, alive] = vals.min(axis=0)
-            break
-        # the first minimal valuation in row-major order, as one minimum
-        rc = r * c
-        key = vals.astype(np.min_scalar_type((n + 1) * rc - 1))
-        key *= rc
-        key += np.arange(rc, dtype=key.dtype)[:, None]
-        key = key.min(axis=0)
-        vmin = key // rc
-        out[k, alive] = vmin
-        # zero blocks are dropped only once they are half the batch:
-        # carrying fewer costs less than the copy
-        live = vmin < n
-        if 2 * np.count_nonzero(live) <= len(columns):
-            if not live.any():
+    for start in range(0, N, size):
+        part = out[start : start + size]
+        nw, r, c = len(part), d, e
+        # batch-last: column j of the (d e, nw) work is the slice's matrix j
+        work = held[: d * e * nw].reshape(d * e, nw)
+        flat = mats[start : start + size].reshape(nw, d * e)
+        if flat.dtype == dtype:  # as the sweeps pass them: batch-last already
+            quotient = temp[: d * e * nw].reshape(d * e, nw)
+            np.floor_divide(flat.T, pn, out=quotient)
+            quotient *= pn
+            np.subtract(flat.T, quotient, out=work)
+        else:  # reduced in int64 in the caller's layout, then narrowed batch-last
+            if not np.can_cast(flat.dtype, np.int64):
+                flat = flat.astype(np.int64)
+            wide = index[: d * e * nw].reshape(nw, d * e)
+            np.floor_divide(flat, pn, out=wide)
+            wide *= pn
+            np.subtract(flat, wide, out=wide)
+            np.copyto(work, wide.T, casting="unsafe")
+        # rows: the rows of part that work fills, all of them until some drop out
+        rows = slice(None)
+        for k in range(m):
+            rc = r * c
+            lookup = index[: rc * nw].reshape(rc, nw)
+            np.copyto(lookup, work)
+            v = val.take(lookup, out=vals[: rc * nw].reshape(rc, nw), mode="clip")
+            if k == m - 1:
+                part[rows, k] = v.min(axis=0)
                 break
-            work, key, vmin = work[:, live], key[live], vmin[live]
-            alive, columns = np.arange(N)[alive][live], columns[: len(vmin)]
-        nw = len(columns)
-        idx = (_pivot_orders(r, c) * nw).take(key - vmin * rc, axis=1)
-        idx += columns
-        block = work.take(idx).reshape(r, c, nw)
-        # pivot column / p^v: the pivot's unit u, then each row's multiplier g
-        g = block[:, 0] // power[vmin]
-        work = g[0] * block[1:, 1:]
-        work -= g[1:, None] * block[0, 1:]
-        work -= work // pn * pn
-        r, c = r - 1, c - 1
-        work = work.reshape(r * c, nw)
-    return out.T
+            # the first minimal valuation in row-major order, as one minimum
+            key = np.multiply(v, rc, out=keys[: rc * nw].reshape(rc, nw), dtype=keys.dtype)
+            key += positions[:rc]
+            key = key.min(axis=0)
+            vmin = key // rc
+            part[rows, k] = vmin
+            # zero blocks are dropped only once they are half the slice:
+            # carrying fewer costs less than the copy
+            live = vmin < n
+            if 2 * np.count_nonzero(live) <= nw:
+                if not live.any():
+                    break
+                key, vmin = key[live], vmin[live]
+                rows, nw = np.arange(len(part))[rows][live], len(vmin)
+                held, spare = spare, held
+                work = np.compress(live, work, axis=1, out=held[: rc * nw].reshape(rc, nw))
+                lookup = index[: rc * nw].reshape(rc, nw)
+            # the swapped block: entry s of matrix j is work[orders[s, pivot_j], j],
+            # and the pivot's flat position is its key mod rc, which "wrap" takes
+            gather = np.take(_pivot_orders(r, c) * nw, key, axis=1, out=lookup, mode="wrap")
+            gather += columns[:nw]
+            block = spare[: rc * nw].reshape(r, c, nw)
+            work.take(gather, out=block.reshape(rc, nw), mode="clip")
+            # pivot column / p^v: the pivot's unit u, then each row's multiplier g
+            g = np.floor_divide(block[:, 0], power.take(vmin), out=units[: r * nw].reshape(r, nw))
+            r, c = r - 1, c - 1
+            work = np.multiply(g[0], block[1:, 1:], out=held[: r * c * nw].reshape(r, c, nw))
+            product = np.multiply(g[1:, None], block[0, 1:], out=temp[: r * c * nw].reshape(r, c, nw))
+            work -= product
+            np.floor_divide(work, pn, out=product)
+            product *= pn
+            work -= product
+            work = work.reshape(r * c, nw)
+    return out
 
 
 def batch_kernel_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -179,7 +234,7 @@ def batch_kernel_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     N, d, e = mats.shape
     m = min(d, e)
     exps = batch_smith_exponents(mats, p, n)
-    return exps.sum(axis=1) + n * (d - m)
+    return exps.sum(axis=1, dtype=np.int64) + n * (d - m)
 
 
 def check_evaluation_bound(l: int, pn: int) -> None:
@@ -357,7 +412,7 @@ def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[list[dict[int, in
         first = (np.arange(T)[:, None, None] * n + np.arange(n)) * width
         # a representative costs a chunk its entries, or its n capped sums
         for batch in _sweep(coeffs, p, n, blocks, T * max(1, d * e, n)):
-            exps = batch_smith_exponents(batch, p, n).astype(np.uint8)
+            exps = batch_smith_exponents(batch, p, n)
             keys = np.minimum(exps[:, None, :], levels[:, None]).sum(axis=2, dtype=np.intp)
             keys = keys.reshape(T, -1, n)
             keys += first

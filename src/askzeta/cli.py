@@ -9,6 +9,7 @@ pipeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -453,7 +454,9 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="askzeta",
         description="Exact average-kernel-size computations over Z/p^n",

@@ -315,11 +315,12 @@ def criterion_6(seed: int) -> CriterionResult:
     res = CriterionResult(6, "moment laws: products and collapsed powers")
     reps = seeded_corpus(seed=seed)
     k = len(reps)
+    # a collapsed power is a tensor over Z, the same at every ring
+    powers = [collapsed_power(rep, m, "mod") for rep in reps for m in (1, 2, 3)]
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         pairs = [i for i in range(k) if ring.size ** (reps[i].l + reps[(i + 1) % k].l) <= 20_000]
         sums = [reps[i].direct_sum(reps[(i + 1) % k]) for i in pairs]
-        powers = [collapsed_power(rep, m, "mod") for rep in reps for m in (1, 2, 3)]
         # one literal census of each tensor gives all of its moments
         tensors = [*reps, *powers, *sums]  # rep i, its powers at k + 3i + m - 1, sums from 4k
         censuses = literal_censuses(tensors, ring)
@@ -518,20 +519,27 @@ def criterion_14(seed: int) -> CriterionResult:
     rng = random.Random(seed + 1)
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
-        vectors: dict[int, np.ndarray] = {}  # all of (Z/p^n)^d, keyed by d
+        drawn = []  # (i, params, evaluations) of every rep small enough to enumerate
         for i, rep in enumerate(reps):
-            if ring.size**rep.d > 4096:
-                continue
-            if rep.d not in vectors:
-                chunks = bulk.iter_vector_chunks(ring.size, rep.d, 1 << 14)
-                vectors[rep.d] = np.concatenate(list(chunks), axis=0)
-            xs = vectors[rep.d]
-            params = [[rng.randrange(ring.size) for _ in range(rep.l)] for _ in range(4)]
-            mats = np.array([rep.evaluate_at(a, ring) for a in params])
-            # the production kernel, on the four evaluations as one batch
-            fast = bulk.batch_kernel_exponents(mats, p, n).tolist()
-            for a, A, k in zip(params, mats, fast):
-                brute = int(((xs @ A) % ring.size == 0).all(axis=1).sum())
+            if ring.size**rep.d <= 4096:
+                params = [[rng.randrange(ring.size) for _ in range(rep.l)] for _ in range(4)]
+                drawn.append((i, params, np.array([rep.evaluate_at(a, ring) for a in params])))
+        # the production kernel, one batch per shape, read back in corpus order
+        shapes: dict[tuple, list[np.ndarray]] = {}
+        for _, _, mats in drawn:
+            shapes.setdefault(mats.shape[1:], []).append(mats)
+        fast = {
+            shape: iter(bulk.batch_kernel_exponents(np.concatenate(batch), p, n).tolist())
+            for shape, batch in shapes.items()
+        }
+        vectors: dict[int, np.ndarray] = {}  # all of (Z/p^n)^d, keyed by d
+        for i, params, mats in drawn:
+            d = mats.shape[1]
+            if d not in vectors:
+                vectors[d] = np.concatenate(list(bulk.iter_vector_chunks(ring.size, d, 1 << 14)), axis=0)
+            for a, A in zip(params, mats):
+                k = next(fast[A.shape])
+                brute = int(((vectors[d] @ A) % ring.size == 0).all(axis=1).sum())
                 res.compare(
                     f"rep {i} a={a} over Z/{p}^{n}", "kernel size by enumeration", brute, p**k
                 )

@@ -1,13 +1,14 @@
 """The batch Smith kernel against the scalar reduction in helpers and literal counting."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from askzeta import bulk
+from askzeta import bulk, catalog
 from askzeta.bulk import batch_kernel_exponents, batch_smith_exponents
 from askzeta.ring import TruncatedRing
 
@@ -87,7 +88,8 @@ def test_batch_smith_matches_scalar(batch):
     N, d, e = mats.shape
     smith = batch_smith_exponents(mats, p, n)
     kexp = batch_kernel_exponents(mats, p, n)
-    assert smith.shape == (N, min(d, e))
+    assert smith.shape == (N, min(d, e)) and smith.dtype == np.uint8
+    assert kexp.dtype == np.int64
     flipped = mats.transpose(0, 2, 1)
     assert (batch_smith_exponents(flipped, p, n) == smith).all()
     assert (batch_kernel_exponents(flipped, p, n) == kexp + n * (e - d)).all()
@@ -156,3 +158,74 @@ def test_unreduced_batch_gives_the_same_exponents(batch):
     shifts = pn * (top >> (np.arange(mats.size).reshape(mats.shape) % 8))
     for sign in (1, -1):
         assert (batch_smith_exponents(mats + sign * shifts, p, n) == smith).all()
+
+
+def sweep_layout(mats, p, n):
+    """mats as the census sweeps hand them over: reduced, narrow and batch-last."""
+    N, d, e = mats.shape
+    flat = mats.reshape(N, d * e).T % p**n
+    return np.ascontiguousarray(flat.astype(bulk._narrow_dtype(p**n))).T.reshape(N, d, e)
+
+
+@PROPERTY
+@given(batch=batches(), copies=st.integers(1, 5), slice_entries=st.integers(1, 60))
+def test_any_slice_gives_the_same_exponents(batch, copies, slice_entries):
+    # slices of a few entries: a batch straddles many slice boundaries, and
+    # each slice drops its own zero blocks
+    p, n, mats = batch
+    mats = np.concatenate([mats, mats[::-1]] * copies)
+    whole = batch_smith_exponents(mats, p, n)
+    kexp = batch_kernel_exponents(mats, p, n)
+    with mock.patch.object(bulk, "_SLICE_ELEMENTS", slice_entries):
+        for layout in (mats, sweep_layout(mats, p, n)):
+            assert (batch_smith_exponents(layout, p, n) == whole).all()
+            assert (batch_kernel_exponents(layout, p, n) == kexp).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 8), (2, 16)])  # int16, int32, int64
+@pytest.mark.parametrize("per_slice", [1, 2, 3, 5, 8, 13])
+def test_slices_straddle_zero_blocks(p, n, per_slice):
+    # mostly zero blocks after the first pivot, so every slice with a live
+    # matrix drops the rest; 37 matrices never fill the last slice
+    rng = np.random.default_rng([p, n, per_slice])
+    pn = p**n
+    mats = np.zeros((37, 3, 3), dtype=np.int64)
+    mats[:, 0, 0] = p * rng.integers(0, pn // p, size=37)
+    mats[::3, 1:, 1:] = rng.integers(0, pn, size=(13, 2, 2))
+    mats[::7] = rng.integers(0, pn, size=(6, 3, 3))
+    want = [smith_exponents(A, p, n) for A in mats.tolist()]
+    with mock.patch.object(bulk, "_SLICE_ELEMENTS", 9 * per_slice):
+        for layout in (mats, sweep_layout(mats, p, n)):
+            assert batch_smith_exponents(layout, p, n).tolist() == want
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_follows_the_slice_not_the_batch():
+    # 3 x 2 over Z/9 as the census sweeps pass them; past one slice, only the
+    # output grows with the batch
+    rng = np.random.default_rng(0)
+    batch_smith_exponents(np.zeros((1, 3, 2), dtype=np.int16), 3, 2)  # the tables
+    peaks = {}
+    for N in (1 << 16, 1 << 19):
+        mats = np.ascontiguousarray(rng.integers(0, 9, size=(6, N), dtype=np.int16)).T.reshape(N, 3, 2)
+        peaks[N] = traced_peak(lambda: batch_smith_exponents(mats, 3, 2))
+    assert peaks[1 << 19] - peaks[1 << 16] <= (1 << 19) * 2 + (1 << 20)
+    assert peaks[1 << 19] < 10 << 20
+
+
+def test_a_large_census_peaks_below_16_mb():
+    # criterion 3's literal census: 531 441 matrices of matdxe(3,2) over Z/9
+    rep, ring = catalog.make("matdxe", d=3, e=2), TruncatedRing(3, 2)
+    coeffs = rep.reduced_array(ring)[None]
+    census = []
+    peak = traced_peak(lambda: census.extend(bulk.census_of_stack(coeffs, 3, 2)))
+    assert sum(census[0].values()) == 9**6
+    assert peak < 16 << 20

@@ -78,6 +78,27 @@ def test_parse_rep_diagnostics():
         parse_rep({"shape": {"l": 1, "d": 1, "e": 1}, "coeffs": [[["x"]]]})
 
 
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    try:
+        assert main(["catalog", "list"]) == 0
+        with pytest.raises(SystemExit):  # argparse's usage error leaves the parser as it was
+            main(["ask", "--catalog", "matdxe", "--p", "3", "--moment", "x"])
+        assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    # the top-level parser and one per subcommand, each built once
+    assert "askzeta ask" in built and len(built) == len(set(built)), built
+
+
 def test_cmd_ask(capsys):
     code, out, _ = run(capsys, "ask", "--catalog", "matdxe", "--d", "1", "--e", "1",
                        "--p", "2", "--n", "1", "--format", "json")

@@ -53,10 +53,11 @@ checked against the centraliser method; a mismatch stops the run with a
 non-zero exit.
 
     python tools/bench_smith.py --label unit_pivot              # about a minute
-    python tools/bench_smith.py --label ci --quick --out /tmp   # a few seconds
+    python tools/bench_smith.py --label ci --quick --out /tmp/bench   # a few seconds
     python tools/bench_smith.py --label unit_pivot --before ../parent   # twice that
 
-The result goes to BENCH_smith_<label>.json, with the machine and the commit.
+The result goes to BENCH_smith_<label>.json in --out (made if missing), with
+the machine and the commit.
 Run it from any directory: it imports askzeta from the src/ beside it. With
 --before, the runs of an earlier tree (a checkout, or a git archive with
 --before-commit, whose bulk.orbit_censuses takes a stack of tensors) alternate with this tree's, class by class, and go to
@@ -343,6 +344,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--before-commit", help="the commit to record for --before if it has no .git")
     args = parser.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)  # before any timing, so no run is lost to it
     rounds, batch, repeats, small_calls = (1, 1 << 10, 1, 5) if args.quick else (9, 1 << 16, 7, 200)
     orbit_repeats = 1 if args.quick else 7
     trees = {args.label: (ROOT, commit(ROOT))}
