@@ -289,22 +289,25 @@ def zeta_coeffs(
     """Coefficients [c_0 .. c_levels] with c_n = ask^m over Z/p^n.
 
     On budget exhaustion the partial coefficient list is returned with the
-    failing level flagged; a budget too small for level 0 raises. "auto"
+    failing level flagged; a budget too small for level 0 raises, and so does
+    levels < 0 (ValueError), which has no coefficient to return. "auto"
     reads every level from the memo's auto entry at the highest level within
     budget, the entry a census of the same tensor over Z/p^top shares (one
     orbit pass, unless it is there); "direct" takes one literal census per
     level.
     """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     side, tensor = _side(rep, m, strategy)
     top = levels  # the highest level whose nominal cost is within budget
     while top >= 0 and p ** (top * tensor.l) > budget:
         top -= 1
-    if top < 0 <= levels:
+    if top < 0:
         raise BudgetExceededError(1, budget, 0)
     rings = [TruncatedRing(p, n) for n in range(top + 1)]
     if strategy == "direct":
         censuses = [literal_censuses([tensor], ring, budget)[0] for ring in rings]
     else:  # the census at the top level comes with every level below it
-        censuses = [*map(dict, _levels([tensor], rings[-1], budget, strategy)[0])] if rings else []
+        censuses = [*map(dict, _levels([tensor], rings[-1], budget, strategy)[0])]
     coeffs = [_result(rep, side, tensor, c, ring, m).value for ring, c in zip(rings, censuses)]
     return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .mrep import MRep, constant_rank_check
 from .ring import TruncatedRing
 from .zeta import RationalFunction, closed_form
@@ -19,56 +21,44 @@ from .zeta import RationalFunction, closed_form
 __all__ = ["ExampleDescriptor", "make", "list_examples", "expected_zeta"]
 
 
-def _tensor(l: int, d: int, e: int) -> list[list[list[int]]]:
-    return [[[0] * e for _ in range(d)] for _ in range(l)]
-
-
 def _matdxe(d: int, e: int) -> MRep:
     """Identity inclusion of all d x e matrices; parameter basis E_ij, row-major."""
-    c = _tensor(d * e, d, e)
-    for i in range(d):
-        for j in range(e):
-            c[i * e + j][i][j] = 1
-    return MRep(d * e, d, e, c)
+    return MRep(d * e, d, e, np.eye(d * e, dtype=np.int64).reshape(d * e, d, e))
 
 
 def _so(d: int) -> MRep:
     """Antisymmetric d x d matrices; basis E_ij - E_ji for i < j, lex order."""
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    c = _tensor(len(pairs), d, d)
-    for h, (i, j) in enumerate(pairs):
-        c[h][i][j] = 1
-        c[h][j][i] = -1
-    return MRep(len(pairs), d, d, c)
+    i, j = np.triu_indices(d, 1)
+    h = np.arange(len(i))
+    c = np.zeros((len(h), d, d), np.int64)
+    c[h, i, j] = 1
+    c[h, j, i] = -1
+    return MRep(*c.shape, c)
 
 
 def _sym(d: int) -> MRep:
     """Symmetric d x d matrices; basis E_ii and E_ij + E_ji for i < j, lex order."""
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    c = _tensor(len(pairs), d, d)
-    for h, (i, j) in enumerate(pairs):
-        c[h][i][j] = 1
-        c[h][j][i] = 1
-    return MRep(len(pairs), d, d, c)
+    i, j = np.triu_indices(d)
+    h = np.arange(len(i))
+    c = np.zeros((len(h), d, d), np.int64)
+    c[h, i, j] = c[h, j, i] = 1
+    return MRep(*c.shape, c)
 
 
 def _band(r: int) -> MRep:
     """The (2r-1) x r band family: column j carries x_1..x_r from row j down."""
-    c = _tensor(r, 2 * r - 1, r)
-    for i in range(2 * r - 1):
-        for j in range(r):
-            if 0 <= i - j < r:
-                c[i - j][i][j] = 1
-    return MRep(r, 2 * r - 1, r, c)
+    h, j = np.ogrid[:r, :r]
+    c = np.zeros((r, 2 * r - 1, r), np.int64)
+    c[h, h + j, j] = 1
+    return MRep(*c.shape, c)
 
 
 def _hankel(r: int) -> MRep:
     """r x r Hankel matrices in z_1..z_{2r-1}: entry (i, j) = z_{i+j}."""
-    c = _tensor(2 * r - 1, r, r)
-    for i in range(r):
-        for j in range(r):
-            c[i + j][i][j] = 1
-    return MRep(2 * r - 1, r, r, c)
+    i, j = np.ogrid[:r, :r]
+    c = np.zeros((2 * r - 1, r, r), np.int64)
+    c[i + j, i, j] = 1
+    return MRep(*c.shape, c)
 
 
 def _westwick_H(r: int) -> MRep:
@@ -79,16 +69,10 @@ def _westwick_H(r: int) -> MRep:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    size = 2 * r + 1
-    c = _tensor(3, size, size)
-    for i in range(size):
-        if i >= 1:
-            c[0][i][i - 1] = 1
-        if i != r:
-            c[1][i][i] = 1
-        if i + 1 < size:
-            c[2][i][i + 1] = -1 if i == r - 1 else 1
-    return MRep(3, size, size, c)
+    c = np.stack([np.eye(2 * r + 1, k=k, dtype=np.int64) for k in (-1, 0, 1)])
+    c[1, r, r] = 0
+    c[2, r - 1, r] = -1
+    return MRep(*c.shape, c)
 
 
 def _westwick_a(r: int) -> MRep:
@@ -99,76 +83,49 @@ def _westwick_a(r: int) -> MRep:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    rows = 2 * r + 1
-    c = _tensor(rows, rows, 3)
-    for k in range(rows):
-        for col in range(3):
-            t = k + col - 1
-            if 0 <= t <= 2 * r:
-                c[t][k][col] = 1
-    # exceptional sign and hole
-    c[r][r - 1][2] = -1
-    c[r][r][1] = 0
-    return MRep(rows, rows, 3, c)
+    # column col holds X_t at row t - col + 1: a shifted identity in (t, row)
+    c = np.stack([np.eye(2 * r + 1, k=1 - col, dtype=np.int64) for col in range(3)], axis=2)
+    c[r, r - 1, 2] = -1
+    c[r, r, 1] = 0
+    return MRep(*c.shape, c)
 
 
 def _gamma(d: int) -> MRep:
     """The recursive C(d+1, 2) x d family: x_1 1_d stacked over [0 | previous]."""
     if d < 1:
         raise ValueError("need d >= 1")
-
-    def matrix(k: int) -> list[list[tuple[int, int] | None]]:
-        # entry = (variable index within the last k variables, coefficient)
-        if k == 0:
-            return []
-        top = [[(0, 1) if i == j else None for j in range(k)] for i in range(k)]
-        below = [[None] + [e for e in row] for row in matrix(k - 1)]
-        shifted = [
-            [None if e is None else (e[0] + 1, e[1]) for e in row] for row in below
-        ]
-        return top + shifted
-
-    rows = matrix(d)
-    c = _tensor(d, len(rows), d)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if entry is not None:
-                c[entry[0]][i][j] = entry[1]
-    return MRep(d, len(rows), d, c)
+    c = np.zeros((d, d * (d + 1) // 2, d), np.int64)
+    c[0, :d] = np.eye(d, dtype=np.int64)
+    if d > 1:  # the previous family, in x_2..x_d
+        c[1:, d:, 1:] = _gamma(d - 1).array
+    return MRep(*c.shape, c)
 
 
 def _type_F(d: int) -> MRep:
     """The alternating wedge family V -> Hom(V, V ^ V); basis e_i ^ e_j, i < j."""
     if d < 2:
         raise ValueError("need d >= 2")
-    pairs = {(i, j): k for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d))}
-    c = _tensor(d, d, len(pairs))
-    for h in range(d):
-        for i in range(d):
-            if i < h:
-                c[h][i][pairs[(i, h)]] = 1
-            elif i > h:
-                c[h][i][pairs[(h, i)]] = -1
-    return MRep(d, d, len(pairs), c)
+    i, j = np.triu_indices(d, 1)
+    k = np.arange(len(i))
+    c = np.zeros((d, d, len(k)), np.int64)
+    c[j, i, k] = 1
+    c[i, j, k] = -1
+    return MRep(*c.shape, c)
 
 
 def _type_G(d: int) -> MRep:
     """The rank-one family V* -> Hom(V, End(V)); codomain basis E_uv, row-major."""
     if d < 1:
         raise ValueError("need d >= 1")
-    c = _tensor(d, d, d * d)
-    for h in range(d):
-        for i in range(d):
-            c[h][i][h * d + i] = 1
-    return MRep(d, d, d * d, c)
+    return MRep(d, d, d * d, np.eye(d * d, dtype=np.int64).reshape(d, d, d * d))
 
 
 def _lie_heisenberg() -> MRep:
     """Rank-3 Heisenberg bracket: [e1, e2] = e3, e3 central."""
-    c = _tensor(3, 3, 3)
-    c[1][0][2] = 1  # [e1, e2] = e3
-    c[0][1][2] = -1
-    return MRep(3, 3, 3, c)
+    c = np.zeros((3, 3, 3), np.int64)
+    c[1, 0, 2] = 1  # [e1, e2] = e3
+    c[0, 1, 2] = -1
+    return MRep(*c.shape, c)
 
 
 def _lie_abelian(d: int) -> MRep:

@@ -193,10 +193,6 @@ def cmd_ask(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.levels < 0:
-        raise UsageError("--levels must be nonnegative")
-    if args.moment < 1:
-        raise UsageError("--moment must be at least 1")
     rep = _resolve_rep(args)
     series = zeta_coeffs(
         rep, args.p, m=args.moment, levels=args.levels, strategy=args.strategy, budget=args.budget
@@ -388,10 +384,10 @@ def cmd_det_example(args) -> int:
     rep = _resolve_rep(args)
     if rep.d != rep.e:
         raise UsageError("det-example needs a square matrix of linear forms (d = e)")
-    F = det_linear_matrix(rep)
-    ring = TruncatedRing(args.p, 1)
-    points, smooth = count_hypersurface_points(F, ring)
+    # the series first: it refuses bad levels and moments before the point count
     series = zeta_coeffs(rep, args.p, m=args.moment, levels=args.levels, budget=args.budget)
+    F = det_linear_matrix(rep)
+    points, smooth = count_hypersurface_points(F, TruncatedRing(args.p, 1))
     form, checks = determinantal_checks(rep, args.p, args.moment, points, series.coeffs)
     ok = smooth and all(c.match for c in checks)
     if args.format == "json":

@@ -9,6 +9,7 @@ intermediate value is an exact integer polynomial.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -259,23 +260,10 @@ def count_hypersurface_points(
     partials = [F.partial(h) for h in range(F.nvars)]
     zeros = 0
     smooth = True
-    point = [0] * F.nvars
-
-    def walk(h: int) -> None:
-        nonlocal zeros, smooth
-        if h == F.nvars:
-            if all(x == 0 for x in point):
-                return
-            if F.evaluate(point, ring) == 0:
-                zeros += 1
-                if all(g.evaluate(point, ring) == 0 for g in partials):
-                    smooth = False
-            return
-        for x in range(p):
-            point[h] = x
-            walk(h + 1)
-        point[h] = 0
-
-    walk(0)
+    for point in itertools.product(range(p), repeat=F.nvars):
+        if any(point) and F.evaluate(point, ring) == 0:
+            zeros += 1
+            if smooth and all(g.evaluate(point, ring) == 0 for g in partials):
+                smooth = False
     assert zeros % (p - 1) == 0
     return zeros // (p - 1), smooth

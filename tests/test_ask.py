@@ -112,6 +112,11 @@ def test_zeta_coeffs_committed():
     assert series.failed_level is None
 
 
+def test_zeta_coeffs_rejects_negative_levels():
+    with pytest.raises(ValueError, match="levels must be >= 0"):
+        zeta_coeffs(make("so", d=2), 3, levels=-1)
+
+
 def test_zeta_zero_level_always_one():
     rng = random.Random(12)
     for _ in range(5):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from askzeta.ask import zeta_coeffs
@@ -136,3 +139,43 @@ def test_registered_closed_forms_match_enumeration(name, m):
     rep = make(name, **params)
     for p in (2, 3):
         assert expected_zeta(name, params, m, p).expand(2) == zeta_coeffs(rep, p, m=m, levels=2).coeffs
+
+
+# sha256 (first 32 hex digits) of each family at every parameter tuple in 1..5,
+# in itertools.product order: name, parameters, shape, dtype and little-endian
+# entries of each tensor, or the message of the ValueError that refuses it
+FAMILY_DIGESTS = {
+    "matdxe": "9c64edb583c27e76ec40bc27f6e5fcef",
+    "so": "0087c8f57f8d943895c1a1137aa500be",
+    "sym": "b2f1bbdf80c20bf5eed4c05036ad9315",
+    "band": "a4060305e04684efe7abcd656125a308",
+    "hankel": "79821f80b9890eb5a5fc5557a864db2a",
+    "westwick_H": "5e6e7576e91bcbb392beeb05bd9fc668",
+    "westwick_a": "91b791ebde2b3308e6fe8e3398559543",
+    "gamma": "86a65e0bfb03fd4ba38f1ba3187c1e66",
+    "type_F": "2b026e6d0563c6313c44f1b1c9f47396",
+    "type_G": "60bf598eaa0ecf772d8e28454b637fff",
+    "lie_heisenberg": "aeb5aecd761b61473c0facfedef91a41",
+    "lie_abelian": "551aafb28218afed22b84defd3cf298d",
+}
+
+
+def _family_digest(example) -> str:
+    h = hashlib.sha256(example.name.encode())
+    for values in itertools.product(range(1, 6), repeat=len(example.params)):
+        params = dict(zip(example.params, values))
+        h.update(repr(sorted(params.items())).encode())
+        try:
+            rep = make(example.name, **params)
+        except ValueError as exc:
+            h.update(f"ValueError: {exc}".encode())
+            continue
+        h.update(repr((rep.shape, str(rep.array.dtype))).encode())
+        h.update(rep.array.astype("<i8").tobytes())
+    return h.hexdigest()[:32]
+
+
+def test_every_family_builds_its_committed_tensors():
+    assert [example.name for example in list_examples()] == list(FAMILY_DIGESTS)
+    for example in list_examples():
+        assert _family_digest(example) == FAMILY_DIGESTS[example.name], example.name

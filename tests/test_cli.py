@@ -380,6 +380,19 @@ def test_cmd_det_example_truncated_series_exits_3(capsys):
     assert code == 3 and payload["failed_level"] == 2 and len(payload["levels"]) == 2
 
 
+@pytest.mark.parametrize("command", ["zeta", "det-example"])
+@pytest.mark.parametrize("flag,value,message", [("--levels", "-1", "levels must be >= 0"),
+                                                ("--moment", "0", "moment must be >= 1")])
+def test_negative_levels_and_zero_moment_are_usage_errors(capsys, monkeypatch, command, flag, value, message):
+    def no_count(*args):
+        raise AssertionError("points counted before the series refused its input")
+
+    monkeypatch.setattr(cli, "count_hypersurface_points", no_count)
+    code, out, err = run(capsys, command, "--catalog", "so", "--d", "2", "--p", "3", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cmd_verify_rejects_a_budget(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--budget", "5000"])
