@@ -145,7 +145,7 @@ _SWEEPS = {"auto": _orbit_levels, "direct": _literal_levels}
 
 # every census of the process: (strategy, shape, reduced bytes, p, n) -> the sweep's
 # levels as (k, count) pairs, oldest out first past the bound, which is above the
-# 4778-4897 censuses of one askzeta verify run, so no criterion loses one an earlier took
+# 4779-4898 censuses of one askzeta verify run, so no criterion loses one an earlier took
 MEMO_ENTRIES = 8192
 _MEMO: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
 

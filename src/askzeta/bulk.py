@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,16 +101,17 @@ def _step_constants(p: int, n: int, d: int, e: int) -> tuple[np.ndarray, np.ndar
 def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     """Elementary divisor exponents for a batch of matrices over Z/p^n.
 
-    mats has shape (N, d, e) and any integer entries; the result has shape
-    (N, min(d, e)), uint8, each row ascending in [0, n]. Step k works on the
-    trailing (d-k) x (e-k) block only: it pivots on the entry of minimal
-    valuation (first in row-major order, as the pure-Python oracle
-    smith_exponents in tests/helpers.py does), swaps it to the corner,
-    clears the rows below it and keeps the remainder. That pivot divides
-    every entry left, so each later pivot has no smaller valuation, and
-    clearing the pivot's columns would change only its row, which no later
-    step reads. A zero block stays zero, with exponent n; after the last
-    pivot nothing is eliminated.
+    mats has shape (N, d, e) and integer entries: an integer dtype, or
+    Python ints in an object array (other dtypes raise ValueError). The
+    result has shape (N, min(d, e)), uint8, each row ascending in [0, n].
+    Step k works on the trailing (d-k) x (e-k) block only: it pivots on the
+    entry of minimal valuation (first in row-major order, as the pure-Python
+    oracle smith_exponents in tests/helpers.py does), swaps it to the
+    corner, clears the rows below it and keeps the remainder. That pivot
+    divides every entry left, so each later pivot has no smaller valuation,
+    and clearing the pivot's columns would change only its row, which no
+    later step reads. A zero block stays zero, with exponent n; after the
+    last pivot nothing is eliminated.
 
     Clearing divides nothing: the pivot is p^v u with u a unit and row i's
     entry is p^v g_i, so row i becomes u row_i - g_i row_0. Those row
@@ -121,8 +123,9 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     call allocates once, for one slice: the kernel's memory beyond its
     output is bounded by the slice, not by N. A slice is reduced mod p^n,
     in the narrow dtype if mats has it (x - x // p^n * p^n is exact in any
-    signed dtype, wrapping included) and otherwise in int64, then narrowed
-    to int16 when (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64.
+    signed dtype, wrapping included) and otherwise in int64 (uint64 and
+    Python ints are reduced exactly before the cast), then narrowed to
+    int16 when (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64.
     Narrowing first would wrap unreduced input, such as the entries of
     kernel_size's integer matrices (the census sweeps pass reduced, narrow
     batches). A step's u row_i - g_i row_0 has all four factors in
@@ -134,6 +137,10 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     sized by p^n; the exponents are uint8 for the same reason.
     """
     mats = np.asarray(mats)
+    if mats.size and not (
+        mats.dtype.kind in "biu" or mats.dtype == object and all(isinstance(x, Integral) for x in mats.flat)
+    ):
+        raise ValueError(f"matrix entries must be integers, got dtype {mats.dtype}")
     N, d, e = mats.shape
     m = min(d, e)
     out = np.empty((N, m), dtype=np.uint8, order="F")  # a step fills one column
@@ -176,8 +183,8 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
             quotient *= pn
             np.subtract(flat.T, quotient, out=work)
         else:  # reduced in int64 in the caller's layout, then narrowed batch-last
-            if not np.can_cast(flat.dtype, np.int64):
-                flat = flat.astype(np.int64)
+            if not np.can_cast(flat.dtype, np.int64):  # uint64 or Python ints: exact first
+                flat = (flat % pn).astype(np.int64)
             wide = index[: d * e * nw].reshape(nw, d * e)
             np.floor_divide(flat, pn, out=wide)
             wide *= pn

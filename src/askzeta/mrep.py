@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bulk
+from .bulk import DEFAULT_BUDGET
 from .ring import TruncatedRing
 
 __all__ = [
@@ -264,34 +264,34 @@ def adjoint_rep(structure_constants: Sequence) -> MRep:
     return rep
 
 
-def _unit_census(censuses: list[dict[int, int]], n: int, d: int) -> dict[int, int]:
-    """The level-n census restricted to parameter vectors that are nonzero mod p.
+def _unit_census(levels: Sequence[tuple], n: int, d: int) -> dict[int, int]:
+    """The level-n census of ask._levels' (k, count) pairs, restricted to parameter
+    vectors that are nonzero mod p.
 
     The other vectors are p b with b at level n - 1, whose kernel exponent
     is d more than that of b.
     """
-    units = dict(censuses[n])
-    for k, count in censuses[n - 1].items():
+    units = dict(levels[n])
+    for k, count in levels[n - 1]:
         units[k + d] -= count
     return {k: count for k, count in units.items() if count}
 
 
 def constant_rank_check(
-    rep: MRep, ring: TruncatedRing, budget: int = bulk.DEFAULT_BUDGET
+    rep: MRep, ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, int]:
     """Do all nonzero parameter values give matrices of one common rank over F_p?
 
     Returns (constant, r) with r the common rank, or the maximal rank seen
-    when the family is not of constant rank.
+    when the family is not of constant rank. The census is ask's (_levels).
     """
+    from .ask import _levels
+
     if ring.n != 1:
         raise ValueError("constant-rank scan runs over the residue field (n = 1)")
     if rep.l == 0:
         raise ValueError("constant-rank scan needs at least one parameter")
-    if ring.p**rep.l > budget:
-        raise bulk.BudgetExceededError(ring.p**rep.l, budget)
-    censuses = bulk.orbit_censuses(rep.reduced_array(ring)[None], ring.p, 1)[0]
-    ranks = {rep.d - k for k in _unit_census(censuses, 1, rep.d)}
+    ranks = {rep.d - k for k in _unit_census(_levels([rep], ring, budget, "auto")[0], 1, rep.d)}
     return (len(ranks) == 1, max(ranks))
 
 
@@ -300,23 +300,22 @@ def kminimality_check(
     p: int,
     up_to_level: int,
     r: int,
-    budget: int = bulk.DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict[int, bool]:
     """Per-level necessary conditions for kernel-minimality.
 
     At each level n <= up_to_level, checks that every parameter vector that
     is nonzero mod p has kernel size exactly p^(n (d - r)). A True verdict at
     one level is evidence, not a proof for all levels; a constant-rank
-    certificate over F_p upgrades it.
+    certificate over F_p upgrades it. Every level is read off ask's census
+    at the top level (_levels), whose p^(n l) vectors the budget bounds.
     """
+    from .ask import _levels
+
     if up_to_level < 1:
         raise ValueError("need at least one level")
-    for n in range(1, up_to_level + 1):
-        if p ** (n * rep.l) > budget:
-            raise bulk.BudgetExceededError(p ** (n * rep.l), budget, level=n)
-    ring = TruncatedRing(p, up_to_level)
-    censuses = bulk.orbit_censuses(rep.reduced_array(ring)[None], p, up_to_level)[0]
+    levels = _levels([rep], TruncatedRing(p, up_to_level), budget, "auto")[0]
     return {
-        n: set(_unit_census(censuses, n, rep.d)) <= {n * (rep.d - r)}
+        n: set(_unit_census(levels, n, rep.d)) <= {n * (rep.d - r)}
         for n in range(1, up_to_level + 1)
     }

@@ -70,8 +70,8 @@ class TruncatedRing:
 
 
 def _batch_of_one(A, ring: TruncatedRing) -> np.ndarray:
-    """A as a (1, d, e) int64 batch, once p^n is inside the batch kernel's bound."""
-    A = np.asarray(A, dtype=np.int64)
+    """A as a (1, d, e) batch in its own dtype, once p^n is inside the batch kernel's bound."""
+    A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError(f"expected a d x e matrix, got shape {A.shape}")
     if ring.size > bulk._MAX_MODULUS:

@@ -1,6 +1,7 @@
 """The batch Smith kernel against the scalar reduction in helpers and literal counting."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -197,6 +198,31 @@ def test_slices_straddle_zero_blocks(p, n, per_slice):
     with mock.patch.object(bulk, "_SLICE_ELEMENTS", 9 * per_slice):
         for layout in (mats, sweep_layout(mats, p, n)):
             assert batch_smith_exponents(layout, p, n).tolist() == want
+
+
+@pytest.mark.parametrize("p,n", RINGS)
+def test_uint64_and_python_int_entries_are_reduced_exactly(p, n):
+    # entries past int64, which a cast to int64 would wrap or refuse; the
+    # slices are short, so the reduction is exact in every slice
+    rng = np.random.default_rng([p, n])
+    pn = p**n
+    lifts = rng.integers(0, 2**64 // pn, size=(20, 3, 3), dtype=np.uint64)
+    wide = rng.integers(0, pn, size=(20, 3, 3)).astype(np.uint64) + lifts * np.uint64(pn)
+    wide[0, 0, 0] = 2**64 - 1  # 6 mod 9, where a cast to int64 wraps to -1, a unit
+    huge = wide.astype(object) * (1 - 2**70)  # Python ints, negative and past int64
+    with mock.patch.object(bulk, "_SLICE_ELEMENTS", 27):
+        for mats in (wide, huge):
+            want = [smith_exponents(A, p, n) for A in mats.tolist()]
+            assert batch_smith_exponents(mats, p, n).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "mats", [[[[2.9]]], [[[2.0, 1.0]]], [[[1 + 0j]]], [[["1"]]], [[[2**70, 2.9]]], [[[Fraction(5, 2)]]]]
+)
+def test_non_integer_entries_are_refused(mats):
+    # the last two are object arrays: Python ints beside a float, and a fraction
+    with pytest.raises(ValueError, match="integers"):
+        batch_smith_exponents(np.array(mats), 2, 3)
 
 
 def traced_peak(fn) -> int:

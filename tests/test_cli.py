@@ -286,6 +286,14 @@ def test_cmd_check_kminimal(capsys):
     assert out.count("True") == 2
 
 
+def test_cmd_check_kminimal_budget(capsys):
+    code, out, err = run(capsys, "check", "kminimal", "--catalog", "band", "--r", "3",
+                         "--p", "3", "--levels", "3", "--budget", "1000")
+    assert code == 3 and out == ""
+    # the top level's nominal count, 3^(3 * 3) vectors
+    assert err == "budget exhausted: enumeration needs 19683 evaluations, budget is 1000\n"
+
+
 def test_cmd_check_homotopy(tmp_path, capsys):
     band = make("band", r=2)
     payload = {

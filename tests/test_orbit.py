@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from askzeta import ask, bulk
+from askzeta import ask, bulk, catalog
 from askzeta.ask import BudgetExceededError, ZetaSeries, ask_m, kernel_census, zeta_coeffs
 from askzeta.cli import emit_rep, main
 from askzeta.mrep import MRep, collapsed_power, constant_rank_check, kminimality_check
@@ -217,10 +217,8 @@ def unit_kernel_exponents(rep, p, n):
     return set(bulk.batch_kernel_exponents(mats, p, n).tolist())
 
 
-@PROPERTY
-@given(rep=reps(), ring=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
-def test_unit_scans_match_literal_scans(rep, ring):
-    p, n = ring
+def assert_scans_match_literal_scans(rep, p, n):
+    """Both scans of rep over Z/p^n against the kernels of its unit vectors, listed literally."""
     if rep.l:
         ranks = {rep.d - k for k in unit_kernel_exponents(rep, p, 1)}
         assert constant_rank_check(rep, TruncatedRing(p, 1)) == (len(ranks) == 1, max(ranks))
@@ -228,6 +226,59 @@ def test_unit_scans_match_literal_scans(rep, ring):
     for r in range(rep.d + 1):
         want = {k: exps[k] <= {k * (rep.d - r)} for k in exps}
         assert kminimality_check(rep, p, n, r) == want
+
+
+SCAN_RINGS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
+
+
+@PROPERTY
+@given(rep=reps(), ring=st.sampled_from(SCAN_RINGS))
+def test_unit_scans_match_literal_scans(rep, ring):
+    assert_scans_match_literal_scans(rep, *ring)
+
+
+def test_scans_read_the_census_memo(monkeypatch):
+    reduced, smith = [0], bulk.batch_smith_exponents
+
+    def counting(mats, p, n):
+        reduced[0] += len(mats)
+        return smith(mats, p, n)
+
+    monkeypatch.setattr(bulk, "batch_smith_exponents", counting)
+    band = catalog.make("band", r=2)
+    zeta_coeffs(band, 2, levels=3)
+    reduced[0] = 0
+    assert kminimality_check(band, 2, 3, 2) == {1: True, 2: True, 3: True}
+    assert reduced == [0]  # every level is read off the series' census over Z/8
+    F5 = TruncatedRing(5, 1)
+    for rep in (catalog.make("westwick_a", r=2).dual("bullet"), catalog.make("gamma", d=3)):
+        kernel_census(rep, F5)
+        reduced[0] = 0
+        constant_rank_check(rep, F5)
+        assert reduced == [0]
+    # the two summands' unit orbits, not the 9^6 vectors of the sum's
+    rep = catalog.make("matdxe", d=2, e=2).direct_sum(catalog.make("matdxe", d=1, e=2))
+    reduced[0] = 0
+    assert kminimality_check(rep, 3, 2, 3) == {1: False, 2: False}
+    assert reduced == [1092]
+    assert [kminimality_check(rep, 3, 2, r) for r in (0, 1, 2)] == [{1: False, 2: False}] * 3
+    assert reduced == [1092]
+
+
+def test_scans_refuse_before_any_sweep(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    for name in ("batch_smith_exponents", "iter_vector_chunks", "_sweep", "orbit_censuses", "census_of_stack"):
+        monkeypatch.setattr(bulk, name, forbidden)
+    band = catalog.make("band", r=3)
+    with pytest.raises(BudgetExceededError) as err:
+        kminimality_check(band, 3, 3, 3, budget=1000)
+    assert (err.value.required, err.value.level) == (3**9, None)  # the top level's nominal count
+    with pytest.raises(BudgetExceededError):
+        constant_rank_check(band, TruncatedRing(3, 1), budget=26)
+    with pytest.raises(ValueError, match="int64"):
+        kminimality_check(MRep.zero(3, 3, 3), 2, 31, 3, budget=2**100)
 
 
 def test_int64_bound_refused_before_enumeration(monkeypatch):

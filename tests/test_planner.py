@@ -22,7 +22,14 @@ from askzeta.mrep import MRep
 from askzeta.ring import TruncatedRing
 
 from helpers import brute_ask, brute_census
-from test_orbit import PROPERTY, literal_census, reps, side_ask
+from test_orbit import (
+    PROPERTY,
+    SCAN_RINGS,
+    assert_scans_match_literal_scans,
+    literal_census,
+    reps,
+    side_ask,
+)
 
 
 @st.composite
@@ -58,6 +65,13 @@ def test_direct_summands_equal_the_literal_census(case, ring, m):
     )
     if top.size ** (rep.l + rep.d) * max(1, rep.d * rep.e) <= 5000:
         assert literal[n] == brute_census(rep, top)
+
+
+@PROPERTY
+@given(case=interleaved_sums(), ring=st.sampled_from(SCAN_RINGS))
+def test_unit_scans_of_interleaved_sums_match_literal_scans(case, ring):
+    # the scans read the convolution of the sum's pieces; the literal scan lists its unit vectors
+    assert_scans_match_literal_scans(case[0], *ring)
 
 
 @PROPERTY

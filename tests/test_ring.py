@@ -57,6 +57,7 @@ def test_kernel_size_committed():
     # d x 0: every row vector is in the kernel; 0 x e: only the empty one
     assert kernel_size(np.zeros((3, 0), dtype=np.int64), Z9) == 729
     assert kernel_size(np.zeros((0, 3), dtype=np.int64), Z9) == 1
+    assert kernel_size([[], [], []], Z9) == 729  # float64 as numpy reads it, but empty
 
 
 def test_image_size_committed():
@@ -76,6 +77,29 @@ def test_wrappers_refuse_moduli_past_the_kernel_bound():
                 fn(A, Z2_32)
     # 2^31 itself is inside (a 1 x 0 matrix, which needs no valuation table)
     assert kernel_size(np.zeros((1, 0), dtype=np.int64), TruncatedRing(2, 31)) == 2**31
+
+
+def test_wrappers_take_integers_past_int64_exactly():
+    Z8 = TruncatedRing(2, 3)
+    assert kernel_size([[2**70]], Z8) == 8  # 2^70 = 0 mod 8
+    assert smith_exponents([[2**70]], Z8) == [3]
+    assert image_size([[2**70]], Z8) == 1
+    rng = random.Random(70)
+    for ring in (Z4, Z9, Z8, TruncatedRing(5, 2)):
+        for d, e in ((1, 1), (2, 2), (2, 3), (3, 2)):
+            A = [[rng.randrange(-(2**80), 2**80) for _ in range(e)] for _ in range(d)]
+            reduced = [[x % ring.size for x in row] for row in A]
+            assert smith_exponents(A, ring) == oracle_smith_exponents(A, ring.p, ring.n)
+            assert kernel_size(A, ring) == brute_kernel_count(reduced, ring)
+            assert image_size(A, ring) * kernel_size(A, ring) == ring.size**d
+
+
+def test_wrappers_refuse_non_integer_entries():
+    # a float matrix was truncated: [[2.9]] over Z/8 gave exponent 1
+    for A in ([[2.9]], [[2.0, 4.0]], np.array([[1.5]], dtype=np.float32), [[2**70, 2.9]]):
+        for fn in (smith_exponents, kernel_size, image_size):
+            with pytest.raises(ValueError, match="integers"):
+                fn(A, TruncatedRing(2, 3))
 
 
 def _random_matrix(rng, d, e, ring):

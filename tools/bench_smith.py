@@ -3,10 +3,14 @@ representatives per second of bulk.orbit_censuses, per orbit class, the
 time of the orbit method of groups.class_number, per group class, and the
 matrices reduced and time of a census query, per query class.
 
-Each kernel class reduces fixed seeded batches of uniform int64 matrices
-over Z/p^n, which the kernel reduces mod p^n and narrows itself (the census
-sweeps hand it the same matrices already reduced, narrow and batch-last).
-The classes are the ones that carry
+Each kernel class reduces fixed seeded batches of uniform matrices over
+Z/p^n in the layout the census sweeps hand the kernel: entries reduced, in
+the narrow dtype, batch-last (sweep_layout), for the large batch and the
+64-matrix batch alike. That is the branch census traffic takes; the int64
+branch, for the caller's integer matrices (kernel_size's, criterion 14's),
+carries none of a queries round's kernel calls. BENCH files written before
+the classes took this layout timed the int64 branch, so their kernel
+figures compare only with each other. The classes are the ones that carry
 most of the reductions of an `askzeta verify` run and of the census part of
 perfbench's queries workload, the deep moduli of its deep part, and 3 x 3
 classes whose two pivot steps run in int32 and in int64. A sample of every
@@ -205,10 +209,17 @@ def check(mats: np.ndarray, exps: np.ndarray, p: int, n: int) -> None:
             )
 
 
+def sweep_layout(mats: np.ndarray, p: int, n: int) -> np.ndarray:
+    """mats as the census sweeps hand them to the kernel: reduced, narrow and batch-last."""
+    N, d, e = mats.shape
+    flat = mats.reshape(N, d * e).T % p**n
+    return np.ascontiguousarray(flat.astype(bulk._narrow_dtype(p**n))).T.reshape(N, d, e)
+
+
 def measure(p: int, n: int, d: int, e: int, batch: int, repeats: int, small_calls: int) -> dict:
     rng = np.random.default_rng([p, n, d, e])
-    mats = rng.integers(0, p**n, size=(batch, d, e), dtype=np.int64)
-    small = mats[:SMALL].copy()
+    wide = rng.integers(0, p**n, size=(batch, d, e), dtype=np.int64)
+    mats, small = sweep_layout(wide, p, n), sweep_layout(wide[:SMALL], p, n)
     start = time.perf_counter()
     exps = bulk.batch_smith_exponents(small, p, n)
     first_call = time.perf_counter() - start
