@@ -5,12 +5,12 @@ reductions in the narrowest signed dtype that holds (p^n)^2, int64 prefix
 offsets; callers turn the resulting exponent histograms into exact
 rationals. One additive sweep (_sweep) evaluates a stack of tensors for
 both censuses: every parameter vector for census_of_stack, one vector per
-unit orbit for orbit_censuses. Chunked enumeration keeps memory flat and
-makes results independent of the partitioning, so partial histograms can
-be combined in any order. The Smith kernel (batch_smith_exponents) works
-through each batch in slices of _SLICE_ELEMENTS entries, in one workspace
-per call, so its memory beyond a uint8 exponent per pivot is bounded by
-one slice, whatever the batch.
+unit orbit for orbit_censuses. One constant, _SLICE_ELEMENTS (2^16
+entries), bounds a sweep's batch, held in one buffer per sweep, and the
+slice the Smith kernel (batch_smith_exponents) reduces in one workspace
+per call, so a census's memory follows one slice: criterion 3's census
+peaks near 1 MB traced. Results do not depend on the partitioning, so
+partial histograms combine in any order.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
 # Keep p^n small enough that entry * entry stays inside int64.
 _MAX_MODULUS = 1 << 31
 _INT64_LIMIT = 1 << 63
-# Matrix entries evaluated per chunk of a census sweep.
-_CHUNK_ELEMENTS = 1 << 21
-# Matrix entries batch_smith_exponents reduces at a time; its workspace holds one slice.
+# Matrix entries in a sweep's batch, and in a slice of batch_smith_exponents' workspace.
 _SLICE_ELEMENTS = 1 << 16
 # Nominal parameter vectors an enumeration may cover unless told otherwise.
 DEFAULT_BUDGET = 10**7
@@ -278,9 +276,9 @@ def iter_vector_chunks(q: int, length: int, chunk: int) -> Iterator[np.ndarray]:
     return _progression_chunks([(0, 1, q)] * length, chunk)
 
 
-def _add_mod(a: np.ndarray, b: np.ndarray, pn: int) -> np.ndarray:
+def _add_mod(a: np.ndarray, b: np.ndarray, pn: int, out: np.ndarray | None = None) -> np.ndarray:
     """(a + b) mod pn for a, b in [0, pn) of one signed dtype that holds 2 pn."""
-    total = np.add(a, b)
+    total = np.add(a, b, out=out)
     # as unsigned, total - pn wraps above total exactly when total < pn
     wrapped = total.view(total.dtype.str.replace("i", "u"))
     np.minimum(wrapped, wrapped - pn, out=wrapped)
@@ -290,21 +288,22 @@ def _add_mod(a: np.ndarray, b: np.ndarray, pn: int) -> np.ndarray:
 def _sweep(
     coeffs: np.ndarray, p: int, n: int, blocks: Sequence[Sequence[Progression]], weight: int
 ) -> Iterator[np.ndarray]:
-    """Evaluate a stack of tensors at every vector of each block, in chunks.
+    """Evaluate a stack of tensors at every vector of each block, in batches.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n; a block gives
     each of the l coordinates a progression, and stands for the product of
     them. Yields (T K, d, e) batches of matrices, reduced and in the narrow
-    dtype, kept batch-last: matrix t K + k is tensor t at the chunk's k-th
+    dtype, kept batch-last: matrix t K + k is tensor t at the batch's k-th
     vector. Every vector of every block comes once, in block order, and a
-    chunk of up to _CHUNK_ELEMENTS // weight vectors may join small blocks.
+    batch of up to _SLICE_ELEMENTS // weight vectors may join small blocks.
+    A batch is a view of the call's one buffer, valid until the next batch.
 
     Evaluation is additive. The sums A(a) over the trailing coordinates
     whose progression is all of Z/p^n are built once, from tables of
     x M_i mod p^n, and shared by every block that ends in as many; a
     coordinate with any other progression, such as a single value, gets no
-    table. A chunk adds one offset per leading prefix (an int64 matmul) and
-    subtracts p^n where a sum reaches it. The offsets need
+    table. A batch adds one offset per leading prefix (an int64 matmul) and
+    subtracts p^n where a sum reaches it, in the buffer. The offsets need
     l (p^n - 1)^2 < 2^63, which callers check first.
     """
     T, l, d, e = coeffs.shape
@@ -313,13 +312,14 @@ def _sweep(
     # M[i, f T + t] is entry f of tensor t's i-th coefficient matrix
     F = d * e * T
     M = coeffs.transpose(1, 2, 3, 0).reshape(l, F)
-    cap = max(1, _CHUNK_ELEMENTS // weight)  # vectors per chunk
+    cap = max(1, _SLICE_ELEMENTS // weight)  # vectors per batch
+    buffer = np.empty(F * cap, dtype=dtype)  # every batch in turn
 
     def full_tail(block):  # trailing coordinates that run over all of Z/p^n
         return next((t for t in range(len(block)) if block[-1 - t] != (0, 1, pn)), len(block))
 
     tails = [full_tail(block) for block in blocks]
-    trail = 0  # the longest stored suffix: one that fits in a chunk
+    trail = 0  # the longest stored suffix: one that fits in a batch
     while trail < max(tails, default=0) and pn ** (trail + 1) <= cap:
         trail += 1
     used = {min(trail, t) for t in tails}
@@ -332,8 +332,11 @@ def _sweep(
         del table, prev  # not kept alive through the sweep
 
     def batch(parts, K):
-        mats = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         # batch-last: column t K + k of the (d e, T K) view is tensor t at vector k
+        mats = buffer[: F * K].reshape(F, K)
+        for offsets, suffix, columns in parts:  # each into its own columns
+            out = mats[:, columns].reshape(offsets.shape + suffix.shape[1:])
+            _add_mod(offsets[:, :, None], suffix[:, None, :], pn, out=out)
         return mats.reshape(d * e, T * K).T.reshape(T * K, d, e)
 
     parts, filled = [], 0
@@ -343,25 +346,26 @@ def _sweep(
         V = suffix.shape[1]
         for prefixes in _progression_chunks(block[:lead], max(1, cap // V)):
             K = len(prefixes) * V
-            if parts and filled + K > cap:  # before the next part, so no two chunks overlap
+            if parts and filled + K > cap:  # the part would overflow the buffer: a new batch
                 yield batch(parts, filled)
                 parts, filled = [], 0
             offsets = (M[:lead].T @ prefixes.T % pn).astype(dtype)
-            parts.append(_add_mod(offsets[:, :, None], suffix[:, None, :], pn).reshape(F, K))
+            parts.append((offsets, suffix, slice(filled, filled + K)))
             filled += K
     if parts:
         yield batch(parts, filled)
 
 
 def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
-    """Kernel-size exponent histograms for a stack of tensors, one sweep per group of them.
+    """Kernel-size exponent histograms for a stack of tensors, in one sweep.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n. For every tensor t
     the full parameter space (Z/p^n)^l is enumerated; the returned histogram
     maps an exponent k to the number of parameter vectors whose evaluated
     matrix has kernel size p^k. The matrices come from the additive sweep
     (_sweep, with every coordinate over all of Z/p^n), reduced, narrow and
-    batch-last, as the kernel keeps them. Its offsets need
+    batch-last, as the kernel keeps them, _SLICE_ELEMENTS entries at a time
+    (criterion 3's 531 441 matrices peak near 1 MB traced). Its offsets need
     l (p^n - 1)^2 < 2^63; other inputs raise ValueError before anything is
     enumerated.
     """
@@ -373,14 +377,10 @@ def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
         return []
     width = n * d + 1
     counts = np.zeros(T * width, dtype=np.int64)
-    # a group shares a sweep's fixed cost; past a quarter chunk it only grows the chunk
-    group = max(1, _CHUNK_ELEMENTS // 4 // (pn**l * max(1, d * e)))
-    for g in range(0, T, group):
-        size = min(group, T - g)
-        for batch in _sweep(coeffs[g : g + size], p, n, [[(0, 1, pn)] * l], size * max(1, d * e)):
-            ks = batch_kernel_exponents(batch, p, n).reshape(size, -1)
-            ks += np.arange(g, g + size)[:, None] * width
-            counts += np.bincount(ks.ravel(), minlength=T * width)
+    for batch in _sweep(coeffs, p, n, [[(0, 1, pn)] * l], T * max(1, d * e)):
+        ks = batch_kernel_exponents(batch, p, n).reshape(T, -1)
+        ks += np.arange(T)[:, None] * width
+        counts += np.bincount(ks.ravel(), minlength=T * width)
     return [{int(k): int(row[k]) for k in np.flatnonzero(row)} for row in counts.reshape(T, width)]
 
 
@@ -417,7 +417,7 @@ def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[list[dict[int, in
     if T and n and blocks:
         levels = np.arange(1, n + 1, dtype=np.uint8)
         first = (np.arange(T)[:, None, None] * n + np.arange(n)) * width
-        # a representative costs a chunk its entries, or its n capped sums
+        # a representative costs a batch its entries, or its n capped sums
         for batch in _sweep(coeffs, p, n, blocks, T * max(1, d * e, n)):
             exps = batch_smith_exponents(batch, p, n)
             keys = np.minimum(exps[:, None, :], levels[:, None]).sum(axis=2, dtype=np.intp)

@@ -79,15 +79,16 @@ def test_orbit_census_equals_literal_census(rep, ring):
     assert [kernel_census(rep, TruncatedRing(p, k)) for k in range(n + 1)] == cold == censuses
 
 
-# chunk sizes: the default, one vector per chunk (every coordinate a prefix),
-# and sizes that split the coordinates between prefixes and stored sums
-@pytest.mark.parametrize("chunk", [None, 1, 40, 300])
+# slice sizes: the default, one vector per batch and one matrix per kernel
+# slice (every coordinate a prefix), and sizes that split the coordinates
+# between prefixes and stored sums, and the batches between kernel slices
+@pytest.mark.parametrize("entries", [None, 1, 40, 300])
 @pytest.mark.parametrize(
     "p,n,l,d,e", [(2, 2, 3, 2, 2), (3, 1, 3, 2, 3), (2, 3, 2, 1, 2), (5, 1, 0, 2, 2), (3, 1, 2, 0, 2), (2, 2, 2, 2, 0)]
 )
-def test_census_sweep_matches_brute_force(monkeypatch, chunk, p, n, l, d, e):
-    if chunk is not None:
-        monkeypatch.setattr(bulk, "_CHUNK_ELEMENTS", chunk)
+def test_census_sweep_matches_brute_force(monkeypatch, entries, p, n, l, d, e):
+    if entries is not None:
+        monkeypatch.setattr(bulk, "_SLICE_ELEMENTS", entries)
     ring = TruncatedRing(p, n)
     rng = np.random.default_rng(l * 100 + d * 10 + e)
     reps = [MRep(l, d, e, rng.integers(-9, 10, size=(l, d, e))) for _ in range(3)]
@@ -98,18 +99,18 @@ def test_census_sweep_matches_brute_force(monkeypatch, chunk, p, n, l, d, e):
     assert censuses == [literal_census(rep, ring) for rep in reps]
 
 
-# the same chunk sizes split the orbit blocks between prefixes and stored sums,
+# the same slice sizes split the orbit blocks between prefixes and stored sums,
 # and join small blocks into one kernel batch
-@pytest.mark.parametrize("chunk", [None, 1, 40, 300])
+@pytest.mark.parametrize("entries", [None, 1, 40, 300])
 @pytest.mark.parametrize("T", [1, 3])
 @pytest.mark.parametrize(
     "p,n,l,d,e",
     [(2, 2, 3, 2, 2), (3, 1, 3, 2, 3), (2, 3, 2, 1, 2), (3, 2, 2, 1, 1), (5, 1, 0, 2, 2),
      (3, 1, 2, 0, 2), (2, 2, 2, 2, 0)],
 )
-def test_orbit_sweep_matches_brute_force(monkeypatch, chunk, T, p, n, l, d, e):
-    if chunk is not None:
-        monkeypatch.setattr(bulk, "_CHUNK_ELEMENTS", chunk)
+def test_orbit_sweep_matches_brute_force(monkeypatch, entries, T, p, n, l, d, e):
+    if entries is not None:
+        monkeypatch.setattr(bulk, "_SLICE_ELEMENTS", entries)
     rng = np.random.default_rng([T, p, n, l, d, e])
     reps = [MRep(l, d, e, rng.integers(-9, 10, size=(l, d, e))) for _ in range(max(1, T - 1))]
     if T > 1:

@@ -36,6 +36,12 @@ the hulls criterion 7 of `askzeta verify` reads at seed 8020 over Z/9 (100
 tensors in 17 shapes). Before the timing, every level of every tensor's
 orbit censuses is checked against bulk.census_of_stack at that level.
 
+A census class times one bulk.census_of_stack call: criterion 3's literal
+census of matdxe(3,2) over Z/9 (531 441 matrices), after checking it
+against the top level of bulk.orbit_censuses. Orbit and census classes also
+record the traced peak (tracemalloc) of one pass after the first, and the
+minor page faults per timed pass.
+
 A query class times one census query of perfbench's queries workload under
 the default strategy, on the workload's seeded inputs (seed 8020): the four
 whose planner enumerates a smaller tensor than the direct side, through the
@@ -86,6 +92,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +144,8 @@ ORBIT_CLASSES = [
     ("matdxe(2,2)", 5, 2, ("matdxe", {"d": 2, "e": 2}), "queries census"),
     ("criterion 7 hulls", 3, 2, None, "verify"),
 ]
+# (name, p, n, catalog family, where the class comes from)
+CENSUS_CLASSES = [("matdxe(3,2)", 3, 2, ("matdxe", {"d": 3, "e": 2}), "verify criterion 3")]
 # (name, group kind, catalog family, p, where the class comes from); the
 # Lazard group is that of the family's adjoint bracket
 GROUP_CLASSES = [
@@ -194,6 +203,20 @@ def seconds(fn, repeats: int) -> list[float]:
         fn()
         times.append(time.perf_counter() - start)
     return times
+
+
+def memory(fn, repeats: int) -> dict:
+    """The traced peak of one call of fn, then the times and minor faults of repeats more."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call = seconds(fn, repeats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"call_s": call, "traced_peak_mb": peak / 2**20, "minor_faults_per_call": faults / repeats}
 
 
 def check(mats: np.ndarray, exps: np.ndarray, p: int, n: int) -> None:
@@ -276,15 +299,33 @@ def measure_orbit(index: int, repeats: int) -> dict:
         len(stack) * sum(p ** ((n - 1) * j + n * (stack.shape[1] - 1 - j)) for j in range(stack.shape[1]))
         for stack in stacks
     )
-    call = seconds(sweep, repeats)
+    measured = memory(sweep, repeats)
     return {
         "tensors": sum(len(stack) for stack in stacks),
         "stacks": len(stacks),
         "calls": len(stacks),
         "representatives": reps,
         "first_call_s": first_call,
-        "call_s": call,
-        "representatives_per_s": reps / statistics.median(call),
+        **measured,
+        "representatives_per_s": reps / statistics.median(measured["call_s"]),
+    }
+
+
+def measure_census(index: int, repeats: int) -> dict:
+    name, p, n, (family, params), _ = CENSUS_CLASSES[index]
+    coeffs = catalog.make(family, **params).reduced_array(TruncatedRing(p, n))[None]
+    start = time.perf_counter()
+    census = bulk.census_of_stack(coeffs, p, n)
+    first_call = time.perf_counter() - start
+    if census != [levels[n] for levels in bulk.orbit_censuses(coeffs, p, n)]:
+        raise RuntimeError(f"{name} over Z/{p}^{n}: census_of_stack differs from the orbit census at level {n}")
+    matrices = p ** (n * coeffs.shape[1])
+    measured = memory(lambda: bulk.census_of_stack(coeffs, p, n), repeats)
+    return {
+        "matrices": matrices,
+        "first_call_s": first_call,
+        **measured,
+        "matrices_per_s": matrices / statistics.median(measured["call_s"]),
     }
 
 
@@ -368,6 +409,7 @@ def main(argv=None) -> int:
     spawn = multiprocessing.get_context("spawn")
     jobs = [(cls, measure, (*cls[:4], batch, repeats, small_calls)) for cls in CLASSES]
     jobs += [(cls[0], measure_orbit, (i, orbit_repeats)) for i, cls in enumerate(ORBIT_CLASSES)]
+    jobs += [(cls[0], measure_census, (i, orbit_repeats)) for i, cls in enumerate(CENSUS_CLASSES)]
     jobs += [(cls[0], measure_group, (i, orbit_repeats)) for i, cls in enumerate(GROUP_CLASSES)]
     jobs += [(cls[0], measure_query, (i, orbit_repeats)) for i, cls in enumerate(QUERY_CLASSES)]
     runs = {(label, cls): [] for label in trees for cls, _, _ in jobs}
@@ -406,7 +448,7 @@ def main(argv=None) -> int:
             class_runs = runs[label, name]
             row = {"name": name, "p": p, "n": n, "source": source}
             row.update({key: class_runs[0][key] for key in ("tensors", "stacks", "calls", "representatives")})
-            for key in ("representatives_per_s", "first_call_s"):
+            for key in ("representatives_per_s", "first_call_s", "traced_peak_mb", "minor_faults_per_call"):
                 row[key] = statistics.median(run[key] for run in class_runs)
             row["call_s"] = row["representatives"] / row["representatives_per_s"]
             row["runs"] = class_runs
@@ -414,7 +456,22 @@ def main(argv=None) -> int:
             print(
                 f"{label}: orbit {name} over Z/{p}^{n} ({source}): {row['tensors']} tensors in "
                 f"{row['calls']} calls, {row['call_s'] * 1e3:.2f} ms per pass, "
-                f"{row['representatives_per_s'] / 1e6:.2f} M representatives/s"
+                f"{row['representatives_per_s'] / 1e6:.2f} M representatives/s, "
+                f"peak {row['traced_peak_mb']:.1f} MB, {row['minor_faults_per_call']:.0f} faults per pass"
+            )
+        census_rows = []
+        for name, p, n, _, source in CENSUS_CLASSES:
+            class_runs = runs[label, name]
+            row = {"name": name, "p": p, "n": n, "source": source, "matrices": class_runs[0]["matrices"]}
+            for key in ("matrices_per_s", "first_call_s", "traced_peak_mb", "minor_faults_per_call"):
+                row[key] = statistics.median(run[key] for run in class_runs)
+            row["call_s"] = row["matrices"] / row["matrices_per_s"]
+            row["runs"] = class_runs
+            census_rows.append(row)
+            print(
+                f"{label}: census {name} over Z/{p}^{n} ({source}): {row['matrices']} matrices, "
+                f"{row['call_s'] * 1e3:.2f} ms per call, peak {row['traced_peak_mb']:.1f} MB, "
+                f"{row['minor_faults_per_call']:.0f} faults per call"
             )
         group_rows = []
         for name, kind, _, p, source in GROUP_CLASSES:
@@ -452,6 +509,7 @@ def main(argv=None) -> int:
             "classes": rows,
             "orbit_repeats": orbit_repeats,
             "orbit_classes": orbit_rows,
+            "census_classes": census_rows,
             "group_classes": group_rows,
             "query_classes": query_rows,
         }
