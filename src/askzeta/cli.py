@@ -492,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("predicate", choices=("duality", "kminimal", "constant-rank", "homotopy"))
     _add_rep_arguments(p_check)
     p_check.add_argument("--levels", type=int, default=2, help="levels for kminimal")
-    p_check.add_argument("--rank", type=int, help="target rank for kminimal (default: generic rank)")
+    p_check.add_argument(
+        "--rank", type=int, help="target rank for kminimal, 0..d for domain rank d (default: generic rank)"
+    )
     p_check.add_argument("--triple", help="JSON file with source, target, nu, phi, psi")
     p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_check.set_defaults(fn=cmd_check)

@@ -305,15 +305,17 @@ def kminimality_check(
     """Per-level necessary conditions for kernel-minimality.
 
     At each level n <= up_to_level, checks that every parameter vector that
-    is nonzero mod p has kernel size exactly p^(n (d - r)). A True verdict at
-    one level is evidence, not a proof for all levels; a constant-rank
-    certificate over F_p upgrades it. Every level is read off ask's census
+    is nonzero mod p has kernel size exactly p^(n (d - r)), for a target rank
+    r in 0..d. A True verdict at one level is evidence, not a proof for all
+    levels; a constant-rank certificate over F_p upgrades it. Every level is read off ask's census
     at the top level (_levels), whose p^(n l) vectors the budget bounds.
     """
     from .ask import _levels
 
     if up_to_level < 1:
         raise ValueError("need at least one level")
+    if not 0 <= r <= rep.d:
+        raise ValueError(f"target rank {r} is outside 0..{rep.d}, the domain rank")
     levels = _levels([rep], TruncatedRing(p, up_to_level), budget, "auto")[0]
     return {
         n: set(_unit_census(levels, n, rep.d)) <= {n * (rep.d - r)}

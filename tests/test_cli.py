@@ -286,6 +286,14 @@ def test_cmd_check_kminimal(capsys):
     assert out.count("True") == 2
 
 
+def test_cmd_check_kminimal_rank_outside_the_domain_is_a_usage_error(capsys):
+    for rank in ("9", "-1"):
+        code, out, err = run(capsys, "check", "kminimal", "--catalog", "band", "--r", "2",
+                             "--p", "2", "--rank", rank)
+        assert code == 2 and out == ""
+        assert err == f"error: target rank {rank} is outside 0..3, the domain rank\n"
+
+
 def test_cmd_check_kminimal_budget(capsys):
     code, out, err = run(capsys, "check", "kminimal", "--catalog", "band", "--r", "3",
                          "--p", "3", "--levels", "3", "--budget", "1000")

@@ -282,6 +282,15 @@ def test_scans_refuse_before_any_sweep(monkeypatch):
         kminimality_check(MRep.zero(3, 3, 3), 2, 31, 3, budget=2**100)
 
 
+def test_kminimality_refuses_a_rank_outside_the_domain_before_any_sweep(monkeypatch):
+    for name in ("batch_smith_exponents", "_sweep", "orbit_censuses", "census_of_stack"):
+        monkeypatch.setattr(bulk, name, lambda *args, **kwargs: pytest.fail("enumeration started"))
+    band = catalog.make("band", r=2)  # domain rank 3
+    for r in (-1, 4, 9):
+        with pytest.raises(ValueError, match=rf"target rank {r} is outside 0\.\.3"):
+            kminimality_check(band, 2, 2, r)
+
+
 def test_int64_bound_refused_before_enumeration(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("enumeration started")
