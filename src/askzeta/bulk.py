@@ -9,8 +9,11 @@ unit orbit for orbit_censuses. One constant, _SLICE_ELEMENTS (2^16
 entries), bounds a sweep's batch, held in one buffer per sweep, and the
 slice the Smith kernel (batch_smith_exponents) reduces in one workspace
 per call, so a census's memory follows one slice: criterion 3's census
-peaks near 1 MB traced. Results do not depend on the partitioning, so
-partial histograms combine in any order.
+peaks near 1 MB traced. The kernel's valuations come from one cached
+uint8 table of at most _TABLE_ENTRIES (16 slices, 2^20) entries, read
+digit by digit when p^n is larger, so no structure is sized by p^n.
+Results do not depend on the partitioning, so partial histograms combine
+in any order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ _MAX_MODULUS = 1 << 31
 _INT64_LIMIT = 1 << 63
 # Matrix entries in a sweep's batch, and in a slice of batch_smith_exponents' workspace.
 _SLICE_ELEMENTS = 1 << 16
+# Entries of the valuation table, 2^20: one uint8 lookup up to p^n = 2^20, digits above.
+_TABLE_ENTRIES = 16 * _SLICE_ELEMENTS
 # Nominal parameter vectors an enumeration may cover unless told otherwise.
 DEFAULT_BUDGET = 10**7
 
@@ -55,13 +60,52 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-@lru_cache(maxsize=None)
-def _valuation_table(p: int, n: int) -> np.ndarray:
-    """val[x] = p-adic valuation of x mod p^n, n for 0; uint8, as n <= 31."""
-    vals = np.zeros(p**n, dtype=np.uint8)
-    for v in range(1, n + 1):
+@lru_cache(maxsize=1)
+def _valuation_table(p: int, h: int) -> np.ndarray:
+    """val[x] = p-adic valuation of x mod p^h, h for 0; uint8, as h <= 31.
+    One table is kept, whichever rings a process visits."""
+    vals = np.zeros(p**h, dtype=np.uint8)
+    for v in range(1, h + 1):
         vals[:: p**v] = v
     return vals
+
+
+def _table_level(p: int, n: int) -> int:
+    """The largest level h <= n whose table of p^h entries fits _TABLE_ENTRIES."""
+    h = n
+    while p**h > _TABLE_ENTRIES:
+        h -= 1
+    return h
+
+
+def _digit_valuations(
+    x: np.ndarray, low: np.ndarray, digit: np.int64, n: int, lookup: np.ndarray, out: np.ndarray
+) -> None:
+    """out = p-adic valuations of x in [0, p^n), n for 0, for p^n past one
+    table: low, the table of digit = p^h entries, reads the low digit
+    x mod p^h, and only where that digit is 0, h plus the valuation of the
+    next digit, clamped at n, and so on. A prime past the table (n = 1: a
+    field) reads x == 0. x is int64 (p^n > 2^20), lookup an intp buffer of
+    its shape."""
+    h = low[0]  # the table's level, its valuation of 0
+    if h == 0:
+        np.equal(x, 0, out=out.view(bool))
+        return
+    # x mod p^h as x - (x // p^h) p^h: a division by a constant is fast, a remainder is not
+    np.floor_divide(x, digit, out=lookup)
+    lookup *= digit
+    np.subtract(x, lookup, out=lookup)
+    low.take(lookup, out=out, mode="clip")
+    if np.count_nonzero(lookup) < lookup.size:  # some low digit is 0
+        vals = out.reshape(-1)
+        zero = np.flatnonzero(vals == h)
+        rest = x.reshape(-1)[zero]
+        for level in range(h, n, h):
+            rest //= digit
+            step = np.minimum(low.take(rest % digit), n - level)
+            vals[zero] += step
+            more = step == h
+            zero, rest = zero[more], rest[more]
 
 
 def _narrow_dtype(pn: int) -> type:
@@ -130,9 +174,15 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     [0, p^n), so it stays within (p^n - 1)^2 in that dtype. The block is
     kept batch-last, so a step is a few passes over contiguous rows: one
     flat-index gather of the swapped block, the two products and one
-    reduction x - x // p^n * p^n. Valuations come from a uint8 table of
-    p^n entries (n <= 31 below the 2^31 modulus bound), the only table
-    sized by p^n; the exponents are uint8 for the same reason.
+    reduction x - x // p^n * p^n. Valuations come from one uint8 table of
+    p^h entries, h the largest level <= n with p^h <= _TABLE_ENTRIES
+    (2^20): up to that bound, h = n and a valuation is one lookup. Above
+    it, the table reads the low digit x mod p^h, and only where that digit
+    is 0 does the next digit x div p^h add its valuation, clamped at n; a
+    prime above the bound, which the 2^31 modulus bound allows only at
+    n = 1, needs no table. Only the last table used stays cached, so a
+    process holds at most 1 MiB of valuations. Valuations are at most
+    n <= 31 below the modulus bound, so the exponents are uint8.
     """
     mats = np.asarray(mats)
     if mats.size and not (
@@ -148,7 +198,8 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     pn = p**n
     if pn > _MAX_MODULUS:
         raise ValueError(f"modulus {p}^{n} too large for vectorised arithmetic")
-    val = _valuation_table(p, n)
+    h = n if pn <= _TABLE_ENTRIES else _table_level(p, n)
+    val = _valuation_table(p, h)
     power, positions = _step_constants(p, n, d, e)
     dtype = power.dtype
     # the workspace for one slice of matrices: one allocation, cut widest
@@ -193,8 +244,12 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
         for k in range(m):
             rc = r * c
             lookup = index[: rc * nw].reshape(rc, nw)
-            np.copyto(lookup, work)
-            v = val.take(lookup, out=vals[: rc * nw].reshape(rc, nw), mode="clip")
+            v = vals[: rc * nw].reshape(rc, nw)
+            if h == n:
+                np.copyto(lookup, work)
+                val.take(lookup, out=v, mode="clip")
+            else:
+                _digit_valuations(work, val, power[h], n, lookup, v)
             if k == m - 1:
                 part[rows, k] = v.min(axis=0)
                 break

@@ -25,10 +25,11 @@ PROPERTY = settings(
 
 # both sides of each narrow-dtype threshold: int16 | int32 and int32 | int64
 THRESHOLD_RINGS = [(181, 1), (2, 8), (46337, 1), (2, 16)]
-RINGS = [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2), (2, 20), (3, 13)] + THRESHOLD_RINGS
+# both sides of the valuation table's 2^20 entries: Z/3^13, Z/3^19 and Z/2^31 read two digits
+RINGS = [(2, 1), (2, 2), (3, 2), (5, 1), (5, 2), (2, 20), (3, 13), (3, 19), (2, 31)] + THRESHOLD_RINGS
 # vectors both ways, the collapsed powers of the moment laws, and the largest square
 SHAPES = [(1, 1), (1, 7), (7, 1), (1, 9), (9, 1), (5, 6), (6, 5), (9, 9)]
-KINDS = ("skewed", "zero rows", "zero columns", "zero", "low rank", "units near p^n")
+KINDS = ("skewed", "mixed valuations", "zero rows", "zero columns", "zero", "low rank", "units near p^n")
 
 
 def skewed(rng, p, n, shape, skew):
@@ -47,6 +48,10 @@ def matrix(rng, kind, p, n, d, e, skew):
             return np.full((d, e), p**n - 1, dtype=np.int64)
         k = rng.integers(1, 2 * p + 1, size=(d, e))
         return (p**n - np.where(k % p, k, 1)) % p**n
+    if kind == "mixed valuations":
+        # every valuation 0..n alike, so deep rings read a second digit beside one-digit entries
+        v = rng.integers(0, n + 1, size=(d, e))
+        return rng.integers(1, p**n, size=(d, e)) * (p**v % p**n) % p**n
     if kind == "low rank":
         r = int(rng.integers(0, max(1, min(d, e))))
         return skewed(rng, p, n, (d, r), skew) @ skewed(rng, p, n, (r, e), skew) % p**n
@@ -102,32 +107,60 @@ def test_batch_smith_matches_scalar(batch):
             assert p**k == brute_kernel_count(entries, ring)
 
 
-@pytest.mark.parametrize("p,n", [(2, 20), (3, 13)])
-def test_valuation_table_is_uint8_and_exact(p, n):
-    ring = TruncatedRing(p, n)
-    table = bulk._valuation_table(p, n)
-    assert table.dtype == np.uint8 and table.shape == (ring.size,)
-    assert table.min() == 0 and table.max() == n
-    powers = [p**v * u for v in range(n + 1) for u in (1, p + 1, ring.size - 1)]
-    sample = list(range(0, ring.size, 997)) + [x % ring.size for x in powers]
-    assert all(int(table[x]) == valuation(x, p, n) for x in sample)
+# one digit up to 2^20 entries; two past it; a prime past it (n = 1) reads zeros only
+DEEP_RINGS = [(2, 20), (3, 13), (5, 12), (3, 19), (2, 31), (2097169, 1), (2**31 - 1, 1)]
+
+
+@pytest.mark.parametrize("p,n", DEEP_RINGS)
+def test_valuations_are_exact_on_both_sides_of_the_table_bound(p, n):
+    # every valuation 0..n of 1 x 1 matrices u p^v, and 0, against the oracle
+    pn = p**n
+    h = bulk._table_level(p, n)
+    assert p**h <= 1 << 20 < p ** (h + 1) or h == n
+    units = [u for u in (1, p + 1, pn - 1, 2 * p - 1, pn // 2 + 1) if u % p] + list(
+        p * np.random.default_rng([p, n]).integers(0, pn // p, size=8) + 1
+    )
+    xs = [0] + [int(u) * p**v % pn for v in range(n + 1) for u in units]
+    exps = batch_smith_exponents(np.array(xs, dtype=np.int64).reshape(-1, 1, 1), p, n)
+    table = bulk._valuation_table(p, h)
+    assert table.dtype == np.uint8 and table.shape == (p**h,)
+    assert exps[:, 0].tolist() == [valuation(x, p, n) for x in xs]
+    assert set(exps[:, 0].tolist()) == set(range(n + 1))
 
 
 def test_first_call_allocates_only_the_valuation_table():
-    # memory grows with the batch, not with p^n: the only p^n-sized
-    # allocation is the uint8 valuation table
-    p, n = 2, 20
-    mats = np.array([[[3, 6], [10, 12]], [[2**20 - 1, 5], [7, 2**19]]], dtype=np.int64)
+    # memory grows with the batch, not with p^n: the one allocation near
+    # 1 MiB is the uint8 valuation table, at most 2^20 entries whatever p^n
+    for p, n in [(2, 20), (2, 31), (5, 12), (2**31 - 1, 1)]:
+        pn = p**n
+        mats = np.array(
+            [[[3, 6], [10, 12]], [[pn - 1, 5], [7, pn // p]], [[p ** (n - 1), 0], [pn - p ** (n // 2), 0]]],
+            dtype=np.int64,
+        )
+        bulk._valuation_table.cache_clear()
+        bulk._pivot_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            exps = batch_smith_exponents(mats, p, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exps.tolist() == [smith_exponents(A, p, n) for A in mats.tolist()]
+        assert peak < (1 << 20) + (1 << 20), (p, n, peak)  # a 2^20-entry table and 1 MiB
+
+
+def test_one_valuation_table_stays_cached():
+    # rings in turn leave one table behind: the three tables took 3.0 MB
+    # when every table stayed cached
     bulk._valuation_table.cache_clear()
-    bulk._pivot_orders.cache_clear()
     tracemalloc.start()
     try:
-        exps = batch_smith_exponents(mats, p, n)
-        _, peak = tracemalloc.get_traced_memory()
+        for p, n in [(2, 20), (3, 13), (5, 8)]:
+            batch_smith_exponents(np.ones((2, 2, 2), dtype=np.int64), p, n)
+        alive, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert exps.tolist() == [[0, 3], [0, 0]]
-    assert peak < p**n + (1 << 20)
+    assert alive < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -153,9 +186,11 @@ def test_unreduced_batch_gives_the_same_exponents(batch):
     unreduced = mats + pn * (np.arange(mats.size).reshape(mats.shape) % 5)
     kexp = batch_kernel_exponents(mats, p, n)
     assert (batch_kernel_exponents(unreduced, p, n) == kexp).all()
-    # shifts up to the evaluation bound l (p^n - 1)^2 at l = 9, both signs:
-    # a kernel that narrowed before reducing would wrap them
-    top = (9 * (pn - 1) ** 2 - (pn - 1)) // pn
+    # shifts up to the evaluation bound l (p^n - 1)^2 at l = 9, or at the
+    # largest l the bound admits (2 at Z/2^31), both signs: a kernel that
+    # narrowed before reducing would wrap them
+    l = min(9, (bulk._INT64_LIMIT - 1) // (pn - 1) ** 2)
+    top = (l * (pn - 1) ** 2 - (pn - 1)) // pn
     shifts = pn * (top >> (np.arange(mats.size).reshape(mats.shape) % 8))
     for sign in (1, -1):
         assert (batch_smith_exponents(mats + sign * shifts, p, n) == smith).all()

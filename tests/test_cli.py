@@ -126,6 +126,17 @@ def test_cmd_ask_census_json_and_text(capsys):
     )
 
 
+def test_cmd_ask_census_of_the_scalar_family_at_z_2_31(capsys):
+    # 2^31 parameter vectors from one orbit representative, and no valuation
+    # table of 2^31 entries: ask = 1 + n (1 - 1/p) = 33/2
+    code, out, _ = run(capsys, "ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "2",
+                       "--n", "31", "--census", "--budget", "3000000000", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "33/2" and payload["level"] == 31
+    assert payload["census"] == {str(k): 2 ** (30 - k) for k in range(31)} | {"31": 1}
+
+
 def test_cmd_ask_census_computes_one_census(monkeypatch):
     calls = []
     for name in ("orbit_censuses", "census_of_stack"):

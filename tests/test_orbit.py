@@ -126,25 +126,26 @@ def test_orbit_sweep_matches_brute_force(monkeypatch, entries, T, p, n, l, d, e)
 
 
 def test_depth_orbit_census_allocates_only_the_valuation_table():
-    # an l = 1 census at Z/2^20 reduces one representative, [1]; no table of
-    # stored sums or prefixes is sized by p^n, only the kernel's uint8 valuations
-    p, n = 2, 20
-    coeffs = np.array([[[[2**20 - 3, 6], [10, 2**19]]]], dtype=np.int64)
-    bulk._valuation_table.cache_clear()
-    bulk._pivot_orders.cache_clear()
-    tracemalloc.start()
-    try:
-        censuses = bulk.orbit_censuses(coeffs, p, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < p**n + (1 << 20)
-    # A(1) has Smith exponents (0, 2), so A(a) for a of valuation v has (v, v + 2), capped at n
-    want: dict[int, int] = {}
-    for v in range(n + 1):
-        k = v + min(v + 2, n)
-        want[k] = want.get(k, 0) + (p ** (n - v - 1) if v < n else 1)
-    assert censuses[0][n] == want
+    # an l = 1 census at Z/p^n reduces one representative, [1]; no table of
+    # stored sums or prefixes is sized by p^n, and the kernel's uint8
+    # valuations take at most 2^20 entries whatever p^n
+    for p, n in [(2, 20), (2, 31), (5, 12), (2**31 - 1, 1)]:
+        coeffs = np.array([[[[p**n - 1, p % p**n], [0, p**2 % p**n]]]], dtype=np.int64)
+        bulk._valuation_table.cache_clear()
+        bulk._pivot_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            censuses = bulk.orbit_censuses(coeffs, p, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 20) + (1 << 20), (p, n, peak)  # a 2^20-entry table and 1 MiB
+        # A(1) has Smith exponents (0, 2), so A(a) for a of valuation v has (v, v + 2), capped at n
+        want: dict[int, int] = {}
+        for v in range(n + 1):
+            k = v + min(v + 2, n)
+            want[k] = want.get(k, 0) + ((p - 1) * p ** (n - v - 1) if v < n else 1)
+        assert censuses[0][n] == want
 
 
 @PROPERTY

@@ -8,11 +8,12 @@ of its kind's setup. The setup builds the inputs in the run's process and
 returns the calls to time, the check that stops the run, and the row's
 counts. The runner then does the same for every kind: it times the first
 call, which starts from empty table caches and so also builds the
-p^n-sized tables, checks its result, traces one call's peak (tracemalloc),
-and times the repeats with their minor page faults. Each run is a new
-interpreter, so no run inherits what another left behind: a large array
-built and freed raises glibc's mmap and trim thresholds, after which a
-process's temporaries stop faulting in fresh pages and the code runs faster.
+valuation table (at most 2^20 entries), checks its result, traces one
+call's peak (tracemalloc), and times the repeats with their minor page
+faults. Each run is a new interpreter, so no run inherits what another left
+behind: a large array built and freed raises glibc's mmap and trim
+thresholds, after which a process's temporaries stop faulting in fresh
+pages and the code runs faster.
 A failed check stops the whole bench with a non-zero exit.
 
 The kinds, in table order:
@@ -65,7 +66,14 @@ Run it from any directory: it imports askzeta from the src/ beside it. With
 --before-commit, whose bulk.orbit_censuses takes a stack of tensors)
 alternate with this tree's, class by class, and go to
 BENCH_smith_<label>_before.json: a before/after pair from the same host and
-the same spells of load.
+the same spells of load. Each round then also runs every kernel row in
+place: one process loads the earlier tree's src/askzeta/bulk.py by path
+(it imports only numpy and the standard library) beside this tree's, checks
+that both kernels give the same exponents, and alternates their calls on
+the same batches, warm. The row's `ab` gives the after/before ratio of
+each pair of calls, its median and quartiles over every pair of every
+round, so that neither a process's state (the 64-matrix figure is bimodal
+from process to process) nor a spell of load falls on one tree alone.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import importlib.util
 import json
 import multiprocessing
 import platform
@@ -227,11 +236,16 @@ def sweep_layout(mats: np.ndarray, p: int, n: int) -> np.ndarray:
 # exits loses its task, and the parent would wait for it forever.
 
 
-def kernel(p: int, n: int, d: int, e: int, quick: bool):
+def kernel_batches(p: int, n: int, d: int, e: int, quick: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A kernel row's seeded large batch and its first SMALL matrices, in sweep_layout."""
     batch = 1 << 10 if quick else 1 << 16
     rng = np.random.default_rng([p, n, d, e])
     wide = rng.integers(0, p**n, size=(batch, d, e), dtype=np.int64)
-    mats, small = sweep_layout(wide, p, n), sweep_layout(wide[:SMALL], p, n)
+    return sweep_layout(wide, p, n), sweep_layout(wide[:SMALL], p, n)
+
+
+def kernel(p: int, n: int, d: int, e: int, quick: bool):
+    mats, small = kernel_batches(p, n, d, e, quick)
 
     def check(exps):
         for entries, row in zip(small[:SAMPLE].tolist(), exps[:SAMPLE].tolist()):
@@ -243,7 +257,7 @@ def kernel(p: int, n: int, d: int, e: int, quick: bool):
         "small_call_s": lambda: bulk.batch_smith_exponents(small, p, n),
         "call_s": lambda: bulk.batch_smith_exponents(mats, p, n),
     }
-    return calls, check, {"dtype": np.dtype(bulk._narrow_dtype(p**n)).name, "batch": batch}
+    return calls, check, {"dtype": np.dtype(bulk._narrow_dtype(p**n)).name, "batch": len(mats)}
 
 
 def orbit(p: int, n: int, tensors, quick: bool):
@@ -363,6 +377,38 @@ def run(index: int, quick: bool) -> dict:
     }
 
 
+def in_place(index: int, before: str, quick: bool) -> dict[str, list[float]]:
+    """One process's A/B of CLASSES[index], a kernel row: this tree's kernel and
+    the one in before's src/askzeta/bulk.py, warm, called in alternating order
+    on the same batches; the after/before time ratio of each pair of calls."""
+    spec = importlib.util.spec_from_file_location("bulk_before", Path(before) / "src" / "askzeta" / "bulk.py")
+    earlier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(earlier)
+    kind, name, _, (p, n, d, e) = CLASSES[index]
+    mats, small = kernel_batches(p, n, d, e, quick)
+    kernels = (bulk.batch_smith_exponents, earlier.batch_smith_exponents)
+    after, prior = (fn(mats, p, n) for fn in kernels)
+    if not np.array_equal(after, prior):
+        raise RuntimeError(f"{kind} {name}: this tree's exponents differ from the earlier tree's")
+    ratios = {}
+    for key, batch, pairs in (("call_ratio", mats, REPEATS[quick][0]), ("small_call_ratio", small, REPEATS[quick][1])):
+        ratios[key] = []
+        for i in range(pairs):
+            times = {}
+            for fn in kernels[:: -1 if i % 2 else 1]:
+                start = time.perf_counter()
+                fn(batch, p, n)
+                times[fn] = time.perf_counter() - start
+            ratios[key].append(times[kernels[0]] / times[kernels[1]])
+    return ratios
+
+
+def spread(values: list[float]) -> dict:
+    """The median and quartiles of values."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(runs: list[dict]) -> dict:
     """A row over its runs: each count and string once, the median and quartiles
     of each figure (a float), and every run."""
@@ -370,8 +416,7 @@ def summarize(runs: list[dict]) -> dict:
     for key, value in runs[0].items():
         values = [run[key] for run in runs]
         if isinstance(value, float):
-            q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-            row[key] = {"median": median, "q1": q1, "q3": q3}
+            row[key] = spread(values)
         elif values.count(value) != len(values):
             raise ValueError(f"runs disagree on {key}: {values}")
         else:
@@ -402,6 +447,8 @@ def main(argv=None) -> int:
     # of the host touches every class and both trees alike
     spawn = multiprocessing.get_context("spawn")
     runs = {(label, index): [] for label in trees for index in range(len(CLASSES))}
+    kernels = [index for index, row in enumerate(CLASSES) if row[0] == "kernel"] if args.before else []
+    ratios = {index: {} for index in kernels}
     for r in range(rounds):
         for index in range(len(CLASSES)):
             for label, (tree, _) in list(trees.items())[:: -1 if r % 2 else 1]:
@@ -411,6 +458,15 @@ def main(argv=None) -> int:
                         runs[label, index].append(pool.apply(run, (index, args.quick)))
                     except RuntimeError as err:
                         raise SystemExit(f"{label}: {err}") from None
+        os.environ[TREE_ENV] = str(ROOT)
+        for index in kernels:
+            with spawn.Pool(1) as pool:
+                try:
+                    pairs = pool.apply(in_place, (index, str(before), args.quick))
+                except RuntimeError as err:
+                    raise SystemExit(f"{args.label}: {err}") from None
+            for key, values in pairs.items():
+                ratios[index].setdefault(key, []).extend(values)
     machine = {
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
@@ -423,13 +479,16 @@ def main(argv=None) -> int:
         rows = []
         for index, (kind, name, source, _) in enumerate(CLASSES):
             summary = summarize(runs[label, index])
+            if label == args.label and index in ratios:
+                summary["ab"] = {key: {**spread(values), "pairs": len(values)} for key, values in ratios[index].items()}
             rows.append({"kind": kind, "name": name, "source": source, **summary})
-            figures = [
+            figures = {key: value for key, value in summary.items() if key != "runs"}
+            figures.update(figures.pop("ab", {}))
+            print(f"{label}: {kind} {name} ({source}): " + ", ".join(
                 f"{key} {value['median']:.3g} ({value['q1']:.3g}-{value['q3']:.3g})"
                 if isinstance(value, dict) else f"{key} {value}"
-                for key, value in summary.items() if key != "runs"
-            ]
-            print(f"{label}: {kind} {name} ({source}): " + ", ".join(figures))
+                for key, value in figures.items()
+            ))
         report = {
             "label": label,
             "commit": tree_commit,
