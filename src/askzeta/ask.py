@@ -8,7 +8,8 @@ arithmetic.
 The auto strategy enumerates the smallest tensor two exact laws allow: ask^m(A)
 = ask(A^(m)) on a Knuth side of the collapsed power (_side), and census(A + B) =
 census(A) * census(B) over the connected pieces of the tensor (_orbit_levels),
-each read off one vector per unit orbit (bulk.orbit_censuses). The direct
+each read off one vector per unit orbit, or in its echelon basis one per torus
+orbit where that reduces fewer matrices (_plan; bulk.orbit_censuses). The direct
 strategy enumerates every parameter vector of rep: the literal definition.
 Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 from typing import Sequence
 
@@ -72,14 +74,16 @@ class ZetaSeries:
         return len(self.coeffs)
 
 
-def _by_shape(arrays: Sequence[np.ndarray], sweep, *args) -> list:
-    """sweep(stack, *args) of the arrays stacked by shape, one call per shape, in input order."""
+def _by_shape(arrays: Sequence[np.ndarray], sweep, *args, tori: Sequence[int] = ()) -> list:
+    """sweep(stack, *args) of the arrays stacked by shape, one call per shape, in input order;
+    with tori, by shape and torus prefix, and sweep(stack, *args, torus=s) where s > 0."""
     shapes: dict[tuple, list[int]] = {}
     for i, array in enumerate(arrays):
-        shapes.setdefault(array.shape, []).append(i)
+        shapes.setdefault((array.shape, tori[i] if tori else 0), []).append(i)
     out = {}
-    for idx in shapes.values():
-        out.update(zip(idx, sweep(np.array([arrays[i] for i in idx]), *args)))
+    for (_, s), idx in shapes.items():
+        stack = np.array([arrays[i] for i in idx])
+        out.update(zip(idx, sweep(stack, *args, torus=s) if s else sweep(stack, *args)))
     return [out[i] for i in range(len(arrays))]
 
 
@@ -116,14 +120,63 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _torus_loses(p: int, n: int, l: int, r: int) -> bool:
+    """Whether a torus of rank at most r reduces no fewer matrices than the unit orbits,
+    (n+1)^r p^(n(l-r)) against p^((n-1)(l-1)) (p^l - 1)/(p - 1); at l < 2 it always does."""
+    return n == 0 or l < 2 or (n + 1) ** r * p ** (n * (l - r)) >= p ** ((n - 1) * (l - 1)) * (p**l - 1) // (p - 1)
+
+
+def _plan(piece: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int, int]:
+    """(tensor, s, free): the tensor whose census bulk.orbit_censuses(tensor, p, n, torus=s)
+    reads, and the free parameters the piece's census has beyond it.
+
+    The torus census reduces (n+1)^s p^(n(l-s)) matrices, and s is at most
+    r = min(l, d + e - 1), the rank of the row and column torus. Only a piece where that
+    bound beats its unit orbits pays for its echelon basis, whose zero rows are free
+    parameters. Slices that share an entry there have one character, so s is also at most
+    the number of classes of slices joined by shared entries; only if that still can beat
+    the unit orbits is the torus solved, and taken if it reduces fewer matrices."""
+    l, d, e = piece.shape
+    if _torus_loses(p, n, l, min(l, d + e - 1)):
+        return piece, 0, 0
+    tensor = bulk.echelon_basis(piece, p, n)
+    k = len(tensor)
+    root, owner = list(range(k)), {}  # the slices joined by shared entries, as a forest
+    for h, row in enumerate(tensor.reshape(k, -1).tolist()):
+        for f, x in enumerate(row):
+            if x:
+                g = owner.setdefault(f, h)
+                while root[g] != g:
+                    g = root[g]
+                root[g] = h
+    if _torus_loses(p, n, k, min(sum(g == h for h, g in enumerate(root)), d + e - 1)):
+        return tensor, 0, l - k
+    support = tensor != 0
+    S = _torus_prefix(support.shape, support.tobytes())
+    if _torus_loses(p, n, k, len(S)):
+        return tensor, 0, l - k
+    return tensor[[*S, *(h for h in range(k) if h not in S)]], len(S), l - k
+
+
+@lru_cache(maxsize=4096)
+def _torus_prefix(shape: tuple[int, int, int], support: bytes) -> tuple[int, ...]:
+    """bulk.torus_coordinates' S for a support, kept: supports recur from tensor to tensor."""
+    return tuple(bulk.torus_coordinates(np.frombuffer(support, dtype=bool).reshape(shape))[0])
+
+
 def _orbit_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
     """The census at every level 0..n of each reduced tensor: at level k the convolution of
-    its pieces' (_split, one bulk.orbit_censuses sweep per shape), times p^k per free
-    parameter and with k more per free row."""
+    its pieces' (_split), times p^k per free parameter and with k more per free row. Each
+    piece is read off its unit orbits or its torus (_plan), one bulk.orbit_censuses sweep
+    per shape and torus."""
     splits = _by_shape(arrays, _split)
-    swept = iter(_by_shape([piece for split in splits for piece in split[0]], bulk.orbit_censuses, p, n))
+    plans = [_plan(piece, p, n) for split in splits for piece in split[0]]
+    swept = iter(_by_shape([tensor for tensor, _, _ in plans], bulk.orbit_censuses, p, n, tori=[s for _, s, _ in plans]))
+    freed = iter(free for _, _, free in plans)
     result = []
     for split, free_params, free_rows in splits:
+        free_params += sum(next(freed) for _ in split)
         if len(split) == 1 and not free_params + free_rows:  # the tensor is its one piece
             result.append(next(swept))
             continue
@@ -140,7 +193,7 @@ def _literal_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[d
     return [[census] for census in _by_shape(arrays, bulk.census_of_stack, p, n)]
 
 
-# how each strategy sweeps the misses of a call: every level from unit orbits, or level n literally
+# how each strategy sweeps the misses of a call: every level from orbits, or level n literally
 _SWEEPS = {"auto": _orbit_levels, "direct": _literal_levels}
 
 # every census of the process: (strategy, shape, reduced bytes, p, n) -> the sweep's
@@ -183,8 +236,8 @@ def literal_censuses(
 def unit_orbit_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
-    """The census of each rep by convolution of its pieces' unit-orbit censuses, budgets
-    checked first (_orbit_levels). Each is read from the memo, which a census or a
+    """The census of each rep by convolution of its pieces' unit-orbit or torus censuses,
+    budgets checked first (_orbit_levels). Each is read from the memo, which a census or a
     series of the same tensor and ring filled, else computed once and kept; the dicts
     returned are new."""
     return [dict(levels[-1]) for levels in _levels(reps, ring, budget, "auto")]
@@ -198,7 +251,7 @@ def kernel_census(
     All moments are recoverable from it:
     ask^m = sum_k census[k] p^(k m) / p^(n l).
     The budget bounds the nominal p^(n l) vectors, also when the census is
-    in the memo; the census itself is read off the unit-orbit
+    in the memo; the census itself is read off the unit-orbit or torus
     representatives of its pieces (_orbit_levels), one pass per tensor and
     ring in a process (unit_orbit_censuses).
     """
@@ -248,7 +301,7 @@ def ask_m(
     """Average m-th power of the kernel size, as an exact rational.
 
     "auto" convolves the census of the side with the fewest parameters from its
-    pieces' unit orbits; "direct" enumerates every parameter vector of rep.
+    pieces' unit or torus orbits; "direct" enumerates every parameter vector of rep.
     """
     side, tensor = _side(rep, m, strategy)
     return _result(rep, side, tensor, dict(_levels([tensor], ring, budget, strategy)[0][-1]), ring, m)
@@ -258,7 +311,7 @@ def auto_asks(
     reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[AskResult]:
     """ask_m(rep, ring, m, "auto") for each rep: the cheapest side of each, and
-    one unit-orbit sweep per shape of the pieces of the tensors enumerated there."""
+    one orbit sweep per shape and torus of the pieces of the tensors enumerated there."""
     sides = [_side(rep, m, "auto") for rep in reps]
     censuses = unit_orbit_censuses([tensor for _, tensor in sides], ring, budget)
     return [_result(rep, *side, census, ring, m) for rep, side, census in zip(reps, sides, censuses)]
@@ -272,7 +325,7 @@ def ask_with_census(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[AskResult, dict[int, int]]:
     """(ask_m, kernel_census) of rep, both read off one census of the direct side,
-    taken as the strategy takes it: from unit orbits or literally."""
+    taken as the strategy takes it: from unit or torus orbits, or literally."""
     side = _side(rep, m, "direct" if strategy == "auto" else strategy)  # an unknown one raises
     census = dict(_levels([rep], ring, budget, strategy)[0][-1])
     return _result(rep, *side, census, ring, m), census

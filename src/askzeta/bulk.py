@@ -5,7 +5,8 @@ reductions in the narrowest signed dtype that holds (p^n)^2, int64 prefix
 offsets; callers turn the resulting exponent histograms into exact
 rationals. One additive sweep (_sweep) evaluates a stack of tensors for
 both censuses: every parameter vector for census_of_stack, one vector per
-unit orbit for orbit_censuses. One constant, _SLICE_ELEMENTS (2^16
+unit orbit or per torus orbit of a valuation pattern for orbit_censuses
+(the torus of an echelon basis: echelon_basis, torus_coordinates). One constant, _SLICE_ELEMENTS (2^16
 entries), bounds a sweep's batch, held in one buffer per sweep, and the
 slice the Smith kernel (batch_smith_exponents) reduces in one workspace
 per call, so a census's memory follows one slice: criterion 3's census
@@ -34,6 +35,9 @@ __all__ = [
     "iter_vector_chunks",
     "census_of_stack",
     "orbit_censuses",
+    "torus_weights",
+    "echelon_basis",
+    "torus_coordinates",
 ]
 
 # Keep p^n small enough that entry * entry stays inside int64.
@@ -309,26 +313,32 @@ def check_evaluation_bound(l: int, pn: int) -> None:
         )
 
 
-# a coordinate's values base + step * range(radix), as (base, step, radix)
-Progression = tuple[int, int, int]
+# a coordinate's values: a range, or a tuple of them
+Values = range | tuple[int, ...]
 
 
-def _progression_chunks(progs: Sequence[Progression], chunk: int) -> Iterator[np.ndarray]:
-    """Every vector of the product of progressions, in row-major order, in int64 chunks."""
-    if not progs:
+def _progression_chunks(coords: Sequence[Values], chunk: int) -> Iterator[np.ndarray]:
+    """Every vector of the product of the coordinates' values, in row-major order, in int64 chunks."""
+    if not coords:
         yield np.zeros((1, 0), dtype=np.int64)
         return
-    total = prod(radix for _, _, radix in progs)
-    base, step, radix = (np.array(column, dtype=np.int64) for column in zip(*progs))
-    weights = np.array([prod(r for _, _, r in progs[h + 1 :]) for h in range(len(progs))])
+    # digit x of a range is start + step x; of a tuple, its value at x
+    spans = [values if isinstance(values, range) else range(len(values)) for values in coords]
+    base, step, radix = np.array([(r.start, r.step, len(r)) for r in spans], dtype=np.int64).T
+    weights = np.cumprod([1, *radix[:0:-1]])[::-1]
+    total = prod(radix.tolist())
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield idx[:, None] // weights % radix * step + base
+        vectors = idx[:, None] // weights % radix * step + base
+        for h, values in enumerate(coords):
+            if values is not spans[h]:
+                vectors[:, h] = np.array(values)[vectors[:, h]]
+        yield vectors
 
 
 def iter_vector_chunks(q: int, length: int, chunk: int) -> Iterator[np.ndarray]:
     """All vectors of (Z/q)^length in row-major order, in chunks."""
-    return _progression_chunks([(0, 1, q)] * length, chunk)
+    return _progression_chunks([range(q)] * length, chunk)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, pn: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -341,22 +351,22 @@ def _add_mod(a: np.ndarray, b: np.ndarray, pn: int, out: np.ndarray | None = Non
 
 
 def _sweep(
-    coeffs: np.ndarray, p: int, n: int, blocks: Sequence[Sequence[Progression]], weight: int
+    coeffs: np.ndarray, p: int, n: int, blocks: Sequence[Sequence[Values]], weight: int
 ) -> Iterator[np.ndarray]:
     """Evaluate a stack of tensors at every vector of each block, in batches.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n; a block gives
-    each of the l coordinates a progression, and stands for the product of
-    them. Yields (T K, d, e) batches of matrices, reduced and in the narrow
+    each of the l coordinates its values, a range or a tuple, and stands for
+    the product of them. Yields (T K, d, e) batches of matrices, reduced and in the narrow
     dtype, kept batch-last: matrix t K + k is tensor t at the batch's k-th
     vector. Every vector of every block comes once, in block order, and a
     batch of up to _SLICE_ELEMENTS // weight vectors may join small blocks.
     A batch is a view of the call's one buffer, valid until the next batch.
 
     Evaluation is additive. The sums A(a) over the trailing coordinates
-    whose progression is all of Z/p^n are built once, from tables of
+    whose values are all of Z/p^n are built once, from tables of
     x M_i mod p^n, and shared by every block that ends in as many; a
-    coordinate with any other progression, such as a single value, gets no
+    coordinate with any other values, such as a single one, gets no
     table. A batch adds one offset per leading prefix (an int64 matmul) and
     subtracts p^n where a sum reaches it, in the buffer. The offsets need
     l (p^n - 1)^2 < 2^63, which callers check first.
@@ -371,7 +381,7 @@ def _sweep(
     buffer = np.empty(F * cap, dtype=dtype)  # every batch in turn
 
     def full_tail(block):  # trailing coordinates that run over all of Z/p^n
-        return next((t for t in range(len(block)) if block[-1 - t] != (0, 1, pn)), len(block))
+        return next((t for t in range(len(block)) if block[-1 - t] != range(pn)), len(block))
 
     tails = [full_tail(block) for block in blocks]
     trail = 0  # the longest stored suffix: one that fits in a batch
@@ -432,31 +442,38 @@ def census_of_stack(coeffs: np.ndarray, p: int, n: int) -> list[dict[int, int]]:
         return []
     width = n * d + 1
     counts = np.zeros(T * width, dtype=np.int64)
-    for batch in _sweep(coeffs, p, n, [[(0, 1, pn)] * l], T * max(1, d * e)):
+    for batch in _sweep(coeffs, p, n, [[range(pn)] * l], T * max(1, d * e)):
         ks = batch_kernel_exponents(batch, p, n).reshape(T, -1)
         ks += np.arange(T)[:, None] * width
         counts += np.bincount(ks.ravel(), minlength=T * width)
     return [{int(k): int(row[k]) for k in np.flatnonzero(row)} for row in counts.reshape(T, width)]
 
 
-def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[list[dict[int, int]]]:
+def orbit_censuses(coeffs: np.ndarray, p: int, n: int, torus: int = 0) -> list[list[dict[int, int]]]:
     """Kernel-size histograms of a stack of tensors at every level 0..n, in one sweep.
 
     coeffs has shape (T, l, d, e), entries reduced mod p^n; entry k of tensor
     t's list is what census_of_stack returns for it at level k. Instead of
-    all p^(nl) parameter vectors, only one vector per unit orbit of the
-    primitive vectors mod p^n is reduced (scaling by a unit keeps the
-    kernel). Block j of representatives has coordinates in pZ/p^n before j,
-    1 at j and any coordinates after it, p^((n-1) j + n (l-1-j)) vectors.
-    The sweep evaluates them additively, as it does census_of_stack's
-    vectors, and the blocks share the stored sums over their trailing
-    coordinates.
+    all p^(nl) parameter vectors, one vector per orbit of a group that keeps
+    kernels is reduced, with its orbit's size as its weight; the sweep
+    evaluates them additively, as it does census_of_stack's vectors. Every
+    vector a mod p^n lies over p^((n-k) l) vectors of each level k <= n, and
+    a representative's Smith exponents at level k are min(e_i, k), so level
+    k reads the weights of the exponents capped at k, over p^((n-k) l).
 
-    * a representative's Smith exponents at level k <= n are min(e_i, k);
-    * its orbit has p^(n-1)(p-1) members, and p^((n-k) l) primitive vectors
-      mod p^n lie over each primitive vector mod p^k;
-    * a vector that is not primitive is p b with b in (Z/p^(k-1))^l, and
-      A(p b) over Z/p^k has d more kernel exponent than A(b) over Z/p^(k-1).
+    * torus = 0: the units, scaling the primitive vectors. Block j of
+      representatives has coordinates in pZ/p^n before j, 1 at j and any
+      coordinates after it, p^((n-1) j + n (l-1-j)) vectors of weight
+      p^(n-1)(p-1), and the blocks share the stored sums over their
+      trailing coordinates. A vector that is not primitive is p b with b in
+      (Z/p^(k-1))^l, and A(p b) over Z/p^k has d more kernel exponent than
+      A(b) over Z/p^(k-1).
+    * torus = s > 0: a torus (torus_coordinates) that moves the first s
+      coordinates of every tensor to p^v, v their valuations, keeping the
+      kernel. One block runs them over (1, p, ..., p^(n-1), 0) and the rest
+      over all of Z/p^n, (n+1)^s p^(n (l-s)) vectors; x_S = p^v has weight
+      the product of #{x : v(x) = v_h}, p^(n-v-1)(p-1) or 1 for v = n
+      (torus_weights), summed exactly per pattern.
 
     The sweep's offsets need l (p^n - 1)^2 < 2^63, checked up front.
     """
@@ -466,32 +483,199 @@ def orbit_censuses(coeffs: np.ndarray, p: int, n: int) -> list[list[dict[int, in
     pn = p**n
     check_evaluation_bound(l, pn)
     width = m * n + 1
-    # capped[t, k - 1, s]: tensor t's representatives whose exponents capped at k sum to s
-    capped = np.zeros(T * n * width, dtype=np.int64)
-    blocks = [[(0, p, pn // p)] * j + [(1, 1, 1)] + [(0, 1, pn)] * (l - 1 - j) for j in range(l)]
-    if T and n and blocks:
-        levels = np.arange(1, n + 1, dtype=np.uint8)
+    levels = np.arange(1, n + 1, dtype=np.uint8)
+    # capped[t, k - 1, s]: the weight of tensor t's representatives whose exponents capped at k sum to s
+    if torus:
+        blocks = [[tuple(p**v % pn for v in range(n + 1))] * torus + [range(pn)] * (l - torus)]
+        weights = torus_weights(p, n, torus, object if pn**l >= _INT64_LIMIT else np.int64)
+        capped = np.zeros((T, n * width), dtype=weights.dtype)
+        suffix, done = pn ** (l - torus), 0  # vectors per pattern, and vectors swept
+    else:
+        blocks = [[range(0, pn, p)] * j + [range(1, 2)] + [range(pn)] * (l - 1 - j) for j in range(l)]
+        capped = np.zeros(T * n * width, dtype=np.int64)
         first = (np.arange(T)[:, None, None] * n + np.arange(n)) * width
+    if T and n and blocks:
         # a representative costs a batch its entries, or its n capped sums
         for batch in _sweep(coeffs, p, n, blocks, T * max(1, d * e, n)):
             exps = batch_smith_exponents(batch, p, n)
             keys = np.minimum(exps[:, None, :], levels[:, None]).sum(axis=2, dtype=np.intp)
             keys = keys.reshape(T, -1, n)
-            keys += first
-            capped += np.bincount(keys.ravel(), minlength=T * n * width)
+            if torus:  # counted per pattern of the batch, then weighed exactly
+                K = keys.shape[1]
+                patterns = np.arange(done, done + K) // suffix
+                low, span = patterns[0], patterns[-1] - patterns[0] + 1
+                keys += ((np.arange(T)[:, None, None] * span + (patterns - low)[:, None]) * n + np.arange(n)) * width
+                counts = np.bincount(keys.ravel(), minlength=T * span * n * width)
+                capped += weights[low : low + span] @ counts.reshape(T, span, n * width)
+                done += K
+            else:
+                keys += first
+                capped += np.bincount(keys.ravel(), minlength=T * n * width)
     result = []
     for counts in capped.reshape(T, n, width):
         censuses = [{0: 1}]
         for k in range(1, n + 1):
-            orbit = p ** (k - 1) * (p - 1)
-            fibre = p ** ((n - k) * (l - 1))
+            lifts = p ** ((n - k) * l)
+            orbit = 1 if torus else p ** (n - 1) * (p - 1)
             level: dict[int, int] = {}
             for s in np.flatnonzero(counts[k - 1]):
-                count, rest = divmod(int(counts[k - 1, s]) * orbit, fibre)
+                count, rest = divmod(int(counts[k - 1, s]) * orbit, lifts)
                 assert rest == 0
                 level[int(s) + k * (d - m)] = count
-            for exp, count in censuses[-1].items():
-                level[exp + d] = level.get(exp + d, 0) + count
+            if not torus:
+                for exp, count in censuses[-1].items():
+                    level[exp + d] = level.get(exp + d, 0) + count
             censuses.append(level)
         result.append(censuses)
     return result
+
+
+def torus_weights(p: int, n: int, s: int, dtype=np.int64) -> np.ndarray:
+    """w[P] = #{x in (Z/p^n)^s : v(x) = v}, the valuations v the base n + 1 digits of P,
+    the first most significant: a product of p^(n-v-1)(p-1) for v < n and 1 for v = n."""
+    single = np.array([p ** (n - v - 1) * (p - 1) for v in range(n)] + [1], dtype=dtype)
+    weights = np.ones(1, dtype=dtype)
+    for _ in range(s):
+        weights = np.multiply.outer(weights, single).ravel()
+    return weights
+
+
+def echelon_basis(coeffs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The nonzero slices of one tensor's (l, d, e) coefficients, entries in [0, p^n),
+    after invertible row operations over Z/p^n on its l x de flattening Phi.
+
+    Phi goes to reduced echelon form: for each column, a row whose entry has the least
+    valuation v is swapped up and scaled by a unit to p^v, and that pivot clears the
+    column below it and reduces it mod p^v above it. The rows that end as zero are
+    dropped: each is a parameter on which A no longer depends. The operations are a
+    matrix H invertible over Z/p^n, so a -> aH permutes (Z/p^k)^l at every level
+    k <= n, and the census at every level is unchanged.
+    """
+    l, d, e = coeffs.shape
+    pn = p**n
+    rows = coeffs.reshape(l, d * e).tolist()
+    top = 0
+    for f in range(d * e):
+        pivot, low = None, n
+        for i in range(top, l):
+            x, v = rows[i][f], 0
+            if x:
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if v < low:
+                    pivot, low, unit = i, v, x
+                    if not v:
+                        break
+        if pivot is None:
+            continue
+        row = rows[pivot]
+        rows[pivot] = rows[top]
+        inverse, step = pow(unit, -1, pn), p**low
+        rows[top] = row = [x * inverse % pn for x in row]
+        for i in range(l):
+            q = rows[i][f] // step
+            if q and i != top:
+                rows[i] = [(x - q * y) % pn for x, y in zip(rows[i], row)]
+        top += 1
+        if top == l:
+            break
+    return np.array(rows[:top], dtype=np.int64).reshape(top, d, e)
+
+
+def torus_coordinates(support: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """(S, C, R, P): a torus of one tensor's diagonal row and column scalings, read off
+    the boolean support (l, d, e) of its coefficients.
+
+    Scaling row i by t^w_i and column j by t^u_j, t a vector of units, scales entry
+    (i, j) of A(a) by t^(w_i + u_j). Where c_h = w_i + u_j on every nonzero entry
+    (h, i, j), scaling each a_h by t^c_h gives A(t a) = D_row(t) A(a) D_col(t), with
+    the same kernel. The characters c in Z^l that some integer w, u fit are a lattice,
+    the integer kernel of these equations: a spanning forest of the bipartite graph of
+    the entries gives each row and column a potential, an integer combination of the
+    c_h (a root has 0, a tree entry's far end c_h minus its near end), and every other
+    entry asks that its ends' potentials add up to its c_h. C has one row per
+    coordinate and one column per generator of the lattice, and P one row per
+    potential, of the rows then the columns: at a character c = C g, w = P[:d] c and
+    u = P[d:] c.
+
+    S is chosen greedily: coordinate h joins while the rows C_S have Smith invariants
+    all 1, so that C_S R = I for an integer R. Then for any units y_S, the units
+    t_g = prod_k y_k^R[g, k] have t^c_h = y_h on S. This needs only that the units
+    form an abelian group, not that they are cyclic, so it holds at every p, p = 2
+    included, whose units mod 2^n are not: with y_h the inverse of a_h's unit part,
+    the torus moves a_S to p^v, v the valuations of a_S, at every level.
+    """
+    l, d, e = support.shape
+    unit = np.eye(l, dtype=np.int64)
+    ends: dict[int, list[tuple[int, int]]] = {}  # rows 0..d-1, columns d..d+e-1
+    for h, i, j in np.argwhere(support).tolist():
+        ends.setdefault(i, []).append((d + j, h))
+        ends.setdefault(d + j, []).append((i, h))
+    P = np.zeros((d + e, l), dtype=np.int64)  # the potentials, 0 off the entries
+    seen, equations = set(), set()
+    for root in ends:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, h in ends[a]:
+                if b not in seen:
+                    seen.add(b)
+                    P[b] = unit[h] - P[a]
+                    stack.append(b)
+                elif a < b:  # an entry off the forest, seen from its row
+                    equations.add(tuple((P[a] + P[b] - unit[h]).tolist()))
+    equations.discard((0,) * l)
+    # the kernel: the columns of a unimodular U beyond the pivots. Some nonzero c is a
+    # solution (1 on every nonzero slice), so rank l - 1 leaves nothing to find
+    U, rank = np.eye(l, dtype=np.int64).tolist(), 0
+    for equation in equations:
+        if rank == l - 1:
+            break
+        rank += _column_gcd(_times(equation, U), U, rank) != 0
+    C = [line[rank:] for line in U]
+    # S: C_S V = [I | 0] for a unimodular V; C[h] V = [a | b] keeps the invariants 1
+    # exactly when gcd(b) = 1, and column operations then make it [0 | 1 0 ...]
+    V = np.eye(l - rank, dtype=np.int64).tolist()
+    S: list[int] = []
+    for h in range(l):
+        row = _times(C[h], V)
+        g = _column_gcd(row, V, len(S))
+        if abs(g) != 1:
+            continue
+        for line in V:  # column s *= g, then column k -= row[k] column s
+            line[len(S)] *= g
+            for k in range(len(S)):
+                line[k] -= row[k] * line[len(S)]
+        S.append(h)
+    R = np.array(V, dtype=np.int64).reshape(l - rank, l - rank)[:, : len(S)]
+    return S, np.array(C, dtype=np.int64).reshape(l, l - rank), R, P
+
+
+def _times(v: list[int], M: list[list[int]]) -> list[int]:
+    """The row vector v times the matrix M, exactly."""
+    return [sum(x * line[k] for x, line in zip(v, M)) for k in range(len(M[0]) if M else 0)]
+
+
+def _column_gcd(row: list[int], U: list[list[int]], s: int) -> int:
+    """Unimodular column operations on U, also applied to the row vector row, that make
+    row[s:] (g, 0, ..., 0); returns g, a gcd of row[s:] (0 if there is none)."""
+    if s >= len(row):
+        return 0
+    for k in range(s + 1, len(row)):
+        x, y = row[s], row[k]
+        if not y:
+            continue
+        g, u0, v0, u1, v1 = x, 1, 0, 0, 1  # g = u0 x + v0 y, step by step
+        b = y
+        while b:
+            q = g // b
+            g, b, u0, u1, v0, v1 = b, g - q * b, u1, u0 - q * u1, v1, v0 - q * v1
+        # (col s, col k) <- (u0 col s + v0 col k, -y/g col s + x/g col k), determinant 1
+        for line in U:
+            line[s], line[k] = u0 * line[s] + v0 * line[k], x // g * line[k] - y // g * line[s]
+        row[s], row[k] = g, 0
+    return row[s]

@@ -345,7 +345,7 @@ def criterion_7(seed: int) -> CriterionResult:
     for p, n in RING_SPECS:
         ring = TruncatedRing(p, n)
         qn = Fraction(p) ** n
-        # every hull's auto side at once: one unit-orbit sweep per shape
+        # every hull's auto side at once: one orbit sweep per shape and torus
         hull_asks = auto_asks([rep.alternating_hull() for rep in reps], ring)
         for i, rep in enumerate(reps):
             hull_ask = hull_asks[i].value

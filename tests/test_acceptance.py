@@ -13,7 +13,7 @@ import pytest
 from askzeta import ask, catalog
 from askzeta.cli import main
 from askzeta.corpus import seeded_corpus
-from askzeta.verify import CRITERIA, run_criterion
+from askzeta.verify import CRITERIA, run_all, run_criterion
 from askzeta.zeta import closed_form
 
 
@@ -81,3 +81,13 @@ def test_seeded_corpus_is_pinned(seed):
     reps = seeded_corpus(seed=seed)
     text = repr([(rep.l, rep.d, rep.e, rep.array.tolist()) for rep in reps])
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seed]
+
+
+def test_run_all_builds_its_corpus_once():
+    # criteria 1, 2, 6, 7, 12 and 14 read the corpus; one run builds it once and shares it,
+    # read-only: a tuple of MReps whose arrays cannot be written
+    seeded_corpus.cache_clear()
+    assert all(result.passed for result in run_all(seed=1807))
+    assert (seeded_corpus.cache_info().misses, seeded_corpus.cache_info().hits) == (1, 5)
+    reps = seeded_corpus(seed=1807)
+    assert isinstance(reps, tuple) and not any(rep.array.flags.writeable for rep in reps)

@@ -258,13 +258,14 @@ def test_scans_read_the_census_memo(monkeypatch):
         reduced[0] = 0
         constant_rank_check(rep, F5)
         assert reduced == [0]
-    # the two summands' unit orbits, not the 9^6 vectors of the sum's
+    # the two summands' tori, 3^3 9 + 3^2 (their unit orbits are 1 080 + 12), not the 9^6
+    # vectors of the sum's
     rep = catalog.make("matdxe", d=2, e=2).direct_sum(catalog.make("matdxe", d=1, e=2))
     reduced[0] = 0
     assert kminimality_check(rep, 3, 2, 3) == {1: False, 2: False}
-    assert reduced == [1092]
+    assert reduced == [252]
     assert [kminimality_check(rep, 3, 2, r) for r in (0, 1, 2)] == [{1: False, 2: False}] * 3
-    assert reduced == [1092]
+    assert reduced == [252]
 
 
 def test_scans_refuse_before_any_sweep(monkeypatch):

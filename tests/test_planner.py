@@ -93,13 +93,35 @@ def _interleaved(rep, seed):
     return MRep(*array.shape, array)
 
 
+def unimodular(rng, k):
+    """A seeded k x k integer matrix of determinant +-1: row additions and swaps of the identity."""
+    B = np.eye(k, dtype=np.int64)
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.choice(k, size=2, replace=False)
+        if rng.random() < 0.25:
+            B[[i, j]] = B[[j, i]]
+        else:
+            B[i] += rng.choice([-1, 1]) * B[j]
+    return B
+
+
+def seeded_basis(rep, seed):
+    """rep under seeded unimodular changes of basis on all three sides: a -> aM, then P A Q."""
+    rng = np.random.default_rng(seed)
+    M, P, Q = (unimodular(rng, k) for k in rep.shape)
+    return MRep(*rep.shape, np.einsum("hk,ia,kab,bj->hij", M, P, rep.array, Q))
+
+
 m33, m23 = catalog.make("matdxe", d=3, e=3), catalog.make("matdxe", d=2, e=3)
 m22_m12 = _interleaved(catalog.make("matdxe", d=2, e=2).direct_sum(catalog.make("matdxe", d=1, e=2)), 1)
 Z4, Z9 = TruncatedRing(2, 2), TruncatedRing(3, 2)
+m33_seeded, m23_seeded = seeded_basis(m33, 8020), seeded_basis(m23, 1807)
 
 # the census queries of perfbench's queries workload whose planner changed, each as a
 # function of the strategy; "direct" is the literal definition
 QUERIES = {
+    "census m33 Z/4 seeded": lambda s: (kernel_census if s == "auto" else literal_census)(m33_seeded, Z4),
+    "census m23 Z/9 seeded": lambda s: (kernel_census if s == "auto" else literal_census)(m23_seeded, Z9),
     "ask m33 Z/4 m=2": lambda s: ask_m(m33, Z4, m=2, strategy=s).value,
     "ask m23 Z/9 m=2": lambda s: ask_m(m23, Z9, m=2, strategy=s).value,
     "zeta m23 p=2 m=2": lambda s: zeta_coeffs(m23, 2, m=2, levels=2, strategy=s),
@@ -107,15 +129,24 @@ QUERIES = {
 }
 
 
+# Each piece reduces the fewer of its unit-orbit representatives,
+# p^((n-1)(l-1)) (p^l - 1)/(p - 1), and its torus census, (n+1)^s p^(n(l-s)) with s the
+# torus prefix of its echelon basis; the counts in brackets are the unit orbits'.
 @pytest.mark.parametrize(
     "name,reduced,shapes",
     [
-        # the circ side of the collapsed square: 6 parameters in place of 9 (130 816 at the direct side)
-        ("ask m33 Z/4 m=2", 2016, {(9, 6)}),
-        ("ask m23 Z/9 m=2", 1080, {(6, 6)}),  # 4 in place of 6 (88 452)
-        ("zeta m23 p=2 m=2", 120, {(6, 6)}),  # (2016)
-        # two pieces, each swept on its own: 1080 representatives of 2 x 2, 12 of 1 x 2 (88 452 of 3 x 4)
-        ("census m22+m12 Z/9", 1092, {(2, 2), (1, 2)}),
+        # seeded bases: the echelon basis is the coordinate tensor again, whose torus has
+        # rank d + e - 1: 3^5 4^4 = 62 208 (2^8 511 = 130 816) and 3^4 9^2 = 6 561 (3^5 364 = 88 452)
+        ("census m33 Z/4 seeded", 62208, {(3, 3)}),
+        ("census m23 Z/9 seeded", 6561, {(2, 3)}),
+        # the circ side of the collapsed square, 6 parameters in place of 9, s = 4:
+        # 3^4 4^2 = 1 296 (2^5 63 = 2 016; 130 816 at the direct side)
+        ("ask m33 Z/4 m=2", 1296, {(9, 6)}),
+        ("ask m23 Z/9 m=2", 243, {(6, 6)}),  # 4 parameters, s = 3: 3^3 9 (3^3 40 = 1 080)
+        ("zeta m23 p=2 m=2", 108, {(6, 6)}),  # s = 3 over Z/4: 3^3 4 (2^3 15 = 120)
+        # two pieces, each swept on its own: s = 3 of 4 for the 2 x 2 piece, 3^3 9 = 243, and
+        # s = 2 of 2 for the 1 x 2 piece, 3^2 = 9 (1 080 and 12; 88 452 for the 3 x 4 sum)
+        ("census m22+m12 Z/9", 252, {(2, 2), (1, 2)}),
     ],
 )
 def test_matrices_reduced_by_the_planner(monkeypatch, name, reduced, shapes):
@@ -148,17 +179,18 @@ def reduced(monkeypatch):
 
 
 # matdxe(2,2) ties on every side at m = 2 and 3, so those moments and their series
-# enumerate the direct side, the tensor whose census kernel_census takes
+# enumerate the direct side, the tensor whose census kernel_census takes. Its torus has
+# rank 3 = d + e - 1, so over Z/9 it reduces 3^3 9 = 243 matrices, not its 1 080 unit orbits
 m22 = catalog.make("matdxe", d=2, e=2)
 
 
 def test_a_census_and_its_moments_share_one_orbit_pass(reduced):
     census = kernel_census(m22, Z9)
-    assert reduced[0] == 1080
+    assert reduced[0] == 243
     assert ask_m(m22, Z9, m=3).value == ask_from_census(census, Z9, m22.l, 3)
-    assert reduced[0] == 1080  # the third moment is read off the kept census
+    assert reduced[0] == 243  # the third moment is read off the kept census
     series = zeta_coeffs(m22, 3, m=2, levels=2)
-    assert reduced[0] == 1080  # and so is the series to level 2 over Z/9
+    assert reduced[0] == 243  # and so is the series to level 2 over Z/9
     assert series.coeffs == tuple(
         ask_from_census(literal_census(m22, TruncatedRing(3, k)), TruncatedRing(3, k), m22.l, 2) for k in range(3)
     )
@@ -191,7 +223,7 @@ def test_mutating_a_returned_census_changes_no_later_answer(reduced):
     unit_orbit_censuses([m22], Z9)[0][1] = 0
     assert kernel_census(m22, Z9) == want
     assert ask_m(m22, Z9, m=2).value == ask_from_census(want, Z9, m22.l, 2)
-    assert reduced[0] == 1080  # every answer after the first was kept
+    assert reduced[0] == 243  # every answer after the first was kept
     assert want == literal_census(m22, Z9)
 
 
@@ -216,9 +248,9 @@ def test_literal_and_auto_censuses_are_kept_apart(monkeypatch):
     calls = []
     for name in ("census_of_stack", "orbit_censuses"):
 
-        def counting(stack, p, n, name=name, sweep=getattr(bulk, name)):
+        def counting(stack, p, n, name=name, sweep=getattr(bulk, name), **torus):
             calls.append(name)
-            return sweep(stack, p, n)
+            return sweep(stack, p, n, **torus)
 
         monkeypatch.setattr(bulk, name, counting)
     orbit = kernel_census(m22, Z9)

@@ -1,7 +1,8 @@
 """Time the census work of askzeta class by class: bulk.batch_smith_exponents
 (kernel rows), bulk.orbit_censuses (orbit rows), bulk.census_of_stack
-(census rows), groups.class_number by orbits (group rows) and the census
-queries of perfbench's queries workload (query rows).
+(census rows), groups.class_number by orbits (group rows), ask's planner
+with its torus census (torus rows) and the census queries of perfbench's
+queries workload (query rows).
 
 Every row of CLASSES is one class: its kind, name, source and the arguments
 of its kind's setup. The setup builds the inputs in the run's process and
@@ -44,6 +45,18 @@ The kinds, in table order:
   queries workload asks about (there moved by a seeded change of basis,
   which keeps every class number and the work), and h_theta of matdxe(2,2)
   over F_3, of order 6561, below the orbit method's cap.
+* torus: ask's planner (ask._orbit_levels) on one tensor at every level
+  0..n, which takes each piece's torus census where it reduces fewer
+  matrices than its unit orbits: matdxe(3,3) over Z/4 and matdxe(2,3) over
+  Z/9, each in the coordinate basis and in the queries workload's seeded
+  basis (seed 8020), and so(3) over Z/5^6. It counts the matrices the first
+  call reduces, the unit-orbit representatives p^((n-1)(l-1)) (p^l - 1)/(p - 1)
+  and the difference, avoided; its levels are checked as an orbit row's, and
+  so(3)'s first moments against their fitted form
+  (1 - q^-2 T)/((1 - T)(1 - qT)). A tree without the torus reduces the unit
+  orbits: so(3) over Z/5^6 then takes about a minute a call. These rows are
+  bimodal from process to process, so their counts carry them, not their
+  times.
 * query: one census query of the queries workload under the default
   strategy, on its seeded inputs (seed 8020), with ask's census memo
   emptied before each call so that it times the census work: the four
@@ -55,6 +68,7 @@ The kinds, in table order:
     python tools/bench_smith.py --label unit_pivot              # a few minutes
     python tools/bench_smith.py --label ci --quick --out /tmp/bench   # a few seconds
     python tools/bench_smith.py --label unit_pivot --before ../parent   # twice that
+    python tools/bench_smith.py --label torus --quick --before ../parent   # ~5 min on a tree without the torus
 
 The result goes to BENCH_smith_<label>.json in --out (made if missing), with
 the machine and the commit: one `classes` list, whose rows carry their
@@ -89,12 +103,14 @@ import importlib.util
 import json
 import multiprocessing
 import platform
+import random
 import resource
 import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +130,7 @@ from askzeta.corpus import DEFAULT_SEED, seeded_corpus  # noqa: E402
 from askzeta.mrep import MRep, adjoint_rep  # noqa: E402
 from askzeta.ring import TruncatedRing  # noqa: E402
 from helpers import smith_exponents  # noqa: E402
-from workloads import Census  # noqa: E402
+from workloads import Census, seeded_rep  # noqa: E402
 
 SMALL = 64
 SAMPLE = 32
@@ -130,6 +146,17 @@ def census_then_moment(r, strategy):
         return ask.kernel_census(rep, ring), ask.ask_m(rep, ring, m=3).value
     census = ask.literal_censuses([rep], ring)[0]
     return census, ask.ask_from_census(census, ring, rep.l, 3)
+
+
+def seeded(name: str, **params: int):
+    """A catalog family in the queries workload's seeded basis at DEFAULT_SEED."""
+    return lambda: seeded_rep(askzeta, random.Random(DEFAULT_SEED), catalog.make(name, **params))
+
+
+def so3_form(q: int, k: int) -> Fraction:
+    """c_k of (1 - q^-2 T)/((1 - T)(1 - qT)): 1/((1 - T)(1 - qT)) has (q^(k+1) - 1)/(q - 1)."""
+    a = [Fraction(q ** (j + 1) - 1, q - 1) for j in range(k + 1)]
+    return a[k] - (a[k - 1] / q**2 if k else 0)
 
 
 # (kind, name, where the class comes from, the arguments of the kind's setup)
@@ -184,6 +211,12 @@ CLASSES = [
     )
 ] + [
     ("group", "h_theta matdxe(2,2) p=3", "orbit cap", ("h_theta", ("matdxe", {"d": 2, "e": 2}), 3)),
+    # torus: (p, n, the tensor, its first moments' form or None)
+    ("torus", "matdxe(3,3) over Z/2^2", "queries census", (2, 2, lambda: catalog.make("matdxe", d=3, e=3), None)),
+    ("torus", "matdxe(3,3) over Z/2^2 seeded", "queries census", (2, 2, seeded("matdxe", d=3, e=3), None)),
+    ("torus", "matdxe(2,3) over Z/3^2", "queries census", (3, 2, lambda: catalog.make("matdxe", d=2, e=3), None)),
+    ("torus", "matdxe(2,3) over Z/3^2 seeded", "queries census", (3, 2, seeded("matdxe", d=2, e=3), None)),
+    ("torus", "so(3) over Z/5^6", "deep series", (5, 6, lambda: catalog.make("so", d=3), so3_form)),
     # query: (the query as a function of the workload's reps and a strategy)
     ("query", "ask m33 Z/4 m=2", "queries census", (
         lambda r, s: ask.ask_m(r["m33"], TruncatedRing(2, 2), m=2, strategy=s).value,
@@ -269,17 +302,7 @@ def orbit(p: int, n: int, tensors, quick: bool):
     stacks = [np.stack(arrays) for arrays in shapes.values()]
 
     def check(result):
-        for stack, levels in zip(stacks, result):
-            for k in range(n + 1):
-                got = [tensor_levels[k] for tensor_levels in levels]
-                vectors = p ** (k * stack.shape[1])
-                if vectors <= LITERAL_VECTORS:
-                    want = bulk.census_of_stack(stack % p**k, p, k)
-                else:  # the total of each tensor's census
-                    got = [sum(histogram.values()) for histogram in got]
-                    want = [vectors] * len(got)
-                if got != want:
-                    raise RuntimeError(f"orbit census at level {k}: {got}, expected {want}")
+        check_levels(result, stacks, p, n)
 
     # one vector per unit orbit: block j has p^((n-1) j + n (l-1-j)) of them
     reps = sum(
@@ -288,6 +311,22 @@ def orbit(p: int, n: int, tensors, quick: bool):
     )
     calls = {"call_s": lambda: [bulk.orbit_censuses(stack, p, n) for stack in stacks]}
     return calls, check, {"tensors": sum(map(len, stacks)), "stacks": len(stacks), "representatives": reps}
+
+
+def check_levels(levels, stacks, p: int, n: int) -> None:
+    """Each stack's censuses at every level against the literal census where it has at
+    most LITERAL_VECTORS vectors, and against the total p^(k l) beyond that."""
+    for stack, result in zip(stacks, levels):
+        for k in range(n + 1):
+            got = [tensor_levels[k] for tensor_levels in result]
+            vectors = p ** (k * stack.shape[1])
+            if vectors <= LITERAL_VECTORS:
+                want = bulk.census_of_stack(stack % p**k, p, k)
+            else:  # the total of each tensor's census
+                got = [sum(histogram.values()) for histogram in got]
+                want = [vectors] * len(got)
+            if got != want:
+                raise RuntimeError(f"census at level {k}: {got}, expected {want}")
 
 
 def census(p: int, n: int, family, quick: bool):
@@ -318,17 +357,44 @@ def group(kind: str, family, p: int, quick: bool):
     return {"call_s": lambda: groups.class_number(spec, "orbit")}, check, counts
 
 
-def query(fn, quick: bool):
-    reps = Census().setup(askzeta, DEFAULT_SEED)["reps"]
-    counts = {"matrices_reduced": 0}
+def counted(counts: dict):
+    """Count the matrices bulk.batch_smith_exponents reduces into counts until the
+    returned function, which stops counting, is called."""
     smith = bulk.batch_smith_exponents
 
     def counting(mats, p, n):
         counts["matrices_reduced"] += len(mats)
         return smith(mats, p, n)
 
+    bulk.batch_smith_exponents = counting
+    return lambda: setattr(bulk, "batch_smith_exponents", smith)
+
+
+def torus(p: int, n: int, tensor, form, quick: bool):
+    rep = tensor()
+    array = rep.reduced_array(TruncatedRing(p, n))
+    counts = {"matrices_reduced": 0, "unit_orbits": p ** ((n - 1) * (rep.l - 1)) * (p**rep.l - 1) // (p - 1)}
+
+    def check(levels):
+        stop()  # only the first call is counted
+        counts["avoided"] = counts["unit_orbits"] - counts["matrices_reduced"]
+        check_levels([[levels]], [array[None]], p, n)
+        if form is not None:
+            for k, histogram in enumerate(levels):
+                ask1 = ask.ask_from_census(histogram, TruncatedRing(p, k), rep.l)
+                if ask1 != form(p, k):
+                    raise RuntimeError(f"ask at level {k} is {ask1}, its form gives {form(p, k)}")
+
+    stop = counted(counts)
+    return {"call_s": lambda: ask._orbit_levels([array], p, n)[0]}, check, counts
+
+
+def query(fn, quick: bool):
+    reps = Census().setup(askzeta, DEFAULT_SEED)["reps"]
+    counts = {"matrices_reduced": 0}
+
     def check(answer):
-        bulk.batch_smith_exponents = smith  # only the first call is counted
+        stop()  # only the first call is counted
         want = fn(reps, "direct")
         if answer != want:
             raise RuntimeError(f"the default strategy gave {answer}, the direct one {want}")
@@ -337,11 +403,11 @@ def query(fn, quick: bool):
         ask._MEMO.clear()
         return fn(reps, "auto")
 
-    bulk.batch_smith_exponents = counting
+    stop = counted(counts)
     return {"call_s": cold}, check, counts
 
 
-SETUPS = {"kernel": kernel, "orbit": orbit, "census": census, "group": group, "query": query}
+SETUPS = {"kernel": kernel, "orbit": orbit, "census": census, "group": group, "torus": torus, "query": query}
 
 
 def run(index: int, quick: bool) -> dict:
