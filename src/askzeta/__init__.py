@@ -6,6 +6,10 @@ kernel sizes and their zeta coefficients, closed-form zeta functions, and
 class numbers of the associated finite p-groups. Every result is an exact
 integer or rational; the verification suite replays all identities by
 independent brute-force enumeration.
+
+The acceptance suite (``verify``) and the polynomial module (``polynom``)
+load on first use of one of their names, so that importing the package for
+a query compiles neither.
 """
 
 from .ask import (
@@ -30,9 +34,7 @@ from .mrep import (
     kminimality_check,
     verify_homotopy,
 )
-from .polynom import MultiPoly, count_hypersurface_points, det_linear_matrix, generic_rank
 from .ring import TruncatedRing, image_size, kernel_size, smith_exponents
-from .verify import verify_class_identities
 from .zeta import QPolynomial, RationalFunction, closed_form
 
 __version__ = "0.1.0"
@@ -72,3 +74,26 @@ __all__ = [
     "verify_homotopy",
     "zeta_coeffs",
 ]
+
+# public names resolved on first access, by the module that defines them
+_LAZY = {
+    "MultiPoly": "polynom",
+    "count_hypersurface_points": "polynom",
+    "det_linear_matrix": "polynom",
+    "generic_rank": "polynom",
+    "verify_class_identities": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -4,6 +4,11 @@ Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure, 2 usage error, 3 budget exhaustion. Rationals are
 printed as exact num/den strings; no floating point appears anywhere in the
 pipeline.
+
+The acceptance suite (``verify``) and the polynomial module (``polynom``) are
+imported inside the commands that use them, and each subcommand defines its
+arguments the first time it parses, so a query loads and builds only what it
+runs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from fractions import Fraction
 
 from . import catalog
 from .ask import DEFAULT_BUDGET, BudgetExceededError, ZetaSeries, ask_m, ask_with_census, zeta_coeffs
-from .corpus import DEFAULT_SEED
 from .groups import ORBIT_ORDER_LIMIT, build_group, class_number, lazard_group
 from .mrep import (
     HomotopyTriple,
@@ -26,18 +30,7 @@ from .mrep import (
     kminimality_check,
     verify_homotopy,
 )
-from .polynom import count_hypersurface_points, det_linear_matrix, generic_rank
 from .ring import TruncatedRing
-from .verify import (
-    CRITERIA,
-    Check,
-    determinantal_checks,
-    direct_asks,
-    dual_laws,
-    dual_tensors,
-    run_all,
-    verify_class_identities,
-)
 
 _JSON_INT_LIMIT = 2**53
 
@@ -134,7 +127,7 @@ def _resolve_rep(args) -> MRep:
     raise UsageError("no tensor given; use --input FILE or --catalog NAME")
 
 
-def _print_report(checks: list[Check], fmt: str) -> None:
+def _print_report(checks, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([check.to_dict() for check in checks], indent=2))
         return
@@ -259,6 +252,9 @@ def cmd_hull(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .polynom import generic_rank
+    from .verify import Check, direct_asks, dual_laws, dual_tensors
+
     if args.predicate == "homotopy":
         if not args.triple:
             raise UsageError("check homotopy needs --triple FILE")
@@ -316,6 +312,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_group(args) -> int:
+    from .verify import verify_class_identities
+
     rep = _resolve_rep(args)
     ring = TruncatedRing(args.p, args.n)
     kind = {"galpha": "g_alpha", "htheta": "h_theta"}.get(args.kind, args.kind)
@@ -379,6 +377,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_det_example(args) -> int:
+    from .polynom import count_hypersurface_points, det_linear_matrix
+    from .verify import determinantal_checks
+
     if args.n != 1:
         raise UsageError("det-example counts points over the residue field; use --n 1")
     rep = _resolve_rep(args)
@@ -415,6 +416,8 @@ def cmd_det_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import CRITERIA, run_all
+
     indices = None
     if args.criteria is not None:
         try:
@@ -450,83 +453,117 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _ask_arguments(sub):
+    _add_rep_arguments(sub)
+    sub.add_argument("--moment", type=int, default=1)
+    sub.add_argument("--strategy", choices=("auto", "direct"), default="auto")
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--census", action="store_true", help="also print the kernel-size histogram")
+
+
+def _zeta_arguments(sub):
+    _add_rep_arguments(sub, with_ring=False)
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--levels", type=int, default=2)
+    sub.add_argument("--moment", type=int, default=1)
+    sub.add_argument("--strategy", choices=("auto", "direct"), default="auto")
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--compare", action="store_true", help="compare against the registered closed form")
+
+
+def _dual_arguments(sub):
+    _add_rep_arguments(sub, with_ring=False)
+    sub.add_argument("--op", choices=("circ", "bullet", "vee"), required=True)
+
+
+def _hull_arguments(sub):
+    _add_rep_arguments(sub, with_ring=False)
+
+
+def _check_arguments(sub):
+    sub.add_argument("predicate", choices=("duality", "kminimal", "constant-rank", "homotopy"))
+    _add_rep_arguments(sub)
+    sub.add_argument("--levels", type=int, default=2, help="levels for kminimal")
+    sub.add_argument(
+        "--rank", type=int, help="target rank for kminimal, 0..d for domain rank d (default: generic rank)"
+    )
+    sub.add_argument("--triple", help="JSON file with source, target, nu, phi, psi")
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+
+def _group_arguments(sub):
+    sub.add_argument("--kind", choices=("galpha", "htheta", "lazard"), required=True)
+    _add_rep_arguments(sub)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+
+def _catalog_arguments(sub):
+    sub.add_argument("action", choices=("list", "emit"))
+    sub.add_argument("--name")
+    sub.add_argument("--d", type=int)
+    sub.add_argument("--e", type=int)
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--format", choices=("table", "json"), default="table")
+
+
+def _det_example_arguments(sub):
+    _add_rep_arguments(sub)
+    sub.add_argument("--moment", type=int, default=1)
+    sub.add_argument("--levels", type=int, default=2)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+
+def _verify_arguments(sub):
+    from .corpus import DEFAULT_SEED
+
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
+    sub.add_argument("--format", choices=("table", "json"), default="table")
+
+
+# (name, help line, command, argument definitions), in the order --help lists them
+COMMANDS = (
+    ("ask", "average kernel size at one level", cmd_ask, _ask_arguments),
+    ("zeta", "zeta coefficients up to a level bound", cmd_zeta, _zeta_arguments),
+    ("dual", "emit a Knuth dual of a tensor", cmd_dual, _dual_arguments),
+    ("hull", "emit the alternating hull of a tensor", cmd_hull, _hull_arguments),
+    ("check", "run a predicate on a tensor", cmd_check, _check_arguments),
+    ("group", "build a finite group and count classes", cmd_group, _group_arguments),
+    ("catalog", "list catalog entries or emit a tensor", cmd_catalog, _catalog_arguments),
+    ("det-example", "determinant, smoothness, point count, closed form", cmd_det_example, _det_example_arguments),
+    ("verify", "run the full acceptance suite", cmd_verify, _verify_arguments),
+)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A sub-parser that defines its arguments the first time it parses."""
+
+    def __init__(self, *args, define, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._define = define
+
+    def define_arguments(self) -> None:
+        """Run the deferred argument definitions, once."""
+        define, self._define = self._define, None
+        if define is not None:
+            define(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.define_arguments()
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    apart from defining a subcommand's arguments the first time it runs."""
     parser = argparse.ArgumentParser(
         prog="askzeta",
         description="Exact average-kernel-size computations over Z/p^n",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ask = sub.add_parser("ask", help="average kernel size at one level")
-    _add_rep_arguments(p_ask)
-    p_ask.add_argument("--moment", type=int, default=1)
-    p_ask.add_argument("--strategy", choices=("auto", "direct"), default="auto")
-    p_ask.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_ask.add_argument("--census", action="store_true", help="also print the kernel-size histogram")
-    p_ask.set_defaults(fn=cmd_ask)
-
-    p_zeta = sub.add_parser("zeta", help="zeta coefficients up to a level bound")
-    _add_rep_arguments(p_zeta, with_ring=False)
-    p_zeta.add_argument("--p", type=int, required=True)
-    p_zeta.add_argument("--levels", type=int, default=2)
-    p_zeta.add_argument("--moment", type=int, default=1)
-    p_zeta.add_argument("--strategy", choices=("auto", "direct"), default="auto")
-    p_zeta.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_zeta.add_argument(
-        "--compare", action="store_true", help="compare against the registered closed form"
-    )
-    p_zeta.set_defaults(fn=cmd_zeta)
-
-    p_dual = sub.add_parser("dual", help="emit a Knuth dual of a tensor")
-    _add_rep_arguments(p_dual, with_ring=False)
-    p_dual.add_argument("--op", choices=("circ", "bullet", "vee"), required=True)
-    p_dual.set_defaults(fn=cmd_dual)
-
-    p_hull = sub.add_parser("hull", help="emit the alternating hull of a tensor")
-    _add_rep_arguments(p_hull, with_ring=False)
-    p_hull.set_defaults(fn=cmd_hull)
-
-    p_check = sub.add_parser("check", help="run a predicate on a tensor")
-    p_check.add_argument("predicate", choices=("duality", "kminimal", "constant-rank", "homotopy"))
-    _add_rep_arguments(p_check)
-    p_check.add_argument("--levels", type=int, default=2, help="levels for kminimal")
-    p_check.add_argument(
-        "--rank", type=int, help="target rank for kminimal, 0..d for domain rank d (default: generic rank)"
-    )
-    p_check.add_argument("--triple", help="JSON file with source, target, nu, phi, psi")
-    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_check.set_defaults(fn=cmd_check)
-
-    p_group = sub.add_parser("group", help="build a finite group and count classes")
-    p_group.add_argument("--kind", choices=("galpha", "htheta", "lazard"), required=True)
-    _add_rep_arguments(p_group)
-    p_group.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_group.set_defaults(fn=cmd_group)
-
-    p_cat = sub.add_parser("catalog", help="list catalog entries or emit a tensor")
-    p_cat.add_argument("action", choices=("list", "emit"))
-    p_cat.add_argument("--name")
-    p_cat.add_argument("--d", type=int)
-    p_cat.add_argument("--e", type=int)
-    p_cat.add_argument("--r", type=int)
-    p_cat.add_argument("--format", choices=("table", "json"), default="table")
-    p_cat.set_defaults(fn=cmd_catalog)
-
-    p_det = sub.add_parser("det-example", help="determinant, smoothness, point count, closed form")
-    _add_rep_arguments(p_det)
-    p_det.add_argument("--moment", type=int, default=1)
-    p_det.add_argument("--levels", type=int, default=2)
-    p_det.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_det.set_defaults(fn=cmd_det_example)
-
-    p_verify = sub.add_parser("verify", help="run the full acceptance suite")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
-    p_verify.add_argument("--format", choices=("table", "json"), default="table")
-    p_verify.set_defaults(fn=cmd_verify)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, fn, define in COMMANDS:
+        sub.add_parser(name, help=help_line, define=define).set_defaults(fn=fn)
     return parser
 
 

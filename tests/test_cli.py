@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import askzeta
-from askzeta import bulk, cli, groups, verify
+from askzeta import bulk, cli, groups, polynom, verify
 from askzeta.cli import UsageError, emit_rep, main, parse_rep
 from askzeta.catalog import make
 from askzeta.mrep import MRep
@@ -79,24 +79,55 @@ def test_parse_rep_diagnostics():
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
-    built = []
+    built, defined = [], {}
     init = cli.argparse.ArgumentParser.__init__
+    add_argument = cli.argparse.ArgumentParser.add_argument
 
     def counting(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def defining(self, *args, **kwargs):
+        if args != ("-h", "--help"):
+            defined.setdefault(self.prog, []).append(args)
+        return add_argument(self, *args, **kwargs)
+
     cli.build_parser.cache_clear()
     monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", defining)
     try:
-        assert main(["catalog", "list"]) == 0
         with pytest.raises(SystemExit):  # argparse's usage error leaves the parser as it was
             main(["ask", "--catalog", "matdxe", "--p", "3", "--moment", "x"])
         assert main(["ask", "--catalog", "matdxe", "--d", "1", "--e", "2", "--p", "3"]) == 0
+        # running ask defines ask's arguments, once, and no other subcommand's
+        assert list(defined) == ["askzeta ask"], sorted(defined)
+        assert len(defined["askzeta ask"]) == len(set(defined["askzeta ask"])) == 12  # ask's options
+        assert main(["catalog", "list"]) == 0
+        assert sorted(defined) == ["askzeta ask", "askzeta catalog"]
     finally:
         cli.build_parser.cache_clear()
     # the top-level parser and one per subcommand, each built once
-    assert "askzeta ask" in built and len(built) == len(set(built)), built
+    assert "askzeta ask" in built and len(built) == len(set(built)) == 1 + len(cli.COMMANDS), built
+
+
+def subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)).choices
+
+
+def test_help_is_that_of_a_parser_with_every_subcommand_defined(capsys):
+    full = cli.build_parser.__wrapped__()
+    for sub in subcommands(full).values():
+        sub.define_arguments()
+    assert list(subcommands(full)) == [name for name, *_ in cli.COMMANDS]
+    cli.build_parser.cache_clear()
+    try:
+        for argv, want in [([], full), *(([name], sub) for name, sub in subcommands(full).items())]:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == want.format_help(), argv
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_cmd_ask(capsys):
@@ -414,7 +445,8 @@ def test_negative_levels_and_zero_moment_are_usage_errors(capsys, monkeypatch, c
     def no_count(*args):
         raise AssertionError("points counted before the series refused its input")
 
-    monkeypatch.setattr(cli, "count_hypersurface_points", no_count)
+    # det-example imports the point count from polynom when it runs
+    monkeypatch.setattr(polynom, "count_hypersurface_points", no_count)
     code, out, err = run(capsys, command, "--catalog", "so", "--d", "2", "--p", "3", flag, value)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

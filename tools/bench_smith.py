@@ -1,8 +1,9 @@
 """Time the census work of askzeta class by class: bulk.batch_smith_exponents
 (kernel rows), bulk.orbit_censuses (orbit rows), bulk.census_of_stack
 (census rows), groups.class_number by orbits (group rows), ask's planner
-with its torus census (torus rows) and the census queries of perfbench's
-queries workload (query rows).
+with its torus census (torus rows), the census queries of perfbench's
+queries workload (query rows), and a fresh start of askzeta for one CLI
+query (startup rows).
 
 Every row of CLASSES is one class: its kind, name, source and the arguments
 of its kind's setup. The setup builds the inputs in the run's process and
@@ -64,6 +65,14 @@ The kinds, in table order:
   pair `census m33 Z/4` then `ask m33 Z/4 m=3`, which one census answers.
   It counts the matrices the first call reduces, and checks the answer
   against the explicit "direct" strategy or the literal census.
+* startup: a fresh start of askzeta for one CLI query, as each round of
+  perfbench's queries workload starts when no bytecode is kept
+  (PYTHONDONTWRITEBYTECODE=1 and no __pycache__): every askzeta module
+  dropped from sys.modules and freed (not timed), then
+  a fresh import of askzeta, askzeta.cli and askzeta.groups, compiled from
+  source, and the first cli.main of its deep part's first query, `zeta
+  --catalog matdxe --d 1 --e 1 --p 2 --levels 20 --compare`. It records the
+  askzeta modules loaded, and checks that all 21 levels match.
 
     python tools/bench_smith.py --label unit_pivot              # a few minutes
     python tools/bench_smith.py --label ci --quick --out /tmp/bench   # a few seconds
@@ -99,7 +108,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import gc
 import importlib.util
+import io
 import json
 import multiprocessing
 import platform
@@ -232,6 +244,10 @@ CLASSES = [
         else ask.literal_censuses([r["sum"]], TruncatedRing(3, 2))[0],
     )),
     ("query", "census m33 Z/4, ask m33 Z/4 m=3", "queries census", (census_then_moment,)),
+    # startup: (the CLI query)
+    ("startup", "zeta m11 p=2 levels=20", "queries deep", (
+        ("zeta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "2", "--levels", "20", "--compare"),
+    )),
 ]
 
 
@@ -246,9 +262,10 @@ def commit(tree: Path) -> str:
     return out.stdout.strip()
 
 
-def seconds(fn, repeats: int) -> list[float]:
+def seconds(fn, repeats: int, reset=lambda: None) -> list[float]:
     times = []
     for _ in range(repeats):
+        reset()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -264,7 +281,8 @@ def sweep_layout(mats: np.ndarray, p: int, n: int) -> np.ndarray:
 
 # Each setup takes its row's arguments and quick, and returns the calls to time
 # by figure name, the check of the first listed call's result, and the row's
-# counts, which the check may complete.
+# counts, which the check may complete. Under "reset" a setup may also return
+# what the runner calls, untimed, before each call.
 # An Exception, not SystemExit, reports a failed check: a pool worker that
 # exits loses its task, and the parent would wait for it forever.
 
@@ -407,7 +425,45 @@ def query(fn, quick: bool):
     return {"call_s": cold}, check, counts
 
 
-SETUPS = {"kernel": kernel, "orbit": orbit, "census": census, "group": group, "torus": torus, "query": query}
+def askzeta_modules() -> list[str]:
+    return sorted(key for key in sys.modules if key == "askzeta" or key.startswith("askzeta."))
+
+
+def purge() -> None:
+    """Drop every askzeta module and free it, as perfbench does before each round."""
+    for key in askzeta_modules():
+        del sys.modules[key]
+    gc.collect()
+
+
+def startup(argv, quick: bool):
+    # a bytecode cache that can hold nothing, and none written: each import compiles
+    sys.dont_write_bytecode = True
+    sys.pycache_prefix = os.path.join(os.devnull, "none")
+    counts = {}
+
+    def fresh():
+        for name in ("askzeta", "askzeta.cli", "askzeta.groups"):
+            importlib.import_module(name)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = sys.modules["askzeta.cli"].main(list(argv))
+        return code, out.getvalue(), askzeta_modules()
+
+    def check(result):
+        code, text, modules = result
+        levels = int(argv[argv.index("--levels") + 1])
+        if code != 0 or text.count(": match)") != levels + 1:
+            raise RuntimeError(f"exit {code} with output {text!r}")
+        counts["modules"] = modules
+
+    return {"reset": purge, "call_s": fresh}, check, counts
+
+
+SETUPS = {
+    "kernel": kernel, "orbit": orbit, "census": census, "group": group, "torus": torus, "query": query,
+    "startup": startup,
+}
 
 
 def run(index: int, quick: bool) -> dict:
@@ -415,6 +471,8 @@ def run(index: int, quick: bool) -> dict:
     kind, name, _, args = CLASSES[index]
     repeats, small_calls = REPEATS[quick]
     calls, check, counts = SETUPS[kind](*args, quick)
+    reset = calls.pop("reset", lambda: None)
+    reset()
     start = time.perf_counter()
     result = next(iter(calls.values()))()
     first_call = time.perf_counter() - start
@@ -423,6 +481,7 @@ def run(index: int, quick: bool) -> dict:
     except RuntimeError as err:
         raise RuntimeError(f"{kind} {name}: {err}") from None
     call = calls.pop("call_s")
+    reset()
     tracemalloc.start()
     try:
         call()
@@ -430,7 +489,7 @@ def run(index: int, quick: bool) -> dict:
     finally:
         tracemalloc.stop()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    times = seconds(call, repeats)
+    times = seconds(call, repeats, reset)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return {
         **counts,
