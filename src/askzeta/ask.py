@@ -352,9 +352,9 @@ def zeta_coeffs(
     if levels < 0:
         raise ValueError("levels must be >= 0")
     side, tensor = _side(rep, m, strategy)
-    top = levels  # the highest level whose nominal cost is within budget
-    while top >= 0 and p ** (top * tensor.l) > budget:
-        top -= 1
+    top = -1  # the highest level whose nominal cost is within budget
+    while top < levels and p ** ((top + 1) * tensor.l) <= budget:
+        top += 1
     if top < 0:
         raise BudgetExceededError(1, budget, 0)
     rings = [TruncatedRing(p, n) for n in range(top + 1)]

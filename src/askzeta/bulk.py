@@ -169,8 +169,9 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
     call allocates once, for one slice: the kernel's memory beyond its
     output is bounded by the slice, not by N. A slice is reduced mod p^n,
     in the narrow dtype if mats has it (x - x // p^n * p^n is exact in any
-    signed dtype, wrapping included) and otherwise in int64 (uint64 and
-    Python ints are reduced exactly before the cast), then narrowed to
+    signed dtype, wrapping included) and otherwise in int64 (narrower
+    dtypes widened first, as p^n need not fit them; uint64 and Python ints
+    reduced exactly before the cast), then narrowed to
     int16 when (p^n)^2 <= 2^15, int32 when (p^n)^2 <= 2^31, else int64.
     Narrowing first would wrap unreduced input, such as the entries of
     kernel_size's integer matrices (the census sweeps pass reduced, narrow
@@ -238,6 +239,8 @@ def batch_smith_exponents(mats: np.ndarray, p: int, n: int) -> np.ndarray:
         else:  # reduced in int64 in the caller's layout, then narrowed batch-last
             if not np.can_cast(flat.dtype, np.int64):  # uint64 or Python ints: exact first
                 flat = (flat % pn).astype(np.int64)
+            elif flat.dtype.itemsize < 8:  # p^n need not fit a narrower dtype
+                flat = flat.astype(np.int64)
             wide = index[: d * e * nw].reshape(nw, d * e)
             np.floor_divide(flat, pn, out=wide)
             wide *= pn

@@ -5,10 +5,12 @@ verification failure, 2 usage error, 3 budget exhaustion. Rationals are
 printed as exact num/den strings; no floating point appears anywhere in the
 pipeline.
 
-The acceptance suite (``verify``) and the polynomial module (``polynom``) are
-imported inside the commands that use them, and each subcommand defines its
-arguments the first time it parses, so a query loads and builds only what it
-runs.
+Each option is defined once, in ``OPTIONS``: its flag and its argparse
+keywords, one help text wherever it appears. A ``COMMANDS`` row names the
+options its subcommand takes, in ``--help`` order, and the subcommand adds
+them the first time it parses. The acceptance suite (``verify``) and the
+polynomial module (``polynom``) are imported inside the commands that use
+them, so a query loads and builds only what it runs.
 """
 
 from __future__ import annotations
@@ -110,19 +112,20 @@ def _frac(x) -> str:
 
 
 def _catalog_params(args) -> dict[str, int]:
-    return {key: getattr(args, key) for key in ("d", "e", "r") if getattr(args, key) is not None}
+    params = {"d": args.d, "e": args.e, "r": args.r}
+    return {key: value for key, value in params.items() if value is not None}
 
 
 def _resolve_rep(args) -> MRep:
-    if getattr(args, "input", None) and getattr(args, "catalog", None):
+    if args.input and args.catalog:
         raise UsageError("give either --input or --catalog, not both")
-    if getattr(args, "input", None):
+    if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 return parse_rep(fh.read())
         except OSError as err:
             raise UsageError(f"cannot read {args.input}: {err}") from None
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return catalog.make(args.catalog, **_catalog_params(args))
     raise UsageError("no tensor given; use --input FILE or --catalog NAME")
 
@@ -142,18 +145,6 @@ def _print_report(checks, fmt: str) -> None:
 def _print_truncation(series: ZetaSeries) -> None:
     if series.failed_level is not None:
         print(f"  level {series.failed_level}: enumeration budget exceeded, series truncated")
-
-
-def _add_rep_arguments(sub, with_ring=True):
-    sub.add_argument("--input", help="tensor JSON file")
-    sub.add_argument("--catalog", help="catalog entry name")
-    sub.add_argument("--d", type=int, help="catalog parameter d")
-    sub.add_argument("--e", type=int, help="catalog parameter e")
-    sub.add_argument("--r", type=int, help="catalog parameter r")
-    if with_ring:
-        sub.add_argument("--p", type=int, required=True, help="prime")
-        sub.add_argument("--n", type=int, default=1, help="level (default 1)")
-    sub.add_argument("--format", choices=("table", "json"), default="table")
 
 
 def cmd_ask(args) -> int:
@@ -416,6 +407,7 @@ def cmd_det_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .corpus import DEFAULT_SEED
     from .verify import CRITERIA, run_all
 
     indices = None
@@ -427,8 +419,6 @@ def cmd_verify(args) -> int:
         unknown = [i for i in indices if i not in CRITERIA]
         if unknown:
             raise UsageError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
-
-    results = []
 
     def report(result):
         status = "PASS" if result.passed else "FAIL"
@@ -443,7 +433,8 @@ def cmd_verify(args) -> int:
             print(f"    ... {len(result.failures) - 10} more failures")
         sys.stdout.flush()
 
-    results = run_all(seed=args.seed, indices=indices, report=None if args.format == "json" else report)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_all(seed=seed, indices=indices, report=None if args.format == "json" else report)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
@@ -453,100 +444,63 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _ask_arguments(sub):
-    _add_rep_arguments(sub)
-    sub.add_argument("--moment", type=int, default=1)
-    sub.add_argument("--strategy", choices=("auto", "direct"), default="auto")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--census", action="store_true", help="also print the kernel-size histogram")
+# every option once: its flag (a positional's name) -> its argparse keywords
+OPTIONS = {
+    "predicate": dict(choices=("duality", "kminimal", "constant-rank", "homotopy")),
+    "action": dict(choices=("list", "emit")),
+    "--kind": dict(choices=("galpha", "htheta", "lazard"), required=True),
+    "--input": dict(help="tensor JSON file"),
+    "--catalog": dict(help="catalog entry name"),
+    "--name": dict(),
+    "--d": dict(type=int, help="catalog parameter d"),
+    "--e": dict(type=int, help="catalog parameter e"),
+    "--r": dict(type=int, help="catalog parameter r"),
+    "--p": dict(type=int, required=True, help="prime"),
+    "--n": dict(type=int, default=1, help="level (default 1)"),
+    "--format": dict(choices=("table", "json"), default="table"),
+    "--levels": dict(type=int, default=2),
+    "--moment": dict(type=int, default=1),
+    "--strategy": dict(choices=("auto", "direct"), default="auto"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
+    "--census": dict(action="store_true", help="also print the kernel-size histogram"),
+    "--compare": dict(action="store_true", help="compare against the registered closed form"),
+    "--op": dict(choices=("circ", "bullet", "vee"), required=True),
+    "--rank": dict(type=int, help="target rank for kminimal, 0..d for domain rank d (default: generic rank)"),
+    "--triple": dict(help="JSON file with source, target, nu, phi, psi"),
+    "--seed": dict(type=int),  # default None: cmd_verify reads corpus.DEFAULT_SEED, so a query never loads corpus
+    "--criteria": dict(help="comma-separated criterion numbers (default: all)"),
+}
+_TENSOR = "--input --catalog --d --e --r"
+_RING = f"{_TENSOR} --p --n --format"
 
-
-def _zeta_arguments(sub):
-    _add_rep_arguments(sub, with_ring=False)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--levels", type=int, default=2)
-    sub.add_argument("--moment", type=int, default=1)
-    sub.add_argument("--strategy", choices=("auto", "direct"), default="auto")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--compare", action="store_true", help="compare against the registered closed form")
-
-
-def _dual_arguments(sub):
-    _add_rep_arguments(sub, with_ring=False)
-    sub.add_argument("--op", choices=("circ", "bullet", "vee"), required=True)
-
-
-def _hull_arguments(sub):
-    _add_rep_arguments(sub, with_ring=False)
-
-
-def _check_arguments(sub):
-    sub.add_argument("predicate", choices=("duality", "kminimal", "constant-rank", "homotopy"))
-    _add_rep_arguments(sub)
-    sub.add_argument("--levels", type=int, default=2, help="levels for kminimal")
-    sub.add_argument(
-        "--rank", type=int, help="target rank for kminimal, 0..d for domain rank d (default: generic rank)"
-    )
-    sub.add_argument("--triple", help="JSON file with source, target, nu, phi, psi")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-
-def _group_arguments(sub):
-    sub.add_argument("--kind", choices=("galpha", "htheta", "lazard"), required=True)
-    _add_rep_arguments(sub)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-
-def _catalog_arguments(sub):
-    sub.add_argument("action", choices=("list", "emit"))
-    sub.add_argument("--name")
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--e", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--format", choices=("table", "json"), default="table")
-
-
-def _det_example_arguments(sub):
-    _add_rep_arguments(sub)
-    sub.add_argument("--moment", type=int, default=1)
-    sub.add_argument("--levels", type=int, default=2)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-
-def _verify_arguments(sub):
-    from .corpus import DEFAULT_SEED
-
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
-    sub.add_argument("--format", choices=("table", "json"), default="table")
-
-
-# (name, help line, command, argument definitions), in the order --help lists them
+# (name, help line, command, its options in OPTIONS), in the order --help lists them
 COMMANDS = (
-    ("ask", "average kernel size at one level", cmd_ask, _ask_arguments),
-    ("zeta", "zeta coefficients up to a level bound", cmd_zeta, _zeta_arguments),
-    ("dual", "emit a Knuth dual of a tensor", cmd_dual, _dual_arguments),
-    ("hull", "emit the alternating hull of a tensor", cmd_hull, _hull_arguments),
-    ("check", "run a predicate on a tensor", cmd_check, _check_arguments),
-    ("group", "build a finite group and count classes", cmd_group, _group_arguments),
-    ("catalog", "list catalog entries or emit a tensor", cmd_catalog, _catalog_arguments),
-    ("det-example", "determinant, smoothness, point count, closed form", cmd_det_example, _det_example_arguments),
-    ("verify", "run the full acceptance suite", cmd_verify, _verify_arguments),
+    ("ask", "average kernel size at one level", cmd_ask, f"{_RING} --moment --strategy --budget --census"),
+    ("zeta", "zeta coefficients up to a level bound", cmd_zeta,
+     f"{_TENSOR} --format --p --levels --moment --strategy --budget --compare"),
+    ("dual", "emit a Knuth dual of a tensor", cmd_dual, f"{_TENSOR} --format --op"),
+    ("hull", "emit the alternating hull of a tensor", cmd_hull, f"{_TENSOR} --format"),
+    ("check", "run a predicate on a tensor", cmd_check, f"predicate {_RING} --levels --rank --triple --budget"),
+    ("group", "build a finite group and count classes", cmd_group, f"--kind {_RING} --budget"),
+    ("catalog", "list catalog entries or emit a tensor", cmd_catalog, "action --name --d --e --r --format"),
+    ("det-example", "determinant, smoothness, point count, closed form", cmd_det_example,
+     f"{_RING} --moment --levels --budget"),
+    ("verify", "run the full acceptance suite", cmd_verify, "--seed --criteria --format"),
 )
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A sub-parser that defines its arguments the first time it parses."""
+    """A sub-parser that defines its options the first time it parses."""
 
-    def __init__(self, *args, define, **kwargs):
+    def __init__(self, *args, options, **kwargs):
         super().__init__(*args, **kwargs)
-        self._define = define
+        self._options = options.split()
 
     def define_arguments(self) -> None:
-        """Run the deferred argument definitions, once."""
-        define, self._define = self._define, None
-        if define is not None:
-            define(self)
+        """Add the deferred options from OPTIONS, once."""
+        options, self._options = self._options, ()
+        for flag in options:
+            self.add_argument(flag, **OPTIONS[flag])
 
     def parse_known_args(self, args=None, namespace=None):
         self.define_arguments()
@@ -562,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact average-kernel-size computations over Z/p^n",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, help_line, fn, define in COMMANDS:
-        sub.add_parser(name, help=help_line, define=define).set_defaults(fn=fn)
+    for name, help_line, fn, options in COMMANDS:
+        sub.add_parser(name, help=help_line, options=options).set_defaults(fn=fn)
     return parser
 
 

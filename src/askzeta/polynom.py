@@ -172,51 +172,17 @@ def _linear_matrix(rep: "MRep") -> list[list[MultiPoly]]:
     ]
 
 
-def det_linear_matrix(rep: "MRep") -> MultiPoly:
-    """Determinant of the matrix of linear forms attached to a square tensor.
+def _bareiss(rep: "MRep") -> tuple[int, int, MultiPoly]:
+    """Fraction-free (Bareiss) elimination of the matrix of linear forms.
 
-    Cofactor expansion with memoised minors; fraction free and fast enough
-    for the desk-scale sizes handled here (d <= 7 or so).
-    """
-    if rep.d != rep.e:
-        raise ValueError(f"matrix of linear forms is {rep.d} x {rep.e}, not square")
-    entries = _linear_matrix(rep)
-    d = rep.d
-    if d == 0:
-        return MultiPoly.constant(1, rep.l)
-    memo: dict[int, MultiPoly] = {}
-
-    def minor(cols: int) -> MultiPoly:
-        # cols: bitmask of still-available columns; row index = d - popcount
-        if cols in memo:
-            return memo[cols]
-        row = d - bin(cols).count("1")
-        if row == d:
-            return MultiPoly.constant(1, rep.l)
-        acc = MultiPoly.zero(rep.l)
-        sign = 1
-        for j in range(d):
-            if not cols & (1 << j):
-                continue
-            entry = entries[row][j]
-            if not entry.is_zero():
-                acc = acc + entry * minor(cols & ~(1 << j)) * sign
-            sign = -sign
-        memo[cols] = acc
-        return acc
-
-    return minor((1 << d) - 1)
-
-
-def generic_rank(rep: "MRep") -> int:
-    """Rank of the matrix of linear forms over the rational function field.
-
-    Fraction-free Gaussian elimination (Bareiss); the pivot is the first
-    nonzero polynomial entry of the remaining submatrix in row-major order.
+    The pivot is the first nonzero polynomial entry of the remaining
+    submatrix in row-major order, swapped to the corner. Returns the rank r,
+    the sign of the row and column swaps, and the last pivot (1 when r = 0):
+    the r x r leading minor of the swapped matrix.
     """
     M = _linear_matrix(rep)
     d, e = rep.d, rep.e
-    rank = 0
+    rank, sign = 0, 1
     prev = MultiPoly.constant(1, rep.l)
     while True:
         pivot = None
@@ -228,13 +194,15 @@ def generic_rank(rep: "MRep") -> int:
             if pivot:
                 break
         if pivot is None:
-            return rank
+            return rank, sign, prev
         pi, pj = pivot
         if pi != rank:
             M[rank], M[pi] = M[pi], M[rank]
+            sign = -sign
         if pj != rank:
             for row in M:
                 row[rank], row[pj] = row[pj], row[rank]
+            sign = -sign
         for i in range(rank + 1, d):
             for j in range(rank + 1, e):
                 num = M[rank][rank] * M[i][j] - M[i][rank] * M[rank][j]
@@ -242,6 +210,20 @@ def generic_rank(rep: "MRep") -> int:
             M[i][rank] = MultiPoly.zero(rep.l)
         prev = M[rank][rank]
         rank += 1
+
+
+def det_linear_matrix(rep: "MRep") -> MultiPoly:
+    """Determinant of the matrix of linear forms attached to a square tensor:
+    the signed last Bareiss pivot at full rank, else 0."""
+    if rep.d != rep.e:
+        raise ValueError(f"matrix of linear forms is {rep.d} x {rep.e}, not square")
+    rank, sign, pivot = _bareiss(rep)
+    return pivot * sign if rank == rep.d else MultiPoly.zero(rep.l)
+
+
+def generic_rank(rep: "MRep") -> int:
+    """Rank of the matrix of linear forms over the rational function field."""
+    return _bareiss(rep)[0]
 
 
 def count_hypersurface_points(

@@ -29,8 +29,17 @@ __all__ = [
 ]
 
 
+_TRIAL_LIMIT = 1 << 32  # trial division below, at most 2^15 odd divisors
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # the first 13 prime bases decide every n below this
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality test by trial division (desk-scale inputs)."""
+    """Deterministic primality test: trial division below 2^32, Miller-Rabin
+    with the first 13 prime bases up to 3.3 * 10^24, where those bases are
+    known to decide it; larger p raise ValueError."""
+    if p >= _TRIAL_LIMIT:
+        return _miller_rabin(p)
     if p < 2:
         return False
     if p < 4:
@@ -42,6 +51,29 @@ def is_prime(p: int) -> bool:
         if p % f == 0:
             return False
         f += 2
+    return True
+
+
+def _miller_rabin(p: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES, exact for 2 <= p < _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise ValueError(f"p = {p} is beyond the primality test's bound {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,14 @@ def test_zeta_coeffs_committed():
 def test_zeta_coeffs_rejects_negative_levels():
     with pytest.raises(ValueError, match="levels must be >= 0"):
         zeta_coeffs(make("so", d=2), 3, levels=-1)
+
+
+def test_zeta_coeffs_budget_scan_follows_the_levels_within_budget():
+    # 3^14 <= 10^7 < 3^15: fifteen levels, however many are asked for
+    start = time.perf_counter()
+    series = zeta_coeffs(make("matdxe", d=1, e=1), 3, levels=10**6)
+    assert time.perf_counter() - start < 0.1
+    assert len(series.coeffs) == 15 and series.failed_level == 15
 
 
 def test_zeta_zero_level_always_one():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from askzeta import bulk, catalog
 from askzeta.bulk import batch_kernel_exponents, batch_smith_exponents
-from askzeta.ring import TruncatedRing
+from askzeta.ring import TruncatedRing, kernel_size
 
 from helpers import brute_kernel_count, smith_exponents, valuation
 
@@ -249,6 +249,27 @@ def test_uint64_and_python_int_entries_are_reduced_exactly(p, n):
         for mats in (wide, huge):
             want = [smith_exponents(A, p, n) for A in mats.tolist()]
             assert batch_smith_exponents(mats, p, n).tolist() == want
+
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 20)])
+def test_every_integer_dtype_gives_the_oracle_exponents(dtype, p, n):
+    # p^n exceeds int8 and uint8 at Z/3^5, and int16 and uint16 too at Z/2^20
+    if dtype is np.bool_:
+        lo, hi = 0, 1
+    else:
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    # every valuation the dtype holds, both signs, and its extremes
+    values = sorted({x for v in range(n + 1) for x in (0, p**v, -(p**v), 2 * p**v, lo, hi) if lo <= x <= hi})
+    rng = np.random.default_rng([p, n, len(values)])
+    mats = np.array(values, dtype=object)[rng.integers(0, len(values), size=(200, 3, 3))].astype(dtype)
+    want = [smith_exponents(A, p, n) for A in mats.tolist()]
+    assert batch_smith_exponents(mats, p, n).tolist() == want
+    ring = TruncatedRing(p, n)
+    assert [kernel_size(A, ring) for A in mats[:5]] == [p ** sum(exps) for exps in want[:5]]
 
 
 @pytest.mark.parametrize(

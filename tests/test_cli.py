@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,141 @@ def test_help_is_that_of_a_parser_with_every_subcommand_defined(capsys):
             assert capsys.readouterr().out == want.format_help(), argv
     finally:
         cli.build_parser.cache_clear()
+
+
+# each subcommand's options in --help order: (dest, flags, type, default,
+# choices, required, action)
+OPTION_TABLE = {
+    "ask": [
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("p", ("--p",), int, None, None, True, "Store"),
+        ("n", ("--n",), int, 1, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("moment", ("--moment",), int, 1, None, False, "Store"),
+        ("strategy", ("--strategy",), None, "auto", ("auto", "direct"), False, "Store"),
+        ("budget", ("--budget",), int, 10000000, None, False, "Store"),
+        ("census", ("--census",), None, False, None, False, "StoreTrue"),
+    ],
+    "zeta": [
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("p", ("--p",), int, None, None, True, "Store"),
+        ("levels", ("--levels",), int, 2, None, False, "Store"),
+        ("moment", ("--moment",), int, 1, None, False, "Store"),
+        ("strategy", ("--strategy",), None, "auto", ("auto", "direct"), False, "Store"),
+        ("budget", ("--budget",), int, 10000000, None, False, "Store"),
+        ("compare", ("--compare",), None, False, None, False, "StoreTrue"),
+    ],
+    "dual": [
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("op", ("--op",), None, None, ("circ", "bullet", "vee"), True, "Store"),
+    ],
+    "hull": [
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+    ],
+    "check": [
+        ("predicate", (), None, None, ("duality", "kminimal", "constant-rank", "homotopy"), True, "Store"),
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("p", ("--p",), int, None, None, True, "Store"),
+        ("n", ("--n",), int, 1, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("levels", ("--levels",), int, 2, None, False, "Store"),
+        ("rank", ("--rank",), int, None, None, False, "Store"),
+        ("triple", ("--triple",), None, None, None, False, "Store"),
+        ("budget", ("--budget",), int, 10000000, None, False, "Store"),
+    ],
+    "group": [
+        ("kind", ("--kind",), None, None, ("galpha", "htheta", "lazard"), True, "Store"),
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("p", ("--p",), int, None, None, True, "Store"),
+        ("n", ("--n",), int, 1, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("budget", ("--budget",), int, 10000000, None, False, "Store"),
+    ],
+    "catalog": [
+        ("action", (), None, None, ("list", "emit"), True, "Store"),
+        ("name", ("--name",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+    ],
+    "det-example": [
+        ("input", ("--input",), None, None, None, False, "Store"),
+        ("catalog", ("--catalog",), None, None, None, False, "Store"),
+        ("d", ("--d",), int, None, None, False, "Store"),
+        ("e", ("--e",), int, None, None, False, "Store"),
+        ("r", ("--r",), int, None, None, False, "Store"),
+        ("p", ("--p",), int, None, None, True, "Store"),
+        ("n", ("--n",), int, 1, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+        ("moment", ("--moment",), int, 1, None, False, "Store"),
+        ("levels", ("--levels",), int, 2, None, False, "Store"),
+        ("budget", ("--budget",), int, 10000000, None, False, "Store"),
+    ],
+    "verify": [
+        # corpus.DEFAULT_SEED is read when verify runs, so that no query loads the corpus
+        ("seed", ("--seed",), int, None, None, False, "Store"),
+        ("criteria", ("--criteria",), None, None, None, False, "Store"),
+        ("format", ("--format",), None, "table", ("table", "json"), False, "Store"),
+    ],
+}
+
+
+def test_each_subcommand_defines_the_options_of_the_table():
+    full = cli.build_parser.__wrapped__()
+    got = {}
+    for name, sub in subcommands(full).items():
+        sub.define_arguments()
+        got[name] = [
+            (a.dest, tuple(a.option_strings), a.type, a.default, a.choices, a.required,
+             type(a).__name__.strip("_").removesuffix("Action"))
+            for a in sub._actions
+            if not isinstance(a, cli.argparse._HelpAction)
+        ]
+    assert got == OPTION_TABLE
+    # each option is defined once, and every one of them is used
+    assert {flag for *_, options in cli.COMMANDS for flag in options.split()} == set(cli.OPTIONS)
+    assert len(cli.OPTIONS) == 23
+
+
+def test_a_prime_past_trial_division_is_refused_by_the_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ask", "--catalog", "matdxe", "--d", "1", "--e", "1",
+                         "--p", "100000000000000003", "--n", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and err.startswith("budget exhausted: ")
+
+
+def test_a_prime_past_the_primality_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ask", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", str(2**89 - 1))
+    assert code == 2 and out == "" and "primality test's bound" in err
 
 
 def test_cmd_ask(capsys):
@@ -290,6 +426,15 @@ def test_cmd_zeta_budget_exit(capsys):
                        "--p", "3", "--levels", "2", "--strategy", "direct", "--budget", "100")
     assert code == 3
     assert "budget" in out
+
+
+def test_cmd_zeta_prints_the_levels_within_budget_of_a_long_series(capsys):
+    # 3^14 <= 10^7 < 3^15, so a million levels asked for print fifteen
+    code, out, _ = run(capsys, "zeta", "--catalog", "matdxe", "--d", "1", "--e", "1", "--p", "3",
+                       "--levels", "1000000")
+    *lines, last = out.splitlines()
+    assert code == 3 and [line.split(" = ")[0] for line in lines] == [f"  c_{n}" for n in range(15)]
+    assert last == "  level 15: enumeration budget exceeded, series truncated"
 
 
 def test_cmd_dual_and_hull(capsys):

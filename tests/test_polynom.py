@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askzeta.catalog import make
 from askzeta.mrep import MRep
@@ -66,6 +70,35 @@ def test_det_multiplicative_on_blocks():
             tuple(row[2:] for row in both.coeffs[h][2:]) for h in range(4)
         ))
         assert det == det_linear_matrix(upper) * det_linear_matrix(lower)
+
+
+def leibniz_det(A):
+    """The determinant as a sum over permutations, each signed by its inversions."""
+    total = 0
+    for perm in itertools.permutations(range(len(A))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(A[i][j] for i, j in enumerate(perm))
+    return total
+
+
+@st.composite
+def pencils_and_points(draw):
+    l, d = draw(st.integers(1, 4)), draw(st.sampled_from([3, 4]))
+    # small entries, so that singular pencils (determinant 0) come up too
+    entries = st.integers(-2, 2) if draw(st.booleans()) else st.sampled_from([0, 0, 0, 1, -1])
+    rows = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+    rep = MRep(l, d, d, draw(st.lists(rows, min_size=l, max_size=l)))
+    return rep, draw(st.lists(st.lists(st.integers(-9, 9), min_size=l, max_size=l), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=pencils_and_points())
+def test_det_linear_matrix_evaluates_to_the_determinant(case):
+    rep, points = case
+    det = det_linear_matrix(rep)
+    for a in points:
+        A = [[sum(a[h] * rep.coeffs[h][i][j] for h in range(rep.l)) for j in range(rep.e)] for i in range(rep.d)]
+        assert det.evaluate(a) == leibniz_det(A)
 
 
 def test_generic_rank_committed():

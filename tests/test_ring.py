@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from askzeta import ring
 from askzeta.bulk import batch_kernel_exponents, batch_smith_exponents
 from askzeta.ring import (
     TruncatedRing,
@@ -30,6 +31,34 @@ def test_ring_validation():
 
 def test_is_prime_small():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_miller_rabin_agrees_with_trial_division_below_10_5():
+    # is_prime divides below 2^32, so the test above that bound is checked here on its own
+    assert [n for n in range(2, 10**5) if ring._miller_rabin(n)] == [n for n in range(2, 10**5) if is_prime(n)]
+
+
+@pytest.mark.parametrize(
+    "n,prime",
+    [
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # strong pseudoprime to every prime base up to 23
+        ((2**31 - 1) * 4294967311, False),
+        (4294967311, True),  # the least prime above 2^32
+        (100000000000000003, True),
+        (2**61 - 1, True),
+        (2**64 - 59, True),
+    ],
+)
+def test_is_prime_above_trial_division(n, prime):
+    assert is_prime(n) == ring._miller_rabin(n) == prime
+
+
+def test_is_prime_refuses_p_beyond_its_bases():
+    with pytest.raises(ValueError, match="primality test's bound"):
+        is_prime(ring._MR_LIMIT)
+    with pytest.raises(ValueError, match="primality test's bound"):
+        TruncatedRing(2**89 - 1, 1)
 
 
 def test_reduce_mod():
