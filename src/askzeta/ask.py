@@ -5,22 +5,24 @@ parameter vectors; each coefficient of the zeta series is one such average,
 taken at successive levels n. Everything is exact integer/rational
 arithmetic.
 
-The auto strategy enumerates the smallest tensor two exact laws allow: ask^m(A)
-= ask(A^(m)) on a Knuth side of the collapsed power (_side), and census(A + B) =
-census(A) * census(B) over the connected pieces of the tensor (_orbit_levels),
-each read off one vector per unit orbit, or in its echelon basis one per torus
-orbit where that reduces fewer matrices (_plan; bulk.orbit_censuses). The direct
-strategy enumerates every parameter vector of rep: the literal definition.
-Budgets and the int64 bound count the p^(n l) vectors of the whole tensor.
+plan makes every decision of a census before any sweep, and _levels carries
+it out. The auto strategy enumerates the smallest tensor two exact laws allow:
+ask^m(A) = ask(A^(m)) on the side, rep or a Knuth dual of the collapsed power,
+that plans the fewest matrices, and census(A + B) = census(A) * census(B) over
+the connected pieces of the tensor (_split), each read off one vector per unit
+orbit, or in its echelon basis one per torus orbit where that reduces fewer
+(_plan). The direct strategy enumerates every parameter vector of rep: the
+literal definition. Budgets and the int64 bound count the p^(n l) vectors of
+the side with the fewest parameters.
 
 Every census is a process-wide cache of a pure function: each enumerated
 tensor's census is kept, keyed by (strategy, shape, reduced array, p, n), so a
 census at Z/p^n, any moment read off it and a zeta series to level n of the
-same tensor share one pass. An auto entry holds the census at every level
-0..n, a direct one at level n; the strategy in the key keeps a literal census
-from ever being served by the planner, or the other way round. The cache holds
-at most MEMO_ENTRIES tensors, oldest out first, and every call returns new
-dicts.
+same tensor share one pass, which a plan that finds its key skips. An auto
+entry holds the census at every level 0..n, a direct one at level n; the
+strategy in the key keeps a literal census from ever being served by the
+planner, or the other way round. The cache holds at most MEMO_ENTRIES tensors,
+oldest out first, and every call returns new dicts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .ring import TruncatedRing
 __all__ = [
     "DEFAULT_BUDGET",
     "AskResult",
+    "Plan",
     "ZetaSeries",
     "BudgetExceededError",
     "ask_m",
@@ -48,7 +51,7 @@ __all__ = [
     "auto_asks",
     "kernel_census",
     "literal_censuses",
-    "unit_orbit_censuses",
+    "plan",
     "zeta_coeffs",
 ]
 
@@ -74,25 +77,37 @@ class ZetaSeries:
         return len(self.coeffs)
 
 
-def _by_shape(arrays: Sequence[np.ndarray], sweep, *args, tori: Sequence[int] = ()) -> list:
-    """sweep(stack, *args) of the arrays stacked by shape, one call per shape, in input order;
-    with tori, by shape and torus prefix, and sweep(stack, *args, torus=s) where s > 0."""
-    shapes: dict[tuple, list[int]] = {}
-    for i, array in enumerate(arrays):
-        shapes.setdefault((array.shape, tori[i] if tori else 0), []).append(i)
+class Plan(NamedTuple):
+    """One census as plan decided it: its pieces are (tensor, torus rank; None for every vector),
+    or None, and planned 0, where the memo or an earlier plan of the call has its key."""
+
+    side: str
+    tensor: MRep
+    key: tuple
+    pieces: tuple[tuple[np.ndarray, int | None], ...] | None
+    free: tuple[int, int]  # parameters and rows in no piece
+    planned: int
+    nominal: int  # the p^(n l) vectors of the tensor
+
+
+def _by_shape(items: Sequence[tuple], sweep, *args) -> list:
+    """sweep(stack, *args, *rest) of the arrays of items (array, *rest) stacked by shape and rest, in input order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (array, *rest) in enumerate(items):
+        groups.setdefault((array.shape, *rest), []).append(i)
     out = {}
-    for (_, s), idx in shapes.items():
-        stack = np.array([arrays[i] for i in idx])
-        out.update(zip(idx, sweep(stack, *args, torus=s) if s else sweep(stack, *args)))
-    return [out[i] for i in range(len(arrays))]
+    for (_, *rest), idx in groups.items():
+        out.update(zip(idx, sweep(np.array([items[i][0] for i in idx]), *args, *rest)))
+    return [out[i] for i in range(len(items))]
 
 
-def _split(stack: np.ndarray) -> list[tuple[list[np.ndarray], int, int]]:
-    """(pieces, free parameters, free rows) of each reduced tensor of a (T, l, d, e) stack.
+def _split(stack: np.ndarray) -> list[list[np.ndarray]]:
+    """The pieces of each reduced tensor of a (T, l, d, e) stack.
 
     A nonzero entry (h, i, j) links parameter h, row i and column j; the pieces, the
     subtensors on the components, make A(a) block diagonal up to order, each block in
-    its own parameters, so its kernel is theirs multiplied. Zero slices are free."""
+    its own parameters, so its kernel is theirs multiplied. Zero slices and untouched
+    rows are in no piece: they are free."""
     T, l, d, _ = stack.shape
     support = stack != 0
     incidence = np.concatenate([support.any(axis=3), support.any(axis=2)], axis=2)
@@ -102,15 +117,13 @@ def _split(stack: np.ndarray) -> list[tuple[list[np.ndarray], int, int]]:
     touched, params = incidence.any(axis=1), reach.diagonal(axis1=1, axis2=2)
     roots = params & ~(reach & np.tri(l, k=-1, dtype=bool)).any(axis=2)  # first of each component
     whole = (reach.all(axis=(1, 2)) & touched.all(axis=1)).tolist()
-    free_params = (l - params.sum(axis=1)).tolist()
-    free_rows = (d - touched[:, :d].sum(axis=1)).tolist()
 
     def pieces(t):
         for h in np.flatnonzero(roots[t]):
             sides = incidence[t, reach[t, h]].any(axis=0)
             yield stack[t][reach[t, h]][:, sides[:d]][:, :, sides[d:]]
 
-    return [([stack[t]] if whole[t] else [*pieces(t)], free_params[t], free_rows[t]) for t in range(T)]
+    return [[stack[t]] if whole[t] else [*pieces(t)] for t in range(T)]
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -121,25 +134,25 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _torus_loses(p: int, n: int, l: int, r: int) -> bool:
-    """Whether a torus of rank at most r reduces no fewer matrices than the unit orbits,
-    (n+1)^r p^(n(l-r)) against p^((n-1)(l-1)) (p^l - 1)/(p - 1); at l < 2 it always does."""
-    return n == 0 or l < 2 or (n + 1) ** r * p ** (n * (l - r)) >= p ** ((n - 1) * (l - 1)) * (p**l - 1) // (p - 1)
+def _cost(p: int, n: int, l: int, s: int) -> int:
+    """The matrices bulk.orbit_censuses reduces for l slices over Z/p^n: the unit orbits,
+    p^((n-1)(l-1)) (p^l - 1)/(p - 1), at s = 0 (none at n or l = 0), else (n+1)^s p^(n(l-s))."""
+    if s:
+        return (n + 1) ** s * p ** (n * (l - s))
+    return p ** ((n - 1) * (l - 1)) * (p**l - 1) // (p - 1) if n and l else 0
 
 
-def _plan(piece: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int, int]:
-    """(tensor, s, free): the tensor whose census bulk.orbit_censuses(tensor, p, n, torus=s)
-    reads, and the free parameters the piece's census has beyond it.
-
-    The torus census reduces (n+1)^s p^(n(l-s)) matrices, and s is at most
-    r = min(l, d + e - 1), the rank of the row and column torus. Only a piece where that
-    bound beats its unit orbits pays for its echelon basis, whose zero rows are free
-    parameters. Slices that share an entry there have one character, so s is also at most
-    the number of classes of slices joined by shared entries; only if that still can beat
-    the unit orbits is the torus solved, and taken if it reduces fewer matrices."""
+def _plan(piece: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int]:
+    """(tensor, s): the piece, or its echelon basis, whose dropped zero rows are free
+    parameters, and the rank s of the torus bulk.orbit_censuses(tensor, p, n, torus=s)
+    takes, 0 for the unit orbits: the torus where it reduces fewer matrices (_cost). s is
+    at most r = min(l, d + e - 1), the rank of the row and column torus, and the number of
+    classes of slices joined by shared entries in the echelon basis, which have one
+    character. Only a piece where r wins pays for the echelon basis, and only one where
+    the classes do for the torus solve."""
     l, d, e = piece.shape
-    if _torus_loses(p, n, l, min(l, d + e - 1)):
-        return piece, 0, 0
+    if _cost(p, n, l, min(l, d + e - 1)) >= _cost(p, n, l, 0):
+        return piece, 0
     tensor = bulk.echelon_basis(piece, p, n)
     k = len(tensor)
     root, owner = list(range(k)), {}  # the slices joined by shared entries, as a forest
@@ -150,13 +163,12 @@ def _plan(piece: np.ndarray, p: int, n: int) -> tuple[np.ndarray, int, int]:
                 while root[g] != g:
                     g = root[g]
                 root[g] = h
-    if _torus_loses(p, n, k, min(sum(g == h for h, g in enumerate(root)), d + e - 1)):
-        return tensor, 0, l - k
-    support = tensor != 0
-    S = _torus_prefix(support.shape, support.tobytes())
-    if _torus_loses(p, n, k, len(S)):
-        return tensor, 0, l - k
-    return tensor[[*S, *(h for h in range(k) if h not in S)]], len(S), l - k
+    if _cost(p, n, k, min(sum(g == h for h, g in enumerate(root)), d + e - 1)) >= _cost(p, n, k, 0):
+        return tensor, 0
+    S = _torus_prefix(tensor.shape, (tensor != 0).tobytes())
+    if _cost(p, n, k, len(S)) >= _cost(p, n, k, 0):
+        return tensor, 0
+    return tensor[[*S, *(h for h in range(k) if h not in S)]], len(S)
 
 
 @lru_cache(maxsize=4096)
@@ -165,36 +177,71 @@ def _torus_prefix(shape: tuple[int, int, int], support: bytes) -> tuple[int, ...
     return tuple(bulk.torus_coordinates(np.frombuffer(support, dtype=bool).reshape(shape))[0])
 
 
-def _orbit_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
-    """The census at every level 0..n of each reduced tensor: at level k the convolution of
-    its pieces' (_split), times p^k per free parameter and with k more per free row. Each
-    piece is read off its unit orbits or its torus (_plan), one bulk.orbit_censuses sweep
-    per shape and torus."""
-    splits = _by_shape(arrays, _split)
-    plans = [_plan(piece, p, n) for split in splits for piece in split[0]]
-    swept = iter(_by_shape([tensor for tensor, _, _ in plans], bulk.orbit_censuses, p, n, tori=[s for _, s, _ in plans]))
-    freed = iter(free for _, _, free in plans)
-    result = []
-    for split, free_params, free_rows in splits:
-        free_params += sum(next(freed) for _ in split)
-        if len(split) == 1 and not free_params + free_rows:  # the tensor is its one piece
-            result.append(next(swept))
-            continue
-        levels = [{k * free_rows: p ** (k * free_params)} for k in range(n + 1)]
-        for _ in split:
-            levels = [*map(_convolve, levels, next(swept))]
-        result.append(levels)
-    return result
+def _sides(rep: MRep, m: int | None, strategy: str) -> dict[str, int]:
+    """The parameters of each side plan may enumerate for rep, in tie order: rep, and with a
+    moment under "auto" the circ (m d) and bullet (m e) duals of its collapsed m-th power."""
+    if m is not None and m < 1:
+        raise ValueError("moment must be >= 1")
+    if strategy not in ("auto", "direct"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e} if m and strategy == "auto" else {"direct": rep.l}
 
 
-def _literal_levels(arrays: Sequence[np.ndarray], p: int, n: int) -> list[list[dict[int, int]]]:
-    """The census at level n alone of each reduced tensor, by evaluating every parameter
-    vector: one bulk.census_of_stack sweep per shape."""
-    return [[census] for census in _by_shape(arrays, bulk.census_of_stack, p, n)]
+def _plans(reps: Sequence[MRep], sides: list[str], ring: TruncatedRing, m: int | None, strategy: str) -> list:
+    """The Plan of each rep's side over ring; the misses of an auto census are split by shape, then _plan."""
+    p, n = ring.p, ring.n
+    tensors = [r if s == "direct" else (collapsed_power(r, m) if m > 1 else r).dual(s) for r, s in zip(reps, sides)]
+    arrays = [tensor.reduced_array(ring) for tensor in tensors]
+    keys = [(strategy, array.shape, array.tobytes(), p, n) for array in arrays]
+    misses = {key: array for key, array in zip(keys, arrays) if key not in _MEMO}
+    if strategy == "direct":  # the tensor itself, every vector
+        swept = {k: (((a, None),), (0, 0), ring.size ** len(a)) for k, a in misses.items()}
+    else:
+        splits = _by_shape([(a,) for a in misses.values()], _split) if misses else ()
+        swept = {k: _sized(misses[k], [_plan(t, p, n) for t in ts], p, n) for k, ts in zip(misses, splits)}
+    return [Plan(s, t, k, *swept.get(k, (None, (0, 0), 0)), ring.size**t.l) for s, t, k in zip(sides, tensors, keys)]
 
 
-# how each strategy sweeps the misses of a call: every level from orbits, or level n literally
-_SWEEPS = {"auto": _orbit_levels, "direct": _literal_levels}
+def _sized(array: np.ndarray, pieces: list, p: int, n: int) -> tuple[tuple, tuple[int, int], int]:
+    """(pieces, (free parameters, free rows), planned matrices) of a tensor swept as pieces."""
+    free = len(array) - sum(len(t) for t, _ in pieces), array.shape[1] - sum(t.shape[1] for t, _ in pieces)
+    return tuple(pieces), free, sum(_cost(p, n, len(t), s) for t, s in pieces)
+
+
+def plan(
+    reps: Sequence[MRep], ring: TruncatedRing, m: int | None = None, strategy: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+) -> list[Plan]:
+    """One Plan per rep, made before any sweep, for its census over ring (m None) or the
+    census its ask^m is read off. The budget and the int64 bound are checked first, for
+    every rep, on its side with the fewest parameters (_sides), which is planned. Where
+    that plan exceeds one kernel batch (planned d e > bulk._SLICE_ELEMENTS), the other
+    sides within both bounds are planned too, and the one that plans the fewest matrices
+    is taken, ties to the fewest parameters, then in tie order."""
+    q, sides = ring.size, [_sides(rep, m, strategy) for rep in reps]
+    for params in sides:
+        l = min(params.values())
+        if q**l > budget:
+            raise BudgetExceededError(q**l, budget)
+        bulk.check_evaluation_bound(l, q)
+    plans = _plans(reps, [min(params, key=params.get) for params in sides], ring, m, strategy)
+    for i, (rep, params, pl) in enumerate(zip(reps, sides, plans)):
+        if len(params) > 1 and pl.planned * pl.tensor.d * pl.tensor.e > bulk._SLICE_ELEMENTS:
+            within = [
+                s for s, l in params.items() if s != pl.side and q**l <= budget and l * (q - 1) ** 2 < bulk._INT64_LIMIT
+            ]
+            others = [pl, *_plans([rep] * len(within), within, ring, m, strategy)]
+            plans[i] = min(others, key=lambda c: (c.planned, c.tensor.l, [*params].index(c.side)))
+    seen: set[tuple] = set()  # a key an earlier plan of the call sweeps is read from the memo
+    return [pl._replace(pieces=None, planned=0) if pl.key in seen else seen.add(pl.key) or pl for pl in plans]
+
+
+def _sweep(stack: np.ndarray, p: int, n: int, torus: int | None) -> list[list[dict[int, int]]]:
+    """bulk.orbit_censuses of a stack, every level 0..n, or bulk.census_of_stack's level n if torus is None."""
+    if torus is None:
+        return [[census] for census in bulk.census_of_stack(stack, p, n)]
+    return bulk.orbit_censuses(stack, p, n, torus=torus) if torus else bulk.orbit_censuses(stack, p, n)
+
 
 # every census of the process: (strategy, shape, reduced bytes, p, n) -> the sweep's
 # levels as (k, count) pairs, oldest out first past the bound, which is above the
@@ -203,21 +250,22 @@ MEMO_ENTRIES = 8192
 _MEMO: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
 
-def _levels(reps: Sequence[MRep], ring: TruncatedRing, budget: int, strategy: str) -> list[tuple]:
-    """The memo's entry of each rep under the strategy, its last level the census over
-    ring; budgets and the int64 bound are checked first, and the misses of the call go to
-    the strategy's sweep, each once."""
-    for rep in reps:
-        if ring.size**rep.l > budget:
-            raise BudgetExceededError(ring.size**rep.l, budget)
-        bulk.check_evaluation_bound(rep.l, ring.size)
-    arrays = [rep.reduced_array(ring) for rep in reps]
-    keys = [(strategy, array.shape, array.tobytes(), ring.p, ring.n) for array in arrays]
-    misses = {key: array for key, array in zip(keys, arrays) if key not in _MEMO}
-    if misses:
-        swept = _SWEEPS[strategy]([*misses.values()], ring.p, ring.n)
-        _MEMO.update(zip(misses, (tuple(tuple(c.items()) for c in levels) for levels in swept)))
-    entries = [_MEMO[key] for key in keys]
+def _levels(plans: Sequence[Plan], ring: TruncatedRing) -> list[tuple]:
+    """Carry out plans over ring: the memo's entry of each plan's key, its last level the census
+    over ring. The pieces go to one sweep per shape and torus (_sweep), and each census is kept:
+    at level k the convolution of its pieces', times p^k per free parameter, k more per free row."""
+    p, n = ring.p, ring.n
+    todo = [pl for pl in plans if pl.pieces is not None]
+    swept = iter(_by_shape([piece for pl in todo for piece in pl.pieces], _sweep, p, n) if todo else ())
+    for pl in todo:
+        if len(pl.pieces) == 1 and pl.free == (0, 0):  # the tensor is its one piece
+            levels = next(swept)
+        else:
+            levels = [{k * pl.free[1]: p ** (k * pl.free[0])} for k in range(n + 1)]
+            for _ in pl.pieces:
+                levels = [*map(_convolve, levels, next(swept))]
+        _MEMO[pl.key] = tuple(tuple(c.items()) for c in levels)
+    entries = [_MEMO[pl.key] for pl in plans]
     if len(_MEMO) > MEMO_ENTRIES:
         for key in [*islice(_MEMO, len(_MEMO) - MEMO_ENTRIES)]:
             del _MEMO[key]
@@ -228,19 +276,8 @@ def literal_censuses(
     reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
 ) -> list[dict[int, int]]:
     """The census of each rep by evaluating every parameter vector, budgets checked first;
-    each is read from the memo, else swept once (_literal_levels) and kept, and the dicts
-    returned are new."""
-    return [dict(levels[-1]) for levels in _levels(reps, ring, budget, "direct")]
-
-
-def unit_orbit_censuses(
-    reps: Sequence[MRep], ring: TruncatedRing, budget: int = DEFAULT_BUDGET
-) -> list[dict[int, int]]:
-    """The census of each rep by convolution of its pieces' unit-orbit or torus censuses,
-    budgets checked first (_orbit_levels). Each is read from the memo, which a census or a
-    series of the same tensor and ring filled, else computed once and kept; the dicts
-    returned are new."""
-    return [dict(levels[-1]) for levels in _levels(reps, ring, budget, "auto")]
+    each is read from the memo, else swept once and kept, and the dicts returned are new."""
+    return [dict(levels[-1]) for levels in _levels(plan(reps, ring, strategy="direct", budget=budget), ring)]
 
 
 def kernel_census(
@@ -248,14 +285,11 @@ def kernel_census(
 ) -> dict[int, int]:
     """Histogram {k: #parameter vectors with |kernel| = p^k}.
 
-    All moments are recoverable from it:
-    ask^m = sum_k census[k] p^(k m) / p^(n l).
-    The budget bounds the nominal p^(n l) vectors, also when the census is
-    in the memo; the census itself is read off the unit-orbit or torus
-    representatives of its pieces (_orbit_levels), one pass per tensor and
-    ring in a process (unit_orbit_censuses).
+    All moments are recoverable from it: ask^m = sum_k census[k] p^(k m) / p^(n l).
+    The budget bounds the nominal p^(n l) vectors, kept or not; the census is
+    read off its pieces' unit or torus orbits (plan), one pass per tensor and ring.
     """
-    return unit_orbit_censuses([rep], ring, budget)[0]
+    return dict(_levels(plan([rep], ring, budget=budget), ring)[0][-1])
 
 
 def ask_from_census(
@@ -265,30 +299,13 @@ def ask_from_census(
     return Fraction(total, ring.size**side_rank)
 
 
-def _side(rep: MRep, m: int, strategy: str) -> tuple[str, MRep]:
-    """The side for a strategy and the tensor enumerated there: rep (l parameters) under
-    "direct"; under "auto" the fewest of rep and the circ (m d) and bullet (m e) duals of
-    its collapsed m-th power, ties direct."""
-    if m < 1:
-        raise ValueError("moment must be >= 1")
-    if strategy not in _SWEEPS:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    costs = {"direct": rep.l, "circ": m * rep.d, "bullet": m * rep.e}
-    side = min(costs, key=costs.get) if strategy == "auto" else "direct"
-    if side == "direct":
-        return side, rep
-    return side, (collapsed_power(rep, m, "mod") if m > 1 else rep).dual(side)
-
-
-def _result(
-    rep: MRep, side: str, tensor: MRep, census: dict[int, int], ring: TruncatedRing, m: int
-) -> AskResult:
-    """ask^m from the census of the tensor enumerated on the given side: its m-th moment
-    on the direct side, else the first, as ask^m(A) = ask(A^(m))."""
-    value = ask_from_census(census, ring, tensor.l, m if side == "direct" else 1)
-    if side == "circ":  # averaging over the domain rescales by q^(n(m d - l))
+def _result(rep: MRep, pl: Plan, census: dict[int, int], ring: TruncatedRing, m: int) -> AskResult:
+    """ask^m from the census of the tensor a plan enumerates: its m-th moment on the
+    direct side, else the first, as ask^m(A) = ask(A^(m))."""
+    value = ask_from_census(census, ring, pl.tensor.l, m if pl.side == "direct" else 1)
+    if pl.side == "circ":  # averaging over the domain rescales by q^(n(m d - l))
         value *= Fraction(ring.p) ** (ring.n * (m * rep.d - rep.l))
-    return AskResult(value, ring.n, m, side if side == "direct" else f"{side}-side")
+    return AskResult(value, ring.n, m, pl.side if pl.side == "direct" else f"{pl.side}-side")
 
 
 def ask_m(
@@ -300,21 +317,21 @@ def ask_m(
 ) -> AskResult:
     """Average m-th power of the kernel size, as an exact rational.
 
-    "auto" convolves the census of the side with the fewest parameters from its
-    pieces' unit or torus orbits; "direct" enumerates every parameter vector of rep.
+    "auto" convolves the census of the side that plans the fewest matrices from
+    its pieces' unit or torus orbits; "direct" enumerates every parameter vector
+    of rep.
     """
-    side, tensor = _side(rep, m, strategy)
-    return _result(rep, side, tensor, dict(_levels([tensor], ring, budget, strategy)[0][-1]), ring, m)
+    pl = plan([rep], ring, m, strategy, budget)[0]
+    return _result(rep, pl, dict(_levels([pl], ring)[0][-1]), ring, m)
 
 
 def auto_asks(
     reps: Sequence[MRep], ring: TruncatedRing, m: int = 1, budget: int = DEFAULT_BUDGET
 ) -> list[AskResult]:
-    """ask_m(rep, ring, m, "auto") for each rep: the cheapest side of each, and
-    one orbit sweep per shape and torus of the pieces of the tensors enumerated there."""
-    sides = [_side(rep, m, "auto") for rep in reps]
-    censuses = unit_orbit_censuses([tensor for _, tensor in sides], ring, budget)
-    return [_result(rep, *side, census, ring, m) for rep, side, census in zip(reps, sides, censuses)]
+    """ask_m(rep, ring, m, "auto") for each rep: one plan of them all, and one orbit
+    sweep per shape and torus of the pieces of the tensors enumerated."""
+    plans = plan(reps, ring, m, budget=budget)
+    return [_result(rep, pl, dict(levels[-1]), ring, m) for rep, pl, levels in zip(reps, plans, _levels(plans, ring))]
 
 
 def ask_with_census(
@@ -326,9 +343,10 @@ def ask_with_census(
 ) -> tuple[AskResult, dict[int, int]]:
     """(ask_m, kernel_census) of rep, both read off one census of the direct side,
     taken as the strategy takes it: from unit or torus orbits, or literally."""
-    side = _side(rep, m, "direct" if strategy == "auto" else strategy)  # an unknown one raises
-    census = dict(_levels([rep], ring, budget, strategy)[0][-1])
-    return _result(rep, *side, census, ring, m), census
+    _sides(rep, m, strategy)  # an invalid moment or strategy raises
+    pl = plan([rep], ring, strategy=strategy, budget=budget)[0]
+    census = dict(_levels([pl], ring)[0][-1])
+    return _result(rep, pl, census, ring, m), census
 
 
 def zeta_coeffs(
@@ -343,24 +361,25 @@ def zeta_coeffs(
 
     On budget exhaustion the partial coefficient list is returned with the
     failing level flagged; a budget too small for level 0 raises, and so does
-    levels < 0 (ValueError), which has no coefficient to return. "auto"
-    reads every level from the memo's auto entry at the highest level within
-    budget, the entry a census of the same tensor over Z/p^top shares (one
-    orbit pass, unless it is there); "direct" takes one literal census per
-    level.
+    levels < 0 (ValueError), which has no coefficient to return; the side with
+    the fewest parameters bounds the level. "auto" reads every level from the
+    memo's auto entry at the top level, planned there, which a census of the
+    same tensor over Z/p^top shares; "direct" takes one literal census per level.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    side, tensor = _side(rep, m, strategy)
+    l = min(_sides(rep, m, strategy).values())
     top = -1  # the highest level whose nominal cost is within budget
-    while top < levels and p ** ((top + 1) * tensor.l) <= budget:
+    while top < levels and p ** ((top + 1) * l) <= budget:
         top += 1
     if top < 0:
         raise BudgetExceededError(1, budget, 0)
     rings = [TruncatedRing(p, n) for n in range(top + 1)]
-    if strategy == "direct":
-        censuses = [literal_censuses([tensor], ring, budget)[0] for ring in rings]
+    if strategy == "direct":  # one literal census per level
+        plans = [plan([rep], ring, m, strategy, budget)[0] for ring in rings]
+        censuses = [_levels([pl], ring)[0][-1] for pl, ring in zip(plans, rings)]
     else:  # the census at the top level comes with every level below it
-        censuses = [*map(dict, _levels([tensor], rings[-1], budget, strategy)[0])]
-    coeffs = [_result(rep, side, tensor, c, ring, m).value for ring, c in zip(rings, censuses)]
+        plans = plan([rep], rings[-1], m, strategy, budget) * len(rings)
+        censuses = _levels(plans[:1], rings[-1])[0]
+    coeffs = [_result(rep, pl, dict(c), ring, m).value for pl, c, ring in zip(plans, censuses, rings)]
     return ZetaSeries(tuple(coeffs), failed_level=top + 1 if top < levels else None)

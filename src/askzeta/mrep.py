@@ -283,15 +283,15 @@ def constant_rank_check(
     """Do all nonzero parameter values give matrices of one common rank over F_p?
 
     Returns (constant, r) with r the common rank, or the maximal rank seen
-    when the family is not of constant rank. The census is ask's (_levels).
+    when the family is not of constant rank. The census is ask's (plan, then _levels).
     """
-    from .ask import _levels
+    from .ask import _levels, plan
 
     if ring.n != 1:
         raise ValueError("constant-rank scan runs over the residue field (n = 1)")
     if rep.l == 0:
         raise ValueError("constant-rank scan needs at least one parameter")
-    ranks = {rep.d - k for k in _unit_census(_levels([rep], ring, budget, "auto")[0], 1, rep.d)}
+    ranks = {rep.d - k for k in _unit_census(_levels(plan([rep], ring, budget=budget), ring)[0], 1, rep.d)}
     return (len(ranks) == 1, max(ranks))
 
 
@@ -308,15 +308,16 @@ def kminimality_check(
     is nonzero mod p has kernel size exactly p^(n (d - r)), for a target rank
     r in 0..d. A True verdict at one level is evidence, not a proof for all
     levels; a constant-rank certificate over F_p upgrades it. Every level is read off ask's census
-    at the top level (_levels), whose p^(n l) vectors the budget bounds.
+    at the top level (plan, then _levels), whose p^(n l) vectors the budget bounds.
     """
-    from .ask import _levels
+    from .ask import _levels, plan
 
     if up_to_level < 1:
         raise ValueError("need at least one level")
     if not 0 <= r <= rep.d:
         raise ValueError(f"target rank {r} is outside 0..{rep.d}, the domain rank")
-    levels = _levels([rep], TruncatedRing(p, up_to_level), budget, "auto")[0]
+    ring = TruncatedRing(p, up_to_level)
+    levels = _levels(plan([rep], ring, budget=budget), ring)[0]
     return {
         n: set(_unit_census(levels, n, rep.d)) <= {n * (rep.d - r)}
         for n in range(1, up_to_level + 1)

@@ -125,25 +125,25 @@ class MultiPoly:
                 out[lowered] = out.get(lowered, 0) + coeff * e
         return MultiPoly(self.nvars, out)
 
-    def _leading(self) -> tuple[tuple[int, ...], int]:
-        exps = max(self.terms)  # lex order on exponent tuples
-        return exps, self.terms[exps]
-
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises if the quotient is not polynomial."""
+        """Exact polynomial division; raises if the quotient is not polynomial.
+        divisor * term leaves the remainder, one dict, in place."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quotient: dict[tuple[int, ...], int] = {}
-        rem = self
-        dexp, dcoeff = divisor._leading()
-        while not rem.is_zero():
-            rexp, rcoeff = rem._leading()
+        rem = dict(self.terms)
+        dexp = max(divisor.terms)  # lex order on exponent tuples
+        while rem:
+            rexp = max(rem)
             exps = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(x < 0 for x in exps) or rcoeff % dcoeff:
+            if any(x < 0 for x in exps) or rem[rexp] % divisor.terms[dexp]:
                 raise ArithmeticError("division is not exact")
-            c = rcoeff // dcoeff
-            quotient[exps] = c
-            rem = rem - divisor * MultiPoly(self.nvars, {exps: c})
+            c = quotient[exps] = rem[rexp] // divisor.terms[dexp]
+            for e, dc in divisor.terms.items():
+                e = tuple(a + b for a, b in zip(e, exps))
+                rem[e] = rem.get(e, 0) - c * dc
+                if not rem[e]:
+                    del rem[e]
         return MultiPoly(self.nvars, quotient)
 
     def __repr__(self) -> str:

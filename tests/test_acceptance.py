@@ -36,9 +36,9 @@ def test_criterion_12_checks_the_planner(monkeypatch):
     # literal censuses only, criterion 12 the planner's asks of the duals
     result = ask._result
 
-    def circ_times_p_at_level_2(rep, side, tensor, census, ring, m):
-        out = result(rep, side, tensor, census, ring, m)
-        return replace(out, value=out.value * ring.p) if side == "circ" and ring.n == 2 else out
+    def circ_times_p_at_level_2(rep, plan, census, ring, m):
+        out = result(rep, plan, census, ring, m)
+        return replace(out, value=out.value * ring.p) if plan.side == "circ" and ring.n == 2 else out
 
     monkeypatch.setattr(ask, "_result", circ_times_p_at_level_2)
     assert run_criterion(1).passed

@@ -17,15 +17,15 @@ def outcome(result):
 
 @pytest.fixture
 def censused(monkeypatch):
-    """Every (strategy, tensor, ring) key the memo's sweeps compute, in order."""
+    """Every (strategy, tensor, ring) key whose census the executor sweeps, in order."""
     keys = []
-    for strategy, sweep in [*ask._SWEEPS.items()]:
+    levels = ask._levels
 
-        def counting(arrays, p, n, strategy=strategy, sweep=sweep):
-            keys.extend((strategy, a.shape, a.tobytes(), p, n) for a in arrays)
-            return sweep(arrays, p, n)
+    def counting(plans, ring):
+        keys.extend(plan.key for plan in plans if plan.pieces is not None)
+        return levels(plans, ring)
 
-        monkeypatch.setitem(ask._SWEEPS, strategy, counting)
+    monkeypatch.setattr(ask, "_levels", counting)
     return keys
 
 

@@ -85,7 +85,9 @@ def test_torus_census_equals_orbit_census_and_brute_force(case):
     rep = MRep(*array.shape, array)
     torus = torus_levels(array, p, n)
     assert torus == bulk.orbit_censuses(array[None], p, n)[0]
-    assert ask._orbit_levels([array], p, n)[0] == torus  # whichever side the planner takes
+    ring = TruncatedRing(p, n)
+    planned = ask._levels(ask.plan([rep], ring), ring)[0]  # whichever way the planner takes
+    assert [*map(dict, planned)] == torus
     for k in range(n + 1):
         level = TruncatedRing(p, k)
         if level.size**rep.l <= 10**5:
@@ -143,7 +145,9 @@ def test_a_full_matrix_space_in_any_basis_is_the_coordinate_tensor():
     tensor = bulk.echelon_basis(seeded, 2, 2)
     assert (tensor == rep.array).all()
     assert len(bulk.torus_coordinates(tensor != 0)[0]) == 5
-    assert ask._plan(seeded, 2, 2)[1:] == (5, 0)
+    plan = ask.plan([MRep(*seeded.shape, seeded)], TruncatedRing(2, 2))[0]
+    assert [s for _, s in plan.pieces] == [5] and plan.free == (0, 0)
+    assert plan.planned == 3**5 * 4**4 < plan.nominal
 
 
 def test_zero_rows_of_the_echelon_basis_are_free_parameters():
@@ -151,8 +155,8 @@ def test_zero_rows_of_the_echelon_basis_are_free_parameters():
     rep = catalog.make("matdxe", d=1, e=2)
     array = np.concatenate([rep.array, rep.array[:1] + 3 * rep.array[1:]]) % 9
     assert bulk.echelon_basis(array, 3, 2).shape == (2, 1, 2)
-    tensor, s, free = ask._plan(array, 3, 2)
-    assert (s, free) == (2, 1)
+    plan = ask.plan([MRep(*array.shape, array)], TruncatedRing(3, 2))[0]
+    assert [(t.shape, s) for t, s in plan.pieces] == [((2, 1, 2), 2)] and plan.free == (1, 0)
     assert torus_levels(array, 3, 2) == bulk.orbit_censuses(array[None], 3, 2)[0]
 
 
@@ -175,12 +179,12 @@ def parameter_basis(rep, seed):
 def test_torus_sweep_matches_the_orbit_sweep(monkeypatch, entries, name, params, p, n, basis):
     ring = TruncatedRing(p, n)
     reps = [basis(catalog.make(name, **params), seed) for seed in (1, 2, 3)]
-    plans = [ask._plan(rep.reduced_array(ring), p, n) for rep in reps]
-    assert len({s for _, s, _ in plans}) == 1 and plans[0][1] >= 2
+    plans = [piece for rep in reps for piece in ask.plan([rep], ring)[0].pieces]  # one piece each
+    assert len(plans) == len(reps) and len({s for _, s in plans}) == 1 and plans[0][1] >= 2
     want = bulk.orbit_censuses(np.stack([rep.reduced_array(ring) for rep in reps]), p, n)
     if entries is not None:
         monkeypatch.setattr(bulk, "_SLICE_ELEMENTS", entries)
-    stack = np.stack([tensor for tensor, _, _ in plans])
+    stack = np.stack([tensor for tensor, _ in plans])
     assert bulk.orbit_censuses(stack, p, n, torus=plans[0][1]) == want
     assert bulk.orbit_censuses(stack[:1], p, n, torus=plans[0][1]) == want[:1]
 
@@ -190,8 +194,9 @@ def test_a_torus_census_past_int64_weighs_exactly():
     # 23^3 = 12 167 representatives, against 2^42 (2^3 - 1) unit orbits
     p, n = 2, 22
     so3 = catalog.make("so", d=3).reduced_array(TruncatedRing(p, n))
-    tensor, s, free = ask._plan(so3, p, n)
-    assert (s, free) == (3, 0)
+    plan = ask.plan([catalog.make("so", d=3)], TruncatedRing(p, n), budget=p ** (n * 3))[0]
+    ((tensor, s),) = plan.pieces
+    assert (s, plan.free, plan.planned) == (3, (0, 0), 23**3)
     levels = bulk.orbit_censuses(tensor[None], p, n, torus=s)[0]
     assert [sum(census.values()) for census in levels] == [p ** (k * 3) for k in range(n + 1)]
     assert levels[:4] == bulk.orbit_censuses(bulk.echelon_basis(so3 % 8, 2, 3)[None], 2, 3)[0]

@@ -46,25 +46,28 @@ The kinds, in table order:
   queries workload asks about (there moved by a seeded change of basis,
   which keeps every class number and the work), and h_theta of matdxe(2,2)
   over F_3, of order 6561, below the orbit method's cap.
-* torus: ask's planner (ask._orbit_levels) on one tensor at every level
-  0..n, which takes each piece's torus census where it reduces fewer
-  matrices than its unit orbits: matdxe(3,3) over Z/4 and matdxe(2,3) over
+* torus: ask's planner (ask.plan, then ask._levels, with the census memo
+  emptied before each call) on one tensor at every level 0..n, which takes
+  each piece's torus census where it reduces fewer matrices than its unit
+  orbits: matdxe(3,3) over Z/4 and matdxe(2,3) over
   Z/9, each in the coordinate basis and in the queries workload's seeded
   basis (seed 8020), and so(3) over Z/5^6. It counts the matrices the first
-  call reduces, the unit-orbit representatives p^((n-1)(l-1)) (p^l - 1)/(p - 1)
-  and the difference, avoided; its levels are checked as an orbit row's, and
+  call reduces and those its plans count, planned, which must agree, the
+  unit-orbit representatives p^((n-1)(l-1)) (p^l - 1)/(p - 1) and the
+  difference, avoided; its levels are checked as an orbit row's, and
   so(3)'s first moments against their fitted form
-  (1 - q^-2 T)/((1 - T)(1 - qT)). A tree without the torus reduces the unit
-  orbits: so(3) over Z/5^6 then takes about a minute a call. These rows are
+  (1 - q^-2 T)/((1 - T)(1 - qT)). These rows are
   bimodal from process to process, so their counts carry them, not their
   times.
 * query: one census query of the queries workload under the default
   strategy, on its seeded inputs (seed 8020), with ask's census memo
   emptied before each call so that it times the census work: the four
-  whose planner enumerates a smaller tensor than the direct side, and the
-  pair `census m33 Z/4` then `ask m33 Z/4 m=3`, which one census answers.
-  It counts the matrices the first call reduces, and checks the answer
-  against the explicit "direct" strategy or the literal census.
+  whose planner enumerates a smaller tensor than the direct side, the pair
+  `census m33 Z/4` then `ask m33 Z/4 m=3`, which one census answers, and
+  `ask sym(3) Z/9 m=2`, whose three sides tie on parameters and whose circ
+  side plans the fewest matrices. It counts the matrices the first call
+  reduces and those its plans count, planned, which must agree, and checks the answer against the explicit "direct"
+  strategy or the literal census.
 * startup: a fresh start of askzeta for one CLI query, as each round of
   perfbench's queries workload starts when no bytecode is kept
   (PYTHONDONTWRITEBYTECODE=1 and no __pycache__): every askzeta module
@@ -77,7 +80,7 @@ The kinds, in table order:
     python tools/bench_smith.py --label unit_pivot              # a few minutes
     python tools/bench_smith.py --label ci --quick --out /tmp/bench   # a few seconds
     python tools/bench_smith.py --label unit_pivot --before ../parent   # twice that
-    python tools/bench_smith.py --label torus --quick --before ../parent   # ~5 min on a tree without the torus
+    python tools/bench_smith.py --label plan --quick --before ../parent   # a minute
 
 The result goes to BENCH_smith_<label>.json in --out (made if missing), with
 the machine and the commit: one `classes` list, whose rows carry their
@@ -86,7 +89,8 @@ median and quartiles over the runs, then every run. Two runs of one tree
 that disagree on a count stop the bench.
 Run it from any directory: it imports askzeta from the src/ beside it. With
 --before, the runs of an earlier tree (a checkout, or a git archive with
---before-commit, whose bulk.orbit_censuses takes a stack of tensors)
+--before-commit, whose bulk.orbit_censuses takes a stack of tensors and
+whose ask has plan, which the torus, query and hull rows call)
 alternate with this tree's, class by class, and go to
 BENCH_smith_<label>_before.json: a before/after pair from the same host and
 the same spells of load. Each round then also runs every kernel row in
@@ -204,7 +208,9 @@ CLASSES = [
     (
         # each hull on the side ask_m(strategy="auto") enumerates
         "orbit", "criterion 7 hulls over Z/3^2", "verify",
-        (3, 2, lambda: [ask._side(rep.alternating_hull(), 1, "auto")[1] for rep in seeded_corpus(DEFAULT_SEED)]),
+        (3, 2, lambda: [plan.tensor for plan in ask.plan(
+            [rep.alternating_hull() for rep in seeded_corpus(DEFAULT_SEED)], TruncatedRing(3, 2), m=1
+        )]),
     ),
     (
         "orbit", "so(3) slices 1-2 over Z/3^9", "ring beyond a batch",
@@ -235,6 +241,9 @@ CLASSES = [
     )),
     ("query", "ask m23 Z/9 m=2", "queries census", (
         lambda r, s: ask.ask_m(r["m23"], TruncatedRing(3, 2), m=2, strategy=s).value,
+    )),
+    ("query", "ask sym(3) Z/9 m=2", "side planning fewest", (
+        lambda r, s: ask.ask_m(catalog.make("sym", d=3), TruncatedRing(3, 2), m=2, strategy=s).value,
     )),
     ("query", "zeta m23 p=2 m=2", "queries census", (
         lambda r, s: ask.zeta_coeffs(r["m23"], 2, m=2, levels=2, strategy=s).coeffs,
@@ -376,21 +385,33 @@ def group(kind: str, family, p: int, quick: bool):
 
 
 def counted(counts: dict):
-    """Count the matrices bulk.batch_smith_exponents reduces into counts until the
-    returned function, which stops counting, is called."""
-    smith = bulk.batch_smith_exponents
+    """Count the matrices bulk.batch_smith_exponents reduces, and those the plans of
+    ask.plan count, planned, into counts until the returned function, which stops
+    counting and checks that the two agree, is called."""
+    smith, plan = bulk.batch_smith_exponents, ask.plan
+    counts["planned"] = 0
 
     def counting(mats, p, n):
         counts["matrices_reduced"] += len(mats)
         return smith(mats, p, n)
 
-    bulk.batch_smith_exponents = counting
-    return lambda: setattr(bulk, "batch_smith_exponents", smith)
+    def planning(*args, **kwargs):
+        plans = plan(*args, **kwargs)
+        counts["planned"] += sum(pl.planned for pl in plans)
+        return plans
+
+    def stop():
+        bulk.batch_smith_exponents, ask.plan = smith, plan
+        if counts["planned"] != counts["matrices_reduced"]:
+            raise RuntimeError(f"planned {counts['planned']} matrices, reduced {counts['matrices_reduced']}")
+
+    bulk.batch_smith_exponents, ask.plan = counting, planning
+    return stop
 
 
 def torus(p: int, n: int, tensor, form, quick: bool):
-    rep = tensor()
-    array = rep.reduced_array(TruncatedRing(p, n))
+    rep, ring = tensor(), TruncatedRing(p, n)
+    array = rep.reduced_array(ring)
     counts = {"matrices_reduced": 0, "unit_orbits": p ** ((n - 1) * (rep.l - 1)) * (p**rep.l - 1) // (p - 1)}
 
     def check(levels):
@@ -403,8 +424,13 @@ def torus(p: int, n: int, tensor, form, quick: bool):
                 if ask1 != form(p, k):
                     raise RuntimeError(f"ask at level {k} is {ask1}, its form gives {form(p, k)}")
 
+    def cold():  # so(3) over Z/5^6 has more vectors than the default budget
+        ask._MEMO.clear()
+        plans = ask.plan([rep], ring, budget=ring.size**rep.l)
+        return [dict(census) for census in ask._levels(plans, ring)[0]]
+
     stop = counted(counts)
-    return {"call_s": lambda: ask._orbit_levels([array], p, n)[0]}, check, counts
+    return {"call_s": cold}, check, counts
 
 
 def query(fn, quick: bool):
